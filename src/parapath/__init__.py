@@ -21,7 +21,6 @@ from .envelope import (
     build_index,
     build_index_detailed,
     check_index_invariants,
-    get_shortest_paths,
     intersect_lines,
 )
 from .errors import (
@@ -55,7 +54,6 @@ from .model import (
     Rational,
     as_rational,
     cost_line,
-    eval_cost,
     interpolate_weight,
     make_path,
     path_vertices,
@@ -106,8 +104,6 @@ __all__ = [
     "document_from_index",
     "enumerate_paths",
     "envelope_of_lines",
-    "eval_cost",
-    "get_shortest_paths",
     "interpolate_weight",
     "intersect_lines",
     "make_path",

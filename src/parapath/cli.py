@@ -81,9 +81,7 @@ def _load_graph(path: str) -> "graphio.DualWeightGraph":
 
 def cmd_build(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    result = envelope.build_index_detailed(
-        graph, args.source, args.target, parallel=args.parallel
-    )
+    result = envelope.build_index_detailed(graph, args.source, args.target)
     doc = graphio.document_from_index(result.index, graph)
     graphio.write_envelope(doc, args.out)
     k = result.index.k
@@ -160,9 +158,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("k,edges,vertices,dijkstra_calls,wall_ns")
     for _ in range(args.repeats):
         start = time.perf_counter_ns()
-        result = envelope.build_index_detailed(
-            graph, source, target, parallel=args.parallel
-        )
+        result = envelope.build_index_detailed(graph, source, target)
         wall = time.perf_counter_ns() - start
         print(
             f"{result.index.k},{len(graph.edges)},{graph.vertex_count},"
@@ -225,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     _add_pair_arguments(p)
     p.add_argument("--out", required=True, help="envelope file to write")
-    p.add_argument("--parallel", action="store_true", help="use the threaded builder")
     p.set_defaults(handler=cmd_build)
 
     p = sub.add_parser("query", help="evaluate an envelope file at one parameter")
@@ -267,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-max", default="10")
     p.add_argument("--blocks", type=int, default=1)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser(

@@ -6,9 +6,6 @@ paths, returns one whose cost line has minimal (or maximal) slope.  Each
 vertex label is a (length, slope) pair compared lexicographically; the
 length component of every edge relaxation is strictly positive, so
 settled labels are final even though slope increments may be negative.
-
-Every invocation owns its annotation arrays, so concurrent searches over
-the same immutable graph need no locking.
 """
 
 from __future__ import annotations
@@ -117,7 +114,6 @@ def dijkstra_extreme_slope(
     source: int,
     target: int,
     mode: SlopeMode,
-    stop_at_target: bool = True,
 ) -> tuple[Path, DistSlopeLabel]:
     """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
@@ -129,9 +125,7 @@ def dijkstra_extreme_slope(
     if source == target:
         return EMPTY_PATH, DistSlopeLabel(ZERO, ZERO)
 
-    annotation = search_annotations(
-        graph, lam, source, mode, stop_at=target if stop_at_target else None
-    )
+    annotation = search_annotations(graph, lam, source, mode, stop_at=target)
     if not annotation.settled[target]:
         raise UnreachableError(f"vertex {target} not reachable from {source}")
 

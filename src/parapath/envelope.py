@@ -16,12 +16,10 @@ computed intersection falls strictly between the endpoints.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dijkstra import MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope
 from .errors import ParallelLinesError
@@ -73,158 +71,12 @@ class BuildResult:
     dijkstra_calls: int
 
 
-class _CallCounter:
-    """Thread-safe tally of slope-Dijkstra invocations."""
-
-    __slots__ = ("_lock", "count")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.count = 0
-
-    def bump(self) -> None:
-        with self._lock:
-            self.count += 1
-
-
-# Runs the slope-extremal search at a parameter value; injected so the
-# builder can count calls.
-_Runner = Callable[[Fraction, SlopeMode], PathLine]
-
-
 def intersect_lines(a: CostLine, b: CostLine) -> Fraction:
     """Unique parameter where two non-parallel cost lines agree."""
     denom = a.slope - b.slope
     if denom == 0:
         raise ParallelLinesError(f"lines {a} and {b} have equal slope {a.slope}")
     return (b.c0 - a.c0) / denom
-
-
-def _make_runner(
-    graph: DualWeightGraph, source: int, target: int, counter: _CallCounter
-) -> _Runner:
-    def run(lam: Fraction, mode: SlopeMode) -> PathLine:
-        counter.bump()
-        path, _label = dijkstra_extreme_slope(graph, lam, source, target, mode)
-        return path, cost_line(graph, path)
-
-    return run
-
-
-def _solve(
-    run: _Runner,
-    s: Fraction,
-    t: Fraction,
-    ps: PathLine,
-    pt: PathLine,
-) -> list[EnvelopeSegment]:
-    """Sequential worker: envelope segments tiling [s, t], in order.
-
-    Uses an explicit stack because the number of segments (and hence the
-    recursion depth) can be large relative to interpreter stack limits.
-    """
-    out: list[EnvelopeSegment] = []
-    stack: list[tuple[Fraction, Fraction, PathLine, PathLine]] = [(s, t, ps, pt)]
-    while stack:
-        lo, hi, (p_lo, l_lo), (p_hi, l_hi) = stack.pop()
-        assert lo < hi
-        if l_lo.value(hi) == l_hi.value(hi):
-            # The left line is optimal at both ends, hence on all of [lo, hi].
-            out.append(EnvelopeSegment(lo, hi, p_lo, l_lo))
-            continue
-        assert l_lo.slope > l_hi.slope
-        r = intersect_lines(l_lo, l_hi)
-        assert lo < r < hi
-        left_rep = run(r, MAX_SLOPE)
-        right_rep = run(r, MIN_SLOPE)
-        # Right pushed first so the left half is processed first (LIFO),
-        # keeping the output in increasing parameter order.
-        stack.append((r, hi, right_rep, (p_hi, l_hi)))
-        stack.append((lo, r, (p_lo, l_lo), left_rep))
-    return out
-
-
-def get_shortest_paths(
-    graph: DualWeightGraph,
-    source: int,
-    target: int,
-    s: Fraction,
-    t: Fraction,
-    ps: PathLine,
-    pt: PathLine,
-) -> list[EnvelopeSegment]:
-    """Envelope segments over [s, t] given endpoint-optimal paths.
-
-    ``ps`` must be a shortest path at s of minimal slope among ties, and
-    ``pt`` a shortest path at t of maximal slope among ties.  Most
-    callers want :func:`build_index` instead, which computes the
-    endpoint representatives itself and covers the whole range.
-    """
-    counter = _CallCounter()
-    run = _make_runner(graph, source, target, counter)
-    return _solve(run, s, t, ps, pt)
-
-
-def _expand_frontier(
-    run: _Runner,
-    root: tuple[Fraction, Fraction, PathLine, PathLine],
-    want: int,
-) -> list[tuple[str, object]]:
-    """Split the interval breadth-first until ``want`` open tasks exist.
-
-    Returns an ordered mix of finished segments and open subintervals;
-    the open ones are independent and can be solved concurrently.
-    """
-    entries: list[tuple[str, object]] = [("task", root)]
-    while sum(1 for kind, _ in entries if kind == "task") < want:
-        progressed = False
-        expanded: list[tuple[str, object]] = []
-        for kind, payload in entries:
-            if kind == "seg":
-                expanded.append((kind, payload))
-                continue
-            lo, hi, (p_lo, l_lo), (p_hi, l_hi) = payload
-            if l_lo.value(hi) == l_hi.value(hi):
-                expanded.append(("seg", EnvelopeSegment(lo, hi, p_lo, l_lo)))
-                continue
-            r = intersect_lines(l_lo, l_hi)
-            assert lo < r < hi
-            left_rep = run(r, MAX_SLOPE)
-            right_rep = run(r, MIN_SLOPE)
-            expanded.append(("task", (lo, r, (p_lo, l_lo), left_rep)))
-            expanded.append(("task", (r, hi, right_rep, (p_hi, l_hi))))
-            progressed = True
-        entries = expanded
-        if not progressed:
-            break
-    return entries
-
-
-def _solve_parallel(
-    run: _Runner,
-    root: tuple[Fraction, Fraction, PathLine, PathLine],
-    max_workers: int,
-) -> list[EnvelopeSegment]:
-    """Fan independent subintervals out to a thread pool.
-
-    Only the calling thread waits on futures, so the pool can never
-    deadlock, and results are concatenated in interval order, so output
-    is identical to the sequential solver.
-    """
-    entries = _expand_frontier(run, root, want=2 * max_workers)
-    out: list[EnvelopeSegment] = []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {
-            i: pool.submit(_solve, run, *payload)
-            for i, (kind, payload) in enumerate(entries)
-            if kind == "task"
-        }
-        for i, (kind, payload) in enumerate(entries):
-            if kind == "seg":
-                out.append(payload)
-            else:
-                out.extend(futures[i].result())
-    return out
 
 
 def _merge_equal_lines(segments: list[EnvelopeSegment]) -> list[EnvelopeSegment]:
@@ -246,9 +98,11 @@ def _merge_equal_lines(segments: list[EnvelopeSegment]) -> list[EnvelopeSegment]
 def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> None:
     """Validate the segment-array invariants, raising ValueError on failure.
 
-    Non-strict mode checks only the interval structure (used when
-    comparing against possibly-wrong envelopes); strict mode adds exact
-    line agreement at breakpoints and strictly decreasing slopes.
+    Non-strict mode checks only the interval structure and reads only
+    ``lo`` and ``hi``, so it also serves envelope-file records; it is used
+    when comparing against possibly-wrong envelopes and when loading files.
+    Strict mode adds exact line agreement at breakpoints and strictly
+    decreasing slopes.
     """
     if not segments:
         raise ValueError("segment array is empty")
@@ -280,42 +134,47 @@ def check_index_invariants(index: ShortestPathIndex) -> None:
 
 
 def build_index_detailed(
-    graph: DualWeightGraph,
-    source: int,
-    target: int,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    graph: DualWeightGraph, source: int, target: int
 ) -> BuildResult:
     """Build the full shortest-path map over [0, 1], reporting search count.
 
     Raises UnreachableError when the target cannot be reached (positive
-    weights make reachability independent of the parameter).
+    weights make reachability independent of the parameter).  Intervals
+    wait on an explicit stack, because the number of segments (and hence
+    the recursion depth) can be large relative to interpreter stack limits.
     """
     validate_graph(graph)
-    counter = _CallCounter()
-    run = _make_runner(graph, source, target, counter)
-    p0 = run(ZERO, MIN_SLOPE)
-    p1 = run(ONE, MAX_SLOPE)
-    root = (ZERO, ONE, p0, p1)
-    if parallel:
-        workers = max_workers or 4
-        segments = _solve_parallel(run, root, max_workers=workers)
-    else:
-        segments = _solve(run, *root)
-    segments = _merge_equal_lines(segments)
-    index = ShortestPathIndex(source, target, tuple(segments))
+    calls = 0
+
+    def probe(lam: Fraction, mode: SlopeMode) -> PathLine:
+        nonlocal calls
+        calls += 1
+        path, _label = dijkstra_extreme_slope(graph, lam, source, target, mode)
+        return path, cost_line(graph, path)
+
+    segments: list[EnvelopeSegment] = []
+    stack = [(ZERO, ONE, probe(ZERO, MIN_SLOPE), probe(ONE, MAX_SLOPE))]
+    while stack:
+        lo, hi, (p_lo, l_lo), (p_hi, l_hi) = stack.pop()
+        assert lo < hi
+        if l_lo.value(hi) == l_hi.value(hi):
+            # The left line is optimal at both ends, hence on all of [lo, hi].
+            segments.append(EnvelopeSegment(lo, hi, p_lo, l_lo))
+            continue
+        assert l_lo.slope > l_hi.slope
+        r = intersect_lines(l_lo, l_hi)
+        assert lo < r < hi
+        left_rep = probe(r, MAX_SLOPE)
+        right_rep = probe(r, MIN_SLOPE)
+        # Right pushed first so the left half is processed first (LIFO),
+        # keeping the output in increasing parameter order.
+        stack.append((r, hi, right_rep, (p_hi, l_hi)))
+        stack.append((lo, r, (p_lo, l_lo), left_rep))
+    index = ShortestPathIndex(source, target, tuple(_merge_equal_lines(segments)))
     check_index_invariants(index)
-    return BuildResult(index, counter.count)
+    return BuildResult(index, calls)
 
 
-def build_index(
-    graph: DualWeightGraph,
-    source: int,
-    target: int,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> ShortestPathIndex:
+def build_index(graph: DualWeightGraph, source: int, target: int) -> ShortestPathIndex:
     """Like :func:`build_index_detailed` but returns only the index."""
-    return build_index_detailed(
-        graph, source, target, parallel=parallel, max_workers=max_workers
-    ).index
+    return build_index_detailed(graph, source, target).index

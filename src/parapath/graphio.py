@@ -23,7 +23,7 @@ from functools import cached_property
 from pathlib import Path as FilePath
 from typing import Iterable
 
-from .envelope import ShortestPathIndex
+from .envelope import ShortestPathIndex, check_segments
 from .errors import EnvelopeFormatError, GraphFormatError
 from .model import DualWeightGraph, Edge, path_vertices
 
@@ -234,22 +234,12 @@ def parse_envelope(text: str) -> EnvelopeDocument:
         raise EnvelopeFormatError(
             f"document declares k={declared_k} but holds {doc.k} segments"
         )
-    if not doc.segments:
-        raise EnvelopeFormatError("document holds no segments")
-    _check_tiling(doc)
+    # Queries binary-search the intervals, so they must tile [0, 1].
+    try:
+        check_segments(doc.segments, strict=False)
+    except ValueError as exc:
+        raise EnvelopeFormatError(str(exc)) from None
     return doc
-
-
-def _check_tiling(doc: EnvelopeDocument) -> None:
-    """Queries binary-search the intervals, so they must tile [0, 1]."""
-    segments = doc.segments
-    if segments[0].lo != 0 or segments[-1].hi != 1:
-        raise EnvelopeFormatError("segments do not span [0, 1]")
-    for i, seg in enumerate(segments):
-        if not seg.lo < seg.hi:
-            raise EnvelopeFormatError(f"segment {i} has an empty interval")
-        if i and segments[i - 1].hi != seg.lo:
-            raise EnvelopeFormatError(f"segments {i - 1} and {i} do not meet")
 
 
 def read_envelope(path: str | FilePath) -> EnvelopeDocument:

@@ -221,8 +221,3 @@ def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
         c0 += edge.w0
         c1 += edge.w1
     return CostLine(c0, c1)
-
-
-def eval_cost(line: CostLine, lam: Fraction) -> Fraction:
-    """Value of a cost line at ``lam`` (defined for any rational lam)."""
-    return line.value(lam)

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
+import parapath.envelope
 import strategies as own
 from parapath import (
     CostLine,
@@ -12,12 +14,12 @@ from parapath import (
     UnreachableError,
     build_index,
     build_index_detailed,
+    chain_endpoints,
+    chain_graph,
     check_index_invariants,
     compare_envelopes,
-    cost_line,
     enumerate_paths,
     envelope_of_lines,
-    get_shortest_paths,
     intersect_lines,
     shortest_path_length,
 )
@@ -93,14 +95,23 @@ def test_unreachable_target_propagates():
         build_index(graph, 0, 2)
 
 
-def test_get_shortest_paths_on_subinterval(diamond):
-    # Over [1/2, 1] the second route is optimal throughout: base case.
-    right = Path((2, 3))
-    line = cost_line(diamond, right)
-    segments = get_shortest_paths(
-        diamond, 0, 3, F(1, 2), F(1), (right, line), (right, line)
-    )
-    assert segments == [EnvelopeSegment(F(1, 2), F(1), right, line)]
+def test_dijkstra_calls_counts_every_search(monkeypatch, diamond):
+    searches = 0
+    search = parapath.envelope.dijkstra_extreme_slope
+
+    def counting_search(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(parapath.envelope, "dijkstra_extreme_slope", counting_search)
+    rng = random.Random(7)
+    instances = [(diamond, 0, 3), (chain_graph(5), *chain_endpoints(5))]
+    instances += [own.random_instance(rng, max_vertices=8, max_edges=20) for _ in range(8)]
+    for graph, source, target in instances:
+        searches = 0
+        result = build_index_detailed(graph, source, target)
+        assert result.dijkstra_calls == searches
 
 
 def test_merge_keeps_leftmost_witness_path():
@@ -164,12 +175,3 @@ def test_every_segment_is_pointwise_sound(instance):
             assert seg.line.value(lam) == shortest_path_length(
                 graph, lam, source, target
             )
-
-
-@given(own.graphs_with_pair(max_vertices=6, max_edges=12))
-@settings(max_examples=40, deadline=None)
-def test_parallel_build_is_identical(instance):
-    graph, source, target = instance
-    sequential = build_index(graph, source, target)
-    threaded = build_index(graph, source, target, parallel=True, max_workers=3)
-    assert sequential == threaded

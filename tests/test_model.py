@@ -15,7 +15,6 @@ from parapath import (
     WeightDomainError,
     as_rational,
     cost_line,
-    eval_cost,
     interpolate_weight,
     make_path,
     path_vertices,
@@ -99,7 +98,7 @@ class TestCostLine:
     ],
 )
 def test_eval_cost(line, lam, expected):
-    assert eval_cost(line, lam) == expected
+    assert line.value(lam) == expected
 
 
 class TestValidateGraph:
@@ -134,7 +133,7 @@ def test_line_value_matches_edgewise_interpolation(graph_and_path, lam):
     total = sum(
         (interpolate_weight(graph, eid, lam) for eid in edge_ids), start=F(0)
     )
-    assert eval_cost(line, lam) == total
+    assert line.value(lam) == total
 
 
 @given(own.chain_with_path(max_links=4), st.integers(min_value=0, max_value=4))
@@ -155,4 +154,4 @@ def test_nonempty_path_cost_strictly_positive(graph_and_path, lam):
     if not edge_ids:
         return
     line = cost_line(graph, Path(tuple(edge_ids)))
-    assert eval_cost(line, lam) > 0
+    assert line.value(lam) > 0
