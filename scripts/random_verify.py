@@ -56,8 +56,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         k = result.index.k
         k_histogram[k] = k_histogram.get(k, 0) + 1
-        if result.dijkstra_calls > 4 * k:
-            print(f"BUDGET EXCEEDED on instance {i}: {result.dijkstra_calls} > 4*{k}")
+        budget = max(2, 2 * k - 1)
+        if result.dijkstra_calls > budget:
+            print(
+                f"BUDGET EXCEEDED on instance {i}: {result.dijkstra_calls} > "
+                f"max(2, 2*{k} - 1)"
+            )
             print(format_graph(graph))
             return 1
     elapsed = time.perf_counter() - start

@@ -29,7 +29,15 @@ from .errors import (
     UnreachableError,
     WeightDomainError,
 )
-from .model import ONE, ZERO, cost_line, path_vertices, validate_graph
+from .model import (
+    ONE,
+    ZERO,
+    cost_line,
+    parse_rational,
+    path_vertices,
+    validate_graph,
+    validate_pair,
+)
 from .query import locate_segment
 
 EXIT_OK = 0
@@ -58,9 +66,9 @@ def _fail(code: int, message: str) -> int:
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        lam = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise LambdaRangeError(f"cannot parse lambda {text!r}") from None
+        lam = parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LambdaRangeError(f"cannot parse lambda {text!r}: {exc}") from None
     if not (ZERO <= lam <= ONE):
         raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
     return lam
@@ -155,6 +163,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             graph = generators.chain_graph(args.blocks)
         source = args.source if args.source is not None else 0
         target = args.target if args.target is not None else graph.vertex_count - 1
+    validate_pair(graph, source, target)
     print("k,edges,vertices,dijkstra_calls,wall_ns")
     for _ in range(args.repeats):
         start = time.perf_counter_ns()
@@ -189,6 +198,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
 
 def cmd_sssp(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
+    validate_pair(graph, args.source, args.target)
     lam = _parse_lambda(args.lam)
     path, label = dijkstra_extreme_slope(graph, lam, args.source, args.target, args.mode)
     line = cost_line(graph, path)

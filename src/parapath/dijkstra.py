@@ -133,7 +133,8 @@ def dijkstra_extreme_slope(
     v = target
     while v != source:
         eid = annotation.prev_edge[v]
-        assert eid is not None
+        if eid is None:  # only the source lacks a predecessor
+            raise RuntimeError(f"settled vertex {v} has no predecessor edge")
         edges.append(eid)
         v = graph.edges[eid].tail
     edges.reverse()

@@ -3,15 +3,23 @@
 The map is the lower envelope of the cost lines of all source-to-target
 paths, built without enumerating paths: bisect the interval at the
 intersection of the two endpoint-optimal lines, run the slope-extremal
-Dijkstra at the intersection, and recurse.  A line that is optimal at
-both ends of an interval is optimal throughout it (two lines cross at
+Dijkstra once at the intersection, and recurse.  A line that is optimal
+at both ends of an interval is optimal throughout it (two lines cross at
 most once), which is the recursion's base case.
 
 Interval endpoints always carry a shortest path for their parameter
-value: the left endpoint one of minimal slope, the right endpoint one of
-maximal slope.  Among tied shortest paths these are the representatives
-that stay optimal just inside the interval, and they guarantee the
-computed intersection falls strictly between the endpoints.
+value: the left endpoint the one of minimal slope, the right endpoint
+any one.  That is enough to put the computed intersection strictly
+inside the interval.  A right line tying the left one at the left
+endpoint can have no smaller slope (the left line's is least among the
+lines optimal there) and no larger one (it is optimal at the right
+endpoint), so it would be the left line itself, which the base-case test
+has already taken.  One minimal-slope search at the intersection
+therefore serves as both the right endpoint of the left half and the
+left endpoint of the right half, and a build with ``k`` segments runs
+at most ``max(2, 2k - 1)`` searches.  The right end of [0, 1] still
+takes the maximal-slope path: a line that is optimal only at 1 would
+cost extra splits.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .model import (
     ZERO,
     cost_line,
     validate_graph,
+    validate_pair,
 )
 
 # A path together with its cost line, as carried by interval endpoints.
@@ -138,12 +147,14 @@ def build_index_detailed(
 ) -> BuildResult:
     """Build the full shortest-path map over [0, 1], reporting search count.
 
-    Raises UnreachableError when the target cannot be reached (positive
+    Raises GraphStructureError for a source or target outside the graph
+    and UnreachableError when the target cannot be reached (positive
     weights make reachability independent of the parameter).  Intervals
     wait on an explicit stack, because the number of segments (and hence
     the recursion depth) can be large relative to interpreter stack limits.
     """
     validate_graph(graph)
+    validate_pair(graph, source, target)
     calls = 0
 
     def probe(lam: Fraction, mode: SlopeMode) -> PathLine:
@@ -156,20 +167,22 @@ def build_index_detailed(
     stack = [(ZERO, ONE, probe(ZERO, MIN_SLOPE), probe(ONE, MAX_SLOPE))]
     while stack:
         lo, hi, (p_lo, l_lo), (p_hi, l_hi) = stack.pop()
-        assert lo < hi
         if l_lo.value(hi) == l_hi.value(hi):
             # The left line is optimal at both ends, hence on all of [lo, hi].
             segments.append(EnvelopeSegment(lo, hi, p_lo, l_lo))
             continue
-        assert l_lo.slope > l_hi.slope
         r = intersect_lines(l_lo, l_hi)
-        assert lo < r < hi
-        left_rep = probe(r, MAX_SLOPE)
-        right_rep = probe(r, MIN_SLOPE)
+        # Holds by the endpoint invariant, and keeps both halves nonempty.
+        if not (l_lo.slope > l_hi.slope and lo < r < hi):
+            raise RuntimeError(
+                f"bisection invariant broken on [{lo}, {hi}]: lines {l_lo} "
+                f"and {l_hi} cross at {r}"
+            )
+        rep = probe(r, MIN_SLOPE)
         # Right pushed first so the left half is processed first (LIFO),
         # keeping the output in increasing parameter order.
-        stack.append((r, hi, right_rep, (p_hi, l_hi)))
-        stack.append((lo, r, (p_lo, l_lo), left_rep))
+        stack.append((r, hi, rep, (p_hi, l_hi)))
+        stack.append((lo, r, (p_lo, l_lo), rep))
     index = ShortestPathIndex(source, target, tuple(_merge_equal_lines(segments)))
     check_index_invariants(index)
     return BuildResult(index, calls)

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .envelope import ShortestPathIndex, check_segments
 from .errors import EnvelopeFormatError, GraphFormatError
-from .model import DualWeightGraph, Edge, path_vertices
+from .model import DualWeightGraph, Edge, parse_rational, path_vertices
 
 ENVELOPE_FORMAT_VERSION = 1
 
@@ -33,10 +33,6 @@ ENVELOPE_FORMAT_VERSION = 1
 def format_fraction(value: Fraction) -> str:
     """Canonical ``p/q`` spelling, denominator always present."""
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def format_weight(value: Fraction) -> str:
@@ -62,9 +58,9 @@ def format_weight(value: Fraction) -> str:
 
 def _parse_weight(token: str, line_no: int) -> Fraction:
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(f"bad weight {token!r}", line_no) from None
+        return parse_rational(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphFormatError(f"bad weight {token!r}: {exc}", line_no) from None
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -209,7 +205,7 @@ def format_envelope(doc: EnvelopeDocument) -> str:
 def parse_envelope(text: str) -> EnvelopeDocument:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise EnvelopeFormatError(f"not valid JSON: {exc}") from None
     try:
         if payload["format"] != ENVELOPE_FORMAT_VERSION:
@@ -218,10 +214,10 @@ def parse_envelope(text: str) -> EnvelopeDocument:
             )
         segments = tuple(
             SegmentRecord(
-                parse_fraction(seg["lo"]),
-                parse_fraction(seg["hi"]),
-                parse_fraction(seg["c0"]),
-                parse_fraction(seg["c1"]),
+                parse_rational(seg["lo"]),
+                parse_rational(seg["hi"]),
+                parse_rational(seg["c0"]),
+                parse_rational(seg["c1"]),
                 tuple(int(v) for v in seg["vertices"]),
             )
             for seg in payload["segments"]

@@ -28,16 +28,45 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# Caps on number tokens from outside the program.  ``Fraction`` builds
+# ``10**exponent`` outright, so without them one short token costs
+# unbounded time and memory.  The length cap admits any ``p/q`` the
+# envelope writer can emit (Python prints ints of up to 4300 digits).
+MAX_NUMBER_CHARS = 10_000
+MAX_DECIMAL_EXPONENT = 1_000
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a decimal ("0.25", "25e-2") or ratio ("1/4") string exactly.
+
+    Raises ValueError (ZeroDivisionError for a zero denominator) like
+    ``Fraction`` does, and also for a token longer than
+    ``MAX_NUMBER_CHARS`` or with a decimal exponent beyond
+    ``MAX_DECIMAL_EXPONENT`` in size; TypeError for a non-string, such as
+    a JSON number, which may be a float.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"expected a number string, got {type(text).__name__}")
+    if len(text) > MAX_NUMBER_CHARS:
+        raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
+    _mantissa, marker, exponent = text.lower().partition("e")
+    if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
+
 
 def as_rational(value: int | str | Fraction) -> Fraction:
     """Convert exactly to a Fraction.
 
     Accepts ints, Fractions, and strings in either decimal ("0.25") or
-    ratio ("1/4") form.  Floats are rejected: they would smuggle binary
-    rounding error into an exact pipeline.
+    ratio ("1/4") form; strings go through :func:`parse_rational`.
+    Floats are rejected: they would smuggle binary rounding error into an
+    exact pipeline.
     """
     if isinstance(value, float):
         raise TypeError("refusing inexact float; pass a string or Fraction")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 
@@ -107,6 +136,18 @@ def validate_graph(graph: DualWeightGraph) -> None:
                 f"edge {eid}: weights must be strictly positive, got "
                 f"({edge.w0}, {edge.w1})"
             )
+
+
+def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
+    """Reject a source or target outside ``0..vertex_count - 1``.
+
+    Without this a negative id would silently index from the end of the
+    per-vertex arrays.
+    """
+    n = graph.vertex_count
+    for role, vertex in (("source", source), ("target", target)):
+        if not 0 <= vertex < n:
+            raise GraphStructureError(f"{role} vertex {vertex} outside 0..{n - 1}")
 
 
 @dataclass(frozen=True)

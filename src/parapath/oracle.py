@@ -53,26 +53,33 @@ def enumerate_paths(
     entries: list[tuple[CostLine, Path]] = []
     seen_lines: set[tuple[Fraction, Fraction]] = set()
     on_path = [False] * graph.vertex_count
+    on_path[source] = True
     edge_stack: list[int] = []
-
-    def visit(u: int, c0: Fraction, c1: Fraction) -> None:
-        if u == target:
-            key = (c0, c1)
-            if key not in seen_lines:
-                seen_lines.add(key)
-                entries.append((CostLine(c0, c1), Path(tuple(edge_stack))))
-            return  # extending past the target can never stay simple
-        on_path[u] = True
-        for eid in graph.out_edges(u):
-            edge = graph.edges[eid]
-            if on_path[edge.head]:
-                continue
-            edge_stack.append(eid)
-            visit(edge.head, c0 + edge.w0, c1 + edge.w1)
-            edge_stack.pop()
-        on_path[u] = False
-
-    visit(source, ZERO, ZERO)
+    # One frame per vertex on the current path: its out-edges not yet
+    # tried and the path's cost so far.  An explicit stack, because paths
+    # can be longer than the interpreter's recursion limit.
+    frames = [(iter(graph.out_edges(source)), ZERO, ZERO)]
+    while frames:
+        pending, c0, c1 = frames[-1]
+        eid = next(pending, None)
+        if eid is None:
+            frames.pop()
+            if edge_stack:
+                on_path[graph.edges[edge_stack.pop()].head] = False
+            continue
+        edge = graph.edges[eid]
+        if on_path[edge.head]:
+            continue
+        e0, e1 = c0 + edge.w0, c1 + edge.w1
+        if edge.head == target:
+            # Extending past the target can never stay simple.
+            if (e0, e1) not in seen_lines:
+                seen_lines.add((e0, e1))
+                entries.append((CostLine(e0, e1), Path((*edge_stack, eid))))
+            continue
+        on_path[edge.head] = True
+        edge_stack.append(eid)
+        frames.append((iter(graph.out_edges(edge.head)), e0, e1))
     return LineSet(tuple(entries))
 
 

@@ -96,12 +96,17 @@ def random_instance(
     max_vertices: int = 8,
     max_edges: int = 20,
     allow_self_loops: bool = True,
+    max_weight: int = 1000,
+    weight_scale: int = 100,
 ) -> tuple[DualWeightGraph, int, int]:
     """Seeded random instance with a connected (source, target) pair.
 
-    Parallel edges are kept; self-loops appear occasionally (they are
-    legal and must never show up on a shortest path).  Resamples until
-    some pair is connected, which almost always succeeds first try.
+    Weights are ``randint(1, max_weight) / weight_scale``: hundredths in
+    (0, 10] by default, while a small ``max_weight`` with scale 1 gives
+    tie-heavy instances.  Parallel edges are kept; self-loops appear
+    occasionally (they are legal and must never show up on a shortest
+    path).  Resamples until some pair is connected, which almost always
+    succeeds first try.
     """
     while True:
         n = rng.randint(2, max_vertices)
@@ -116,8 +121,8 @@ def random_instance(
                 Edge(
                     tail,
                     head,
-                    Fraction(rng.randint(1, 1000), 100),
-                    Fraction(rng.randint(1, 1000), 100),
+                    Fraction(rng.randint(1, max_weight), weight_scale),
+                    Fraction(rng.randint(1, max_weight), weight_scale),
                 )
             )
         if not edges:

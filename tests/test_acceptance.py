@@ -3,7 +3,8 @@ PASS/FAIL line (run with -s to see them on success).
 
 The shared corpus is 1,000 seeded random instances with 2..8 vertices,
 1..20 edges, hundredth-grained weights in (0, 10], and a random
-connected source/target pair; several criteria reuse it.
+connected source/target pair; several criteria reuse it, and so does
+the search-count check that tightens criterion 5's budget.
 """
 
 from __future__ import annotations
@@ -175,6 +176,27 @@ def test_criterion_5_search_budget(corpus):
     _report(5, "at most 4k searches, exactly 2 when k=1", ok)
     assert not over_budget, f"instances over budget: {over_budget[:5]}"
     assert not wrong_base, f"k=1 instances with extra searches: {wrong_base[:5]}"
+
+
+def test_one_search_per_bisection_probe(corpus):
+    """At most max(2, 2k - 1) searches: two endpoint searches plus one per
+    split, on the corpus and on a tie-heavy family (weights in {1, 2, 3})
+    where many paths tie at the probed parameters."""
+    rng = random.Random(CORPUS_SEED + 6)
+    builds = [(rec.index.k, rec.dijkstra_calls) for rec in corpus]
+    mismatches = 0
+    for _ in range(CORPUS_SIZE):
+        graph, source, target = own.random_instance(
+            rng, max_vertices=8, max_edges=20, max_weight=3, weight_scale=1
+        )
+        result = build_index_detailed(graph, source, target)
+        builds.append((result.index.k, result.dijkstra_calls))
+        expected = envelope_of_lines(enumerate_paths(graph, source, target))
+        if compare_envelopes(result.index.segments, expected) is not None:
+            mismatches += 1
+    over = [(k, calls) for k, calls in builds if calls > max(2, 2 * k - 1)]
+    assert not over, f"builds over max(2, 2k - 1) searches: {over[:5]}"
+    assert mismatches == 0, f"{mismatches} tie-heavy instances mismatch the oracle"
 
 
 def test_criterion_6_query_comparison_bound():

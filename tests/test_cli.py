@@ -39,7 +39,7 @@ def test_build_reports_counts(diamond_file, tmp_path, capsys):
         ["build", str(diamond_file), "--source", "0", "--target", "3", "--out", str(out)]
     )
     assert code == 0
-    assert capsys.readouterr().out.strip() == "k=2 breakpoints=1 dijkstra_calls=4"
+    assert capsys.readouterr().out.strip() == "k=2 breakpoints=1 dijkstra_calls=3"
     payload = json.loads(out.read_text())
     assert payload["format"] == 1
     assert payload["k"] == 2
@@ -78,6 +78,8 @@ def test_query_outputs(diamond_envelope, capsys):
 def test_query_lambda_out_of_range(diamond_envelope):
     assert main(["query", str(diamond_envelope), "--lambda", "1.5"]) == 4
     assert main(["query", str(diamond_envelope), "--lambda", "-0.1"]) == 4
+    # Past the exponent cap: refused before any power of ten is built.
+    assert main(["query", str(diamond_envelope), "--lambda", "1e-1001"]) == 4
 
 
 def test_query_malformed_envelope(tmp_path):
@@ -230,6 +232,30 @@ def test_sssp_debug_output(diamond_file, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out == "length=1/1 slope=2/1 c0=1/1 c1=3/1 path=0,1,3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{diamond}", "--source", "-1", "--target", "3", "--out", "{out}"],
+        ["build", "{six}", "--source", "0", "--target", "99", "--out", "{out}"],
+        ["sssp", "{six}", "--source", "0", "--target", "-2", "--lambda", "0.5"],
+        ["verify", "{diamond}", "--source", "0", "--target", "-1"],
+        ["bench", "{diamond}", "--source", "4", "--target", "3"],
+    ],
+)
+def test_vertex_ids_outside_graph_are_input_errors(argv, diamond_file, tmp_path, capsys):
+    # Negative ids used to index from the end of the vertex arrays.
+    six = tmp_path / "six.psp"
+    six.write_text("psp 6 5\n" + "".join(f"e {i} {i + 1} 1 2\n" for i in range(5)))
+    out = tmp_path / "x.env"
+    code = main([arg.format(diamond=diamond_file, six=six, out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "outside 0.." in captured.err
+    assert not out.exists()
 
 
 def test_missing_graph_file_is_input_error(tmp_path):

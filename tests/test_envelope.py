@@ -159,7 +159,7 @@ def test_matches_oracle_and_respects_call_budget(instance):
     check_index_invariants(index)
     expected = envelope_of_lines(enumerate_paths(graph, source, target))
     assert compare_envelopes(index.segments, expected) is None
-    assert result.dijkstra_calls <= 4 * index.k
+    assert result.dijkstra_calls <= max(2, 2 * index.k - 1)
     if index.k == 1:
         assert result.dijkstra_calls == 2
 

@@ -20,6 +20,7 @@ from parapath.graphio import (
     parse_envelope,
     parse_graph,
 )
+from parapath.model import MAX_NUMBER_CHARS
 
 DIAMOND_TEXT = """\
 # two routes crossing at 1/2
@@ -77,6 +78,8 @@ def test_nondecimal_weights_survive_roundtrip():
         ("psp 2 1\ne 0 1 0 1\n", 2),
         ("psp 2 1\ne 0 1 -1 1\n", 2),
         ("psp 2 1\ne 0 1 1 banana\n", 2),
+        ("psp 2 1\ne 0 1 1e1001 1\n", 2),
+        ("psp 2 1\ne 0 1 1 1." + "0" * (MAX_NUMBER_CHARS - 1) + "\n", 2),
         ("psp 2 1\ne 0 1 1 1\ne 1 0 1 1\n", 3),
     ],
 )
@@ -125,6 +128,9 @@ def test_envelope_rationals_are_ratio_strings(diamond):
         lambda text: text.replace('"lo": "1/2"', '"lo": "2/3"'),
         lambda text: text[:-20],
         lambda text: "[]",
+        lambda text: text.replace('"1/2"', '"5e-1001"'),
+        lambda text: text.replace('"1/2"', '"0.' + "0" * (MAX_NUMBER_CHARS - 2) + '5"'),
+        lambda text: text.replace('"source": 0', '"source": ' + "1" * 5000),
     ],
 )
 def test_malformed_envelopes_rejected(diamond, mutate):

@@ -20,6 +20,12 @@ from parapath import (
     path_vertices,
     validate_graph,
 )
+from parapath.model import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_NUMBER_CHARS,
+    parse_rational,
+    validate_pair,
+)
 
 
 class TestRationalConversion:
@@ -34,6 +40,29 @@ class TestRationalConversion:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             as_rational(0.1)
+
+    def test_length_cap(self):
+        # Fraction allows padding around a token, so these differ only in length.
+        assert parse_rational(" " * (MAX_NUMBER_CHARS - 1) + "1") == F(1)
+        with pytest.raises(ValueError, match="longer than"):
+            parse_rational(" " * MAX_NUMBER_CHARS + "1")
+
+    def test_exponent_cap(self):
+        cap = MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"1e-{cap}") == F(1, 10**cap)
+        assert as_rational(f"2E{cap}") == 2 * 10**cap
+        # Each of these is refused before any power of ten is built.
+        for text in (f"1e{cap + 1}", f"1E-{cap + 1}", "1e1000000"):
+            with pytest.raises(ValueError, match="exponent"):
+                as_rational(text)
+
+
+def test_validate_pair():
+    graph = DualWeightGraph.build(3, [(0, 1, 1, 1)])
+    validate_pair(graph, 0, 2)
+    for source, target in ((-1, 0), (0, 3), (3, 0), (0, -3)):
+        with pytest.raises(GraphStructureError, match="outside 0..2"):
+            validate_pair(graph, source, target)
 
 
 @pytest.mark.parametrize(

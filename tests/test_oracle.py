@@ -61,6 +61,15 @@ def test_vertex_bound_enforced():
     enumerate_paths(graph, 0, 1, max_vertices=13)
 
 
+def test_path_longer_than_recursion_limit():
+    n = 1500
+    graph = DualWeightGraph.build(n, [(i, i + 1, 1, 2) for i in range(n - 1)])
+    lines = enumerate_paths(graph, 0, n - 1, max_vertices=n)
+    assert lines.entries == (
+        (CostLine(F(n - 1), F(2 * (n - 1))), Path(tuple(range(n - 1)))),
+    )
+
+
 def line_set(*pairs) -> LineSet:
     entries = tuple(
         (CostLine(F(c0), F(c1)), Path((i,))) for i, (c0, c1) in enumerate(pairs)
