@@ -51,15 +51,13 @@ from .model import (
     DualWeightGraph,
     Edge,
     Path,
-    Rational,
     as_rational,
     cost_line,
     interpolate_weight,
-    make_path,
     path_vertices,
     validate_graph,
 )
-from .oracle import LineSet, compare_envelopes, enumerate_paths, envelope_of_lines
+from .oracle import compare_envelopes, enumerate_paths, envelope_of_lines
 from .query import QueryResult, breakpoints, query
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "GraphFormatError",
     "GraphStructureError",
     "LambdaRangeError",
-    "LineSet",
     "MalformedPathError",
     "MAX_SLOPE",
     "MIN_SLOPE",
@@ -86,7 +83,6 @@ __all__ = [
     "ParapathError",
     "Path",
     "QueryResult",
-    "Rational",
     "SegmentRecord",
     "ShortestPathIndex",
     "UnreachableError",
@@ -106,7 +102,6 @@ __all__ = [
     "envelope_of_lines",
     "interpolate_weight",
     "intersect_lines",
-    "make_path",
     "path_vertices",
     "query",
     "random_graph",

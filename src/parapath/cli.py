@@ -11,23 +11,16 @@ from __future__ import annotations
 import argparse
 import decimal
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path as FilePath
 
 from . import envelope, generators, graphio, oracle
 from .dijkstra import MAX_SLOPE, MIN_SLOPE, dijkstra_extreme_slope
 from .errors import (
-    EnvelopeFormatError,
-    GeneratorParameterError,
-    GraphFormatError,
-    GraphStructureError,
     LambdaRangeError,
-    MalformedPathError,
     OracleScaleError,
     ParapathError,
     UnreachableError,
-    WeightDomainError,
 )
 from .model import (
     ONE,
@@ -46,15 +39,6 @@ EXIT_UNREACHABLE = 3
 EXIT_LAMBDA = 4
 EXIT_MISMATCH = 5
 EXIT_ORACLE_SCALE = 6
-
-_INPUT_ERRORS = (
-    GraphFormatError,
-    EnvelopeFormatError,
-    WeightDomainError,
-    GraphStructureError,
-    GeneratorParameterError,
-    MalformedPathError,
-)
 
 _PLOT_CONTEXT = decimal.Context(prec=12)
 
@@ -146,36 +130,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if (args.graph is None) == (args.gen is None):
-        return _fail(EXIT_INPUT, "pass a graph file or --gen, not both or neither")
-    if args.graph is not None:
-        graph = _load_graph(args.graph)
-        if args.source is None or args.target is None:
-            return _fail(EXIT_INPUT, "--source and --target required with a graph file")
-        source, target = args.source, args.target
-    else:
-        if args.gen == "random":
-            graph = generators.random_graph(
-                args.vertices, args.edges, weight_max=args.weight_max, seed=args.seed
-            )
-        else:
-            graph = generators.chain_graph(args.blocks)
-        source = args.source if args.source is not None else 0
-        target = args.target if args.target is not None else graph.vertex_count - 1
-    validate_pair(graph, source, target)
-    print("k,edges,vertices,dijkstra_calls,wall_ns")
-    for _ in range(args.repeats):
-        start = time.perf_counter_ns()
-        result = envelope.build_index_detailed(graph, source, target)
-        wall = time.perf_counter_ns() - start
-        print(
-            f"{result.index.k},{len(graph.edges)},{graph.vertex_count},"
-            f"{result.dijkstra_calls},{wall}"
-        )
-    return EXIT_OK
-
-
 def cmd_export_plot(args: argparse.Namespace) -> int:
     if args.samples < 2:
         return _fail(EXIT_INPUT, "need at least 2 samples")
@@ -259,21 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, default=1, help="gadget-chain: block count")
     p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("bench", help="time index builds, one CSV row per repeat")
-    p.add_argument("graph", nargs="?", help="graph file (or use --gen instead)")
-    p.add_argument("--source", type=int, help="source vertex (default 0 with --gen)")
-    p.add_argument(
-        "--target", type=int, help="target vertex (default last with --gen)"
-    )
-    p.add_argument("--gen", choices=["random", "gadget-chain"], help="bench a generated instance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertices", type=int, default=6)
-    p.add_argument("--edges", type=int, default=10)
-    p.add_argument("--weight-max", default="10")
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=1)
-    p.set_defaults(handler=cmd_bench)
-
     p = sub.add_parser(
         "export-plot", help="sample an envelope file to CSV for plotting"
     )
@@ -296,8 +235,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _INPUT_ERRORS as exc:
-        return _fail(EXIT_INPUT, str(exc))
     except UnreachableError as exc:
         return _fail(EXIT_UNREACHABLE, str(exc))
     except LambdaRangeError as exc:

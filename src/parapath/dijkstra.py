@@ -74,11 +74,11 @@ def search_annotations(
     heap: list[tuple[Fraction, Fraction, int]] = [(ZERO, ZERO, source)]
 
     while heap:
-        ell, skey, u = heapq.heappop(heap)
+        ell, _skey, u = heapq.heappop(heap)
+        # Each push lowers its vertex's key, so a vertex's first pop holds
+        # its current label and every later pop finds it settled.
         if settled[u]:
             continue
-        if ell != lengths[u] or skey != sign * slopes[u]:
-            continue  # stale entry superseded by a later improvement
         settled[u] = True
         if u == stop_at:
             break

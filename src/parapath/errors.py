@@ -59,3 +59,7 @@ class EnvelopeFormatError(ParapathError):
 
 class GeneratorParameterError(ParapathError):
     """Instance generator parameters are infeasible."""
+
+
+class NumberSizeError(ParapathError):
+    """A number has too many digits for Python to write it in decimal."""

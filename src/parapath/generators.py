@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import GeneratorParameterError
-from .model import DualWeightGraph, Edge, as_rational
+from .model import MAX_VERTICES, DualWeightGraph, Edge, as_rational
 
 
 def random_graph(
@@ -27,8 +27,10 @@ def random_graph(
     the same graph.
     """
     wmax = as_rational(weight_max)
-    if vertices < 2:
-        raise GeneratorParameterError("need at least 2 vertices")
+    if not 2 <= vertices <= MAX_VERTICES:
+        raise GeneratorParameterError(
+            f"vertex count {vertices} outside 2..{MAX_VERTICES}"
+        )
     max_edges = vertices * (vertices - 1)
     if not (1 <= edges <= max_edges):
         raise GeneratorParameterError(
@@ -41,16 +43,19 @@ def random_graph(
         raise GeneratorParameterError("weight bound below 0.01")
 
     rng = random.Random(seed)
-    pairs = [(i, j) for i in range(vertices) for j in range(vertices) if i != j]
-    chosen = rng.sample(pairs, edges)
+    # Pair m of the row-major list of ordered pairs (i, j), i != j, has
+    # i, r = divmod(m, V - 1) and j = r or r + 1.  Sampling indices draws
+    # what sampling that list would, since ``sample``'s draws depend only on
+    # the population size, without building all V(V - 1) pairs.
+    chosen = [divmod(m, vertices - 1) for m in rng.sample(range(max_edges), edges)]
     rows = tuple(
         Edge(
             tail,
-            head,
+            r if r < tail else r + 1,
             Fraction(rng.randint(1, cents), 100),
             Fraction(rng.randint(1, cents), 100),
         )
-        for tail, head in chosen
+        for tail, r in chosen
     )
     return DualWeightGraph(vertices, rows)
 

@@ -17,6 +17,7 @@ Envelope documents are JSON with every rational rendered as the string
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,15 +25,24 @@ from pathlib import Path as FilePath
 from typing import Iterable
 
 from .envelope import ShortestPathIndex, check_segments
-from .errors import EnvelopeFormatError, GraphFormatError
-from .model import DualWeightGraph, Edge, parse_rational, path_vertices
+from .errors import EnvelopeFormatError, GraphFormatError, NumberSizeError
+from .model import MAX_VERTICES, DualWeightGraph, Edge, parse_rational, path_vertices
 
 ENVELOPE_FORMAT_VERSION = 1
 
 
+def _digits(value: int) -> str:
+    """``str(value)``, or NumberSizeError past Python's int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise NumberSizeError(f"cannot write a number over {limit} digits") from None
+
+
 def format_fraction(value: Fraction) -> str:
     """Canonical ``p/q`` spelling, denominator always present."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
 
 
 def format_weight(value: Fraction) -> str:
@@ -49,10 +59,10 @@ def format_weight(value: Fraction) -> str:
         return format_fraction(value)
     places = max(twos, fives)
     if places == 0:
-        return str(value.numerator)
+        return _digits(value.numerator)
     scaled = value.numerator * 10**places // value.denominator
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    digits = _digits(abs(scaled)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
@@ -87,8 +97,10 @@ def parse_graph(text: str) -> DualWeightGraph:
                 )
             vertex_count = _parse_int(fields[1], line_no, "vertex count")
             edge_count = _parse_int(fields[2], line_no, "edge count")
-            if vertex_count < 1 or edge_count < 0:
-                raise GraphFormatError("header counts out of range", line_no)
+            if not 1 <= vertex_count <= MAX_VERTICES or edge_count < 0:
+                raise GraphFormatError(
+                    f"header counts out of range (vertices 1..{MAX_VERTICES})", line_no
+                )
             continue
         if fields[0] != "e" or len(fields) != 5:
             raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", line_no)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     GraphStructureError,
@@ -22,8 +22,6 @@ from .errors import (
     MalformedPathError,
     WeightDomainError,
 )
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,6 +32,11 @@ ONE = Fraction(1)
 # envelope writer can emit (Python prints ints of up to 4300 digits).
 MAX_NUMBER_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
+
+# Cap on a graph file's declared vertex count.  A search allocates about
+# 110 bytes per declared vertex, edges or not, so without it the 17-byte
+# header ``psp 1000000000 0`` asks for some 100 GB; at the cap it is 110 MB.
+MAX_VERTICES = 1_000_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -78,11 +81,6 @@ class Edge:
     head: int
     w0: Fraction
     w1: Fraction
-
-    @property
-    def drift(self) -> Fraction:
-        """Change in this edge's weight from lam=0 to lam=1 (may be negative)."""
-        return self.w1 - self.w0
 
 
 @dataclass(frozen=True)
@@ -156,22 +154,12 @@ class Path:
 
     edges: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     @property
     def is_empty(self) -> bool:
         return not self.edges
 
 
 EMPTY_PATH = Path(())
-
-
-def make_path(graph: DualWeightGraph, edge_ids: Sequence[int]) -> Path:
-    """Build a Path, asserting contiguity and simplicity against ``graph``."""
-    path = Path(tuple(edge_ids))
-    check_path(graph, path)
-    return path
 
 
 def check_path(graph: DualWeightGraph, path: Path) -> None:
@@ -230,9 +218,6 @@ class CostLine:
 
     def value(self, lam: Fraction) -> Fraction:
         return (ONE - lam) * self.c0 + lam * self.c1
-
-    def __add__(self, other: "CostLine") -> "CostLine":
-        return CostLine(self.c0 + other.c0, self.c1 + other.c1)
 
 
 ZERO_LINE = CostLine(ZERO, ZERO)

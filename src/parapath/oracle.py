@@ -9,7 +9,6 @@ accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,25 +19,16 @@ from .model import CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, ZERO_
 DEFAULT_VERTEX_BOUND = 12
 
 
-@dataclass(frozen=True)
-class LineSet:
-    """Distinct cost lines over all simple paths, one witness path each."""
-
-    entries: tuple[tuple[CostLine, Path], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def enumerate_paths(
     graph: DualWeightGraph,
     source: int,
     target: int,
     max_vertices: int = DEFAULT_VERTEX_BOUND,
-) -> LineSet:
+) -> tuple[tuple[CostLine, Path], ...]:
     """Depth-first enumeration of all simple source->target paths.
 
-    Paths sharing a cost line are collapsed to the first one found (the
+    Returns one ``(cost line, witness path)`` pair per distinct line:
+    paths sharing a cost line are collapsed to the first one found (the
     DFS visits edges in id order, so the witness is deterministic).
     Refuses graphs above ``max_vertices``: the path count is worst-case
     factorial in the vertex count.
@@ -48,7 +38,7 @@ def enumerate_paths(
             f"{graph.vertex_count} vertices exceeds enumeration bound {max_vertices}"
         )
     if source == target:
-        return LineSet(((ZERO_LINE, EMPTY_PATH),))
+        return ((ZERO_LINE, EMPTY_PATH),)
 
     entries: list[tuple[CostLine, Path]] = []
     seen_lines: set[tuple[Fraction, Fraction]] = set()
@@ -80,21 +70,23 @@ def enumerate_paths(
         on_path[edge.head] = True
         edge_stack.append(eid)
         frames.append((iter(graph.out_edges(edge.head)), e0, e1))
-    return LineSet(tuple(entries))
+    return tuple(entries)
 
 
-def envelope_of_lines(line_set: LineSet) -> list[EnvelopeSegment]:
-    """Exact lower envelope of a line set over [0, 1].
+def envelope_of_lines(
+    lines: Sequence[tuple[CostLine, Path]],
+) -> list[EnvelopeSegment]:
+    """Exact lower envelope over [0, 1] of ``(line, path)`` pairs.
 
     Slope-sorted convex sweep: among parallel lines only the lowest can
     touch the envelope; a line whose crossing with its left neighbor
     does not advance past the previous crossing is dominated and popped.
     """
-    if not line_set.entries:
+    if not lines:
         raise ValueError("cannot take the envelope of an empty line set")
 
     lowest_per_slope: dict[Fraction, tuple[CostLine, Path]] = {}
-    for line, path in line_set.entries:
+    for line, path in lines:
         cur = lowest_per_slope.get(line.slope)
         if cur is None or line.c0 < cur[0].c0:
             lowest_per_slope[line.slope] = (line, path)

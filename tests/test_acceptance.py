@@ -226,7 +226,7 @@ def test_criterion_7_slope_extremal_search():
     for _ in range(500):
         graph, source, target = own.random_instance(rng, max_vertices=7, max_edges=14)
         lam = own.random_lambda(rng)
-        entries = enumerate_paths(graph, source, target).entries
+        entries = enumerate_paths(graph, source, target)
         values = [(line.value(lam), line.slope) for line, _ in entries]
         best = min(v for v, _ in values)
         tied = [m for v, m in values if v == best]

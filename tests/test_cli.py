@@ -150,40 +150,6 @@ def test_gen_chain_has_stable_envelope(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == first
 
 
-def test_bench_rows(diamond_file, capsys):
-    code = main(
-        ["bench", str(diamond_file), "--source", "0", "--target", "3", "--repeats", "2"]
-    )
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "k,edges,vertices,dijkstra_calls,wall_ns"
-    assert len(lines) == 3
-    for row in lines[1:]:
-        k, edges, vertices, calls, wall = (int(x) for x in row.split(","))
-        assert (k, edges, vertices) == (2, 4, 4)
-        assert calls <= 4 * k
-        assert wall > 0
-
-
-def test_bench_base_case_uses_two_searches(tmp_path, capsys):
-    g = tmp_path / "one.psp"
-    g.write_text("psp 2 1\ne 0 1 1 3\n")
-    assert main(["bench", str(g), "--source", "0", "--target", "1"]) == 0
-    row = capsys.readouterr().out.strip().splitlines()[1]
-    assert row.split(",")[:4] == ["1", "1", "2", "2"]
-
-
-def test_bench_over_generated_instances(capsys):
-    assert main(["bench", "--gen", "gadget-chain", "--blocks", "4"]) == 0
-    row = capsys.readouterr().out.strip().splitlines()[1]
-    k, edges, vertices, calls, _wall = (int(x) for x in row.split(","))
-    assert (k, edges, vertices) == (5, 16, 13)
-    assert calls <= 4 * k
-    # A graph file and --gen are mutually exclusive; one is required.
-    assert main(["bench"]) == 2
-    assert main(["bench", "x.psp", "--gen", "random"]) == 2
-
-
 def test_export_plot_duplicates_breakpoints(diamond_envelope, tmp_path, capsys):
     out = tmp_path / "plot.csv"
     code = main(
@@ -241,7 +207,6 @@ def test_sssp_debug_output(diamond_file, capsys):
         ["build", "{six}", "--source", "0", "--target", "99", "--out", "{out}"],
         ["sssp", "{six}", "--source", "0", "--target", "-2", "--lambda", "0.5"],
         ["verify", "{diamond}", "--source", "0", "--target", "-1"],
-        ["bench", "{diamond}", "--source", "4", "--target", "3"],
     ],
 )
 def test_vertex_ids_outside_graph_are_input_errors(argv, diamond_file, tmp_path, capsys):
@@ -255,6 +220,35 @@ def test_vertex_ids_outside_graph_are_input_errors(argv, diamond_file, tmp_path,
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "outside 0.." in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{huge}", "--source", "0", "--target", "1", "--out", "{out}"],
+        ["gen", "gadget-chain", "--blocks", "15000", "--out", "{out}"],
+        ["query", "{wide}", "--lambda", "1/" + "3" * 4000],
+    ],
+)
+def test_number_past_write_limit_is_input_error(argv, tmp_path, capsys):
+    # Python refuses to print an int of more than 4300 digits: the first
+    # envelope holds a 5300-digit cost, the chain a weight near 2**15001,
+    # and the query's cost an 8300-digit numerator.
+    huge = tmp_path / "huge.psp"
+    huge.write_text("psp 2 1\ne 0 1 " + "1" * 4300 + "e1000 1\n")
+    wide = tmp_path / "wide.env"
+    wide.write_text(
+        '{"format": 1, "source": 0, "target": 1, "k": 1, "segments": [{"lo": "0/1", '
+        f'"hi": "1/1", "c0": "{"7" * 4300}/1", "c1": "1/1", "vertices": [0, 1]}}]}}'
+    )
+    out = tmp_path / "out"
+    code = main([arg.format(huge=huge, wide=wide, out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write a number over ")
+    assert len(captured.err.splitlines()) == 1
     assert not out.exists()
 
 

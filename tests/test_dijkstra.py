@@ -68,7 +68,7 @@ def test_unreachable_raises():
 
 
 def _enumerated_extremes(graph, source, target, lam):
-    entries = enumerate_paths(graph, source, target).entries
+    entries = enumerate_paths(graph, source, target)
     values = [(line.value(lam), line.slope) for line, _ in entries]
     best = min(v for v, _ in values)
     tied = [m for v, m in values if v == best]

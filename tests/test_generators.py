@@ -1,8 +1,12 @@
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from parapath import (
+    DualWeightGraph,
+    Edge,
     GeneratorParameterError,
     build_index,
     chain_endpoints,
@@ -13,6 +17,19 @@ from parapath import (
     validate_graph,
 )
 from parapath.graphio import format_graph
+from parapath.model import MAX_VERTICES
+
+
+def list_of_pairs_random_graph(vertices, edges, seed):
+    """Reference: sample the materialized list of ordered pairs."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(vertices) for j in range(vertices) if i != j]
+    chosen = rng.sample(pairs, edges)
+    rows = tuple(
+        Edge(i, j, F(rng.randint(1, 1000), 100), F(rng.randint(1, 1000), 100))
+        for i, j in chosen
+    )
+    return DualWeightGraph(vertices, rows)
 
 
 class TestRandomGraph:
@@ -37,11 +54,32 @@ class TestRandomGraph:
 
     @pytest.mark.parametrize(
         "vertices, edges",
-        [(1, 1), (3, 0), (3, 7), (2, 3)],
+        [(1, 1), (3, 0), (3, 7), (2, 3), (MAX_VERTICES + 1, 1)],
     )
     def test_infeasible_parameters_rejected(self, vertices, edges):
         with pytest.raises(GeneratorParameterError):
             random_graph(vertices, edges)
+
+    def test_matches_list_of_pairs_reference(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            vertices = rng.randint(2, 30)
+            edges = rng.randint(1, vertices * (vertices - 1))
+            seed = rng.randrange(10**6)
+            assert random_graph(vertices, edges, seed=seed) == (
+                list_of_pairs_random_graph(vertices, edges, seed)
+            )
+
+    def test_few_edges_cost_no_pair_list(self):
+        # Building all V(V - 1) pairs here took 88 MB at its peak.
+        tracemalloc.start()
+        try:
+            graph = random_graph(1000, 5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graph.edges) == 5
+        assert peak < 1_000_000
 
     def test_weight_bound_respected(self):
         graph = random_graph(4, 6, weight_max="0.05", seed=3)

@@ -20,7 +20,7 @@ from parapath.graphio import (
     parse_envelope,
     parse_graph,
 )
-from parapath.model import MAX_NUMBER_CHARS
+from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES
 
 DIAMOND_TEXT = """\
 # two routes crossing at 1/2
@@ -81,12 +81,18 @@ def test_nondecimal_weights_survive_roundtrip():
         ("psp 2 1\ne 0 1 1e1001 1\n", 2),
         ("psp 2 1\ne 0 1 1 1." + "0" * (MAX_NUMBER_CHARS - 1) + "\n", 2),
         ("psp 2 1\ne 0 1 1 1\ne 1 0 1 1\n", 3),
+        (f"psp {MAX_VERTICES + 1} 0\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(GraphFormatError) as exc_info:
         parse_graph(text)
     assert exc_info.value.line == line_no
+
+
+def test_vertex_cap_itself_parses():
+    # Parsing allocates nothing per vertex; a search would.
+    assert parse_graph(f"psp {MAX_VERTICES} 0\n").vertex_count == MAX_VERTICES
 
 
 def test_missing_header_and_missing_edges_rejected():

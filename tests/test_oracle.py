@@ -15,11 +15,10 @@ from parapath import (
     envelope_of_lines,
 )
 from parapath.envelope import EnvelopeSegment
-from parapath.oracle import LineSet
 
 
-def entry_lines(line_set):
-    return [line for line, _ in line_set.entries]
+def entry_lines(entries):
+    return [line for line, _ in entries]
 
 
 def test_single_edge_enumeration(single_edge):
@@ -40,7 +39,7 @@ def test_identical_lines_deduplicated():
     lines = enumerate_paths(graph, 0, 2)
     assert entry_lines(lines) == [CostLine(F(2), F(2))]
     # Witness is the first path found in DFS edge order.
-    assert lines.entries[0][1].edges == (0, 1)
+    assert lines[0][1].edges == (0, 1)
 
 
 def test_no_paths_gives_empty_set():
@@ -51,7 +50,7 @@ def test_no_paths_gives_empty_set():
 def test_source_equals_target_is_the_empty_path():
     graph = DualWeightGraph.build(2, [(0, 1, 1, 1)])
     lines = enumerate_paths(graph, 1, 1)
-    assert lines.entries == ((CostLine(F(0), F(0)), Path(())),)
+    assert lines == ((CostLine(F(0), F(0)), Path(())),)
 
 
 def test_vertex_bound_enforced():
@@ -65,16 +64,15 @@ def test_path_longer_than_recursion_limit():
     n = 1500
     graph = DualWeightGraph.build(n, [(i, i + 1, 1, 2) for i in range(n - 1)])
     lines = enumerate_paths(graph, 0, n - 1, max_vertices=n)
-    assert lines.entries == (
+    assert lines == (
         (CostLine(F(n - 1), F(2 * (n - 1))), Path(tuple(range(n - 1)))),
     )
 
 
-def line_set(*pairs) -> LineSet:
-    entries = tuple(
+def line_set(*pairs):
+    return tuple(
         (CostLine(F(c0), F(c1)), Path((i,))) for i, (c0, c1) in enumerate(pairs)
     )
-    return LineSet(entries)
 
 
 class TestEnvelopeOfLines:
@@ -102,7 +100,7 @@ class TestEnvelopeOfLines:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            envelope_of_lines(LineSet(()))
+            envelope_of_lines(())
 
 
 class TestCompareEnvelopes:
@@ -140,7 +138,7 @@ def test_envelope_evaluates_to_minimum_of_lines():
     uppers = [s.hi for s in segs]
     for _ in range(1000):
         lam = own.random_lambda(rng)
-        want = min(line.value(lam) for line, _ in entries.entries)
+        want = min(line.value(lam) for line, _ in entries)
         seg = next(s for s, hi in zip(segs, uppers) if lam <= hi)
         assert seg.line.value(lam) == want
 
@@ -150,7 +148,7 @@ def test_envelope_evaluates_to_minimum_of_lines():
 def test_endpoint_dominant_line_owns_the_whole_range(instance):
     """If one line is the strict minimum at both ends, it is the envelope."""
     graph, source, target = instance
-    lines = [line for line, _ in enumerate_paths(graph, source, target).entries]
+    lines = [line for line, _ in enumerate_paths(graph, source, target)]
     at0 = sorted(line.c0 for line in lines)
     at1 = sorted(line.c1 for line in lines)
     best = min(lines, key=lambda l: (l.c0, l.c1))
