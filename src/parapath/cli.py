@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path as FilePath
@@ -171,7 +172,13 @@ def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", type=int, required=True, help="target vertex id")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Building it costs about as much as a whole ``parapath query``, and
+    parsing leaves it unchanged, so in-process callers share one.
+    """
     parser = argparse.ArgumentParser(
         prog="parapath",
         description=(

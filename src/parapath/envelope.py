@@ -82,10 +82,12 @@ class BuildResult:
 
 def intersect_lines(a: CostLine, b: CostLine) -> Fraction:
     """Unique parameter where two non-parallel cost lines agree."""
-    denom = a.slope - b.slope
+    ma, sa, da = a.scaled()
+    mb, sb, db = b.scaled()
+    denom = sa * db - sb * da
     if denom == 0:
         raise ParallelLinesError(f"lines {a} and {b} have equal slope {a.slope}")
-    return (b.c0 - a.c0) / denom
+    return Fraction(mb * da - ma * db, denom)
 
 
 def _merge_equal_lines(segments: list[EnvelopeSegment]) -> list[EnvelopeSegment]:
@@ -107,9 +109,9 @@ def _merge_equal_lines(segments: list[EnvelopeSegment]) -> list[EnvelopeSegment]
 def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> None:
     """Validate the segment-array invariants, raising ValueError on failure.
 
-    Non-strict mode checks only the interval structure and reads only
-    ``lo`` and ``hi``, so it also serves envelope-file records; it is used
-    when comparing against possibly-wrong envelopes and when loading files.
+    Reads ``lo``, ``hi`` and ``line``, so it serves envelope-file records
+    as well as index segments.  Non-strict mode checks only the interval
+    structure; it is used when comparing against possibly-wrong envelopes.
     Strict mode adds exact line agreement at breakpoints and strictly
     decreasing slopes.
     """
@@ -122,19 +124,23 @@ def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> 
     for i, seg in enumerate(segments):
         if not seg.lo < seg.hi:
             raise ValueError(f"segment {i} has empty interval [{seg.lo}, {seg.hi}]")
+    scaled = [seg.line.scaled() for seg in segments] if strict else []
     for i in range(len(segments) - 1):
         a, b = segments[i], segments[i + 1]
         if a.hi != b.lo:
             raise ValueError(f"gap between segments {i} and {i + 1}")
-        if strict:
-            if a.line == b.line:
-                raise ValueError(f"segments {i} and {i + 1} share a line")
-            if a.line.slope <= b.line.slope:
-                raise ValueError(f"slope not decreasing at segment {i + 1}")
-            if a.line.value(a.hi) != b.line.value(a.hi):
-                raise ValueError(
-                    f"lines disagree at breakpoint {a.hi} between {i} and {i + 1}"
-                )
+        if not strict:
+            continue
+        (ma, sa, da), (mb, sb, db) = scaled[i], scaled[i + 1]
+        if (ma, sa, da) == (mb, sb, db):
+            raise ValueError(f"segments {i} and {i + 1} share a line")
+        if sa * db <= sb * da:
+            raise ValueError(f"slope not decreasing at segment {i + 1}")
+        p, q = a.hi.numerator, a.hi.denominator
+        if (q * ma + p * sa) * db != (q * mb + p * sb) * da:
+            raise ValueError(
+                f"lines disagree at breakpoint {a.hi} between {i} and {i + 1}"
+            )
 
 
 def check_index_invariants(index: ShortestPathIndex) -> None:

@@ -8,9 +8,10 @@ construction, used to exercise scaling.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
-from .errors import GeneratorParameterError
+from .errors import GeneratorParameterError, NumberSizeError
 from .model import MAX_VERTICES, DualWeightGraph, Edge, as_rational
 
 
@@ -26,7 +27,12 @@ def random_graph(
     so files render as two-decimal strings.  The same seed always yields
     the same graph.
     """
-    wmax = as_rational(weight_max)
+    try:
+        wmax = as_rational(weight_max)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GeneratorParameterError(
+            f"bad weight bound {weight_max!r:.40}: {exc}"
+        ) from None
     if not 2 <= vertices <= MAX_VERTICES:
         raise GeneratorParameterError(
             f"vertex count {vertices} outside 2..{MAX_VERTICES}"
@@ -60,6 +66,18 @@ def random_graph(
     return DualWeightGraph(vertices, rows)
 
 
+def max_chain_blocks() -> int | None:
+    """Largest block count whose graph file can be written, or None if any can.
+
+    The widest weight, ``(1 + 2**(b+1)) / 2``, is written as the decimal
+    ``2**b + 0.5``: ``10 * 2**b + 5`` in digits.  That fits in ``n``
+    digits exactly when ``2**b < 10**(n-1)``, with ``n`` Python's int
+    printing limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    return (10 ** (limit - 1)).bit_length() - 1 if limit else None
+
+
 def chain_graph(blocks: int) -> DualWeightGraph:
     """Serial chain of two-route blocks with blocks+1 envelope segments.
 
@@ -69,9 +87,19 @@ def chain_graph(blocks: int) -> DualWeightGraph:
     routes swap optimality at a distinct parameter per block and every
     combination of route choices has a distinct cost line (the level
     offsets 2**i are super-increasing, so subset sums are unique).
+
+    Raises NumberSizeError above :func:`max_chain_blocks`, before
+    building weights whose total size grows with the square of
+    ``blocks``.
     """
     if blocks < 1:
         raise GeneratorParameterError("need at least 1 block")
+    cap = max_chain_blocks()
+    if cap is not None and blocks > cap:
+        raise NumberSizeError(
+            f"cannot write a number over {sys.get_int_max_str_digits()} digits: "
+            f"a chain of {blocks} blocks has wider weights (at most {cap} blocks)"
+        )
     edges: list[Edge] = []
     for i in range(blocks):
         start = 3 * i

@@ -26,7 +26,14 @@ from typing import Iterable
 
 from .envelope import ShortestPathIndex, check_segments
 from .errors import EnvelopeFormatError, GraphFormatError, NumberSizeError
-from .model import MAX_VERTICES, DualWeightGraph, Edge, parse_rational, path_vertices
+from .model import (
+    MAX_VERTICES,
+    CostLine,
+    DualWeightGraph,
+    Edge,
+    parse_rational,
+    path_vertices,
+)
 
 ENVELOPE_FORMAT_VERSION = 1
 
@@ -137,8 +144,15 @@ def format_graph(graph: DualWeightGraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str | FilePath, error: type[Exception]) -> str:
+    try:
+        return FilePath(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_graph(path: str | FilePath) -> DualWeightGraph:
-    return parse_graph(FilePath(path).read_text())
+    return parse_graph(_read_text(path, GraphFormatError))
 
 
 def write_graph(
@@ -157,8 +171,12 @@ class SegmentRecord:
     c1: Fraction
     vertices: tuple[int, ...]
 
+    @property
+    def line(self) -> CostLine:
+        return CostLine(self.c0, self.c1)
+
     def cost_at(self, lam: Fraction) -> Fraction:
-        return (1 - lam) * self.c0 + lam * self.c1
+        return self.line.value(lam)
 
 
 @dataclass(frozen=True)
@@ -214,44 +232,74 @@ def format_envelope(doc: EnvelopeDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+# ``int()`` would take 0.9, "3" and true; only a JSON integer is an id.
+def _json_int(value: object, what: str) -> int:
+    if type(value) is not int:
+        raise EnvelopeFormatError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _json_ints(values: list) -> tuple[int, ...]:
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise EnvelopeFormatError(
+            f"vertices must be a list of integers, got {values!r:.40}"
+        )
+    return tuple(values)
+
+
 def parse_envelope(text: str) -> EnvelopeDocument:
+    """Load an envelope document, refusing anything the writer cannot emit.
+
+    Beyond the JSON structure, the segments must pass the strict segment
+    check (tiling of [0, 1], strictly decreasing slopes, lines agreeing
+    at breakpoints) and every vertex walk must run from source to target:
+    queries answer from the file alone, so a tampered file would
+    otherwise answer wrongly.
+    """
     try:
         payload = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise EnvelopeFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise EnvelopeFormatError("not valid JSON: nested too deeply") from None
     try:
-        if payload["format"] != ENVELOPE_FORMAT_VERSION:
-            raise EnvelopeFormatError(
-                f"unsupported format version {payload['format']!r}"
-            )
+        version = _json_int(payload["format"], "format")
+        if version != ENVELOPE_FORMAT_VERSION:
+            raise EnvelopeFormatError(f"unsupported format version {version}")
+        source = _json_int(payload["source"], "source")
+        target = _json_int(payload["target"], "target")
+        declared_k = _json_int(payload["k"], "k")
         segments = tuple(
             SegmentRecord(
                 parse_rational(seg["lo"]),
                 parse_rational(seg["hi"]),
                 parse_rational(seg["c0"]),
                 parse_rational(seg["c1"]),
-                tuple(int(v) for v in seg["vertices"]),
+                _json_ints(seg["vertices"]),
             )
             for seg in payload["segments"]
         )
-        doc = EnvelopeDocument(int(payload["source"]), int(payload["target"]), segments)
-        declared_k = int(payload["k"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
+    doc = EnvelopeDocument(source, target, segments)
     if declared_k != doc.k:
         raise EnvelopeFormatError(
             f"document declares k={declared_k} but holds {doc.k} segments"
         )
-    # Queries binary-search the intervals, so they must tile [0, 1].
+    for i, seg in enumerate(segments):
+        if not seg.vertices or seg.vertices[0] != source or seg.vertices[-1] != target:
+            raise EnvelopeFormatError(
+                f"segment {i}: vertex walk does not run from {source} to {target}"
+            )
     try:
-        check_segments(doc.segments, strict=False)
+        check_segments(segments, strict=True)
     except ValueError as exc:
         raise EnvelopeFormatError(str(exc)) from None
     return doc
 
 
 def read_envelope(path: str | FilePath) -> EnvelopeDocument:
-    return parse_envelope(FilePath(path).read_text())
+    return parse_envelope(_read_text(path, EnvelopeFormatError))
 
 
 def write_envelope(doc: EnvelopeDocument, path: str | FilePath) -> None:

@@ -216,8 +216,22 @@ class CostLine:
     def slope(self) -> Fraction:
         return self.c1 - self.c0
 
+    def scaled(self) -> tuple[int, int, int]:
+        """Integers ``(m, s, d)``, ``d > 0``, with ``value(lam) = (m + lam*s) / d``.
+
+        Evaluating and comparing lines in this form takes a few int
+        multiplications, which Python does in C, where ``Fraction``
+        operators reduce every intermediate result by a gcd.
+        """
+        a, b = self.c0.numerator, self.c0.denominator
+        c, d = self.c1.numerator, self.c1.denominator
+        m = a * d
+        return m, c * b - m, b * d
+
     def value(self, lam: Fraction) -> Fraction:
-        return (ONE - lam) * self.c0 + lam * self.c1
+        m, s, d = self.scaled()
+        p, q = lam.numerator, lam.denominator
+        return Fraction(q * m + p * s, q * d)
 
 
 ZERO_LINE = CostLine(ZERO, ZERO)

@@ -3,7 +3,9 @@
 Lookup is a binary search over segment right endpoints, instrumented so
 tests can pin the comparison count to the logarithmic bound.  At a
 breakpoint the two adjacent lines agree exactly; the leftmost containing
-segment is returned to keep outputs deterministic.
+segment is returned to keep outputs deterministic.  Comparisons
+cross-multiply numerators and denominators, which Python does in C,
+instead of going through ``Fraction``'s operators.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import LambdaRangeError
-from .model import CostLine, ONE, Path, ZERO
+from .model import CostLine, Path
 from .envelope import ShortestPathIndex
 
 
@@ -34,12 +36,14 @@ def locate_segment(
     ``upper_bounds`` are the strictly increasing segment right
     endpoints, the last being 1.  Returns (index, comparison count).
     """
+    p, q = lam.numerator, lam.denominator
     lo, hi = 0, len(upper_bounds) - 1
     comparisons = 0
     while lo < hi:
         mid = (lo + hi) // 2
         comparisons += 1
-        if lam <= upper_bounds[mid]:
+        bound = upper_bounds[mid]
+        if p * bound.denominator <= bound.numerator * q:
             hi = mid
         else:
             lo = mid + 1
@@ -50,8 +54,16 @@ def query(index: ShortestPathIndex, lam: Fraction) -> QueryResult:
     """Optimal path, its line, and its exact cost at ``lam``.
 
     Raises LambdaRangeError outside [0, 1]; values are never clamped.
+    Raises TypeError for a ``lam`` that is not an exact rational, such as
+    a float, like :func:`parapath.model.as_rational`.
     """
-    if not (ZERO <= lam <= ONE):
+    try:
+        p, q = lam.numerator, lam.denominator
+    except AttributeError:
+        raise TypeError(
+            f"lambda must be an exact rational, not {type(lam).__name__}"
+        ) from None
+    if not 0 <= p <= q:
         raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
     pos, comparisons = locate_segment(index.upper_bounds, lam)
     seg = index.segments[pos]

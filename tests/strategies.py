@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -137,3 +138,50 @@ def random_instance(
 def random_lambda(rng: random.Random, max_denominator: int = 997) -> Fraction:
     den = rng.randint(1, max_denominator)
     return Fraction(rng.randint(0, den), den)
+
+
+# The diamond's envelope file: lines (1, 3) and (3, 1) crossing at 1/2.
+DIAMOND_ENVELOPE = {
+    "format": 1,
+    "source": 0,
+    "target": 3,
+    "k": 2,
+    "segments": [
+        {"lo": "0/1", "hi": "1/2", "c0": "1/1", "c1": "3/1", "vertices": [0, 1, 3]},
+        {"lo": "1/2", "hi": "1/1", "c0": "3/1", "c1": "1/1", "vertices": [0, 2, 3]},
+    ],
+}
+
+
+def _tampered(**changes) -> str:
+    """The diamond's envelope text with top-level keys or ``seg<i>_<key>`` replaced."""
+    payload = json.loads(json.dumps(DIAMOND_ENVELOPE))
+    for key, value in changes.items():
+        if key.startswith("seg"):
+            index, field = key[3:].split("_", 1)
+            payload["segments"][int(index)][field] = value
+        else:
+            payload[key] = value
+    return json.dumps(payload)
+
+
+# Envelope texts that parse as JSON and tile [0, 1] but that the writer
+# can never emit.  Coercing the ids with ``int()`` and checking only the
+# tiling would load each of them and answer queries from it.
+TAMPERED_ENVELOPES = {
+    "float-source": _tampered(source=0.9),
+    "string-target": _tampered(target="3"),
+    "float-vertex": _tampered(seg0_vertices=[0, 1.7, 3]),
+    "bool-vertex": _tampered(seg0_vertices=[0, True, 3]),
+    "bool-format": _tampered(format=True),
+    "float-k": _tampered(k=2.0),
+    "lines-disagree-at-breakpoint": _tampered(seg1_c0="4/1"),
+    "slope-not-decreasing": _tampered(seg1_c0="0/1", seg1_c1="4/1"),
+    "walk-misses-source": _tampered(seg1_vertices=[1, 3]),
+    "walk-misses-target": _tampered(seg1_vertices=[0, 2]),
+    "empty-walk": _tampered(seg0_vertices=[]),
+    "vertices-not-a-list": _tampered(seg0_vertices="013"),
+    "all-at-once": _tampered(
+        source=0.9, target="3", seg0_vertices=[0, 1.7, True], seg1_c0="4/1"
+    ),
+}

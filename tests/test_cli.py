@@ -5,7 +5,7 @@ import pytest
 
 import strategies as own
 from parapath import build_index, query, read_envelope, write_graph
-from parapath.cli import main
+from parapath.cli import build_parser, main
 
 DIAMOND_TEXT = """\
 psp 4 4
@@ -86,6 +86,42 @@ def test_query_malformed_envelope(tmp_path):
     bad = tmp_path / "bad.env"
     bad.write_text("{}")
     assert main(["query", str(bad), "--lambda", "0.5"]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(own.TAMPERED_ENVELOPES))
+def test_query_tampered_envelope_is_input_error(name, tmp_path, capsys):
+    env = tmp_path / "tampered.env"
+    env.write_text(own.TAMPERED_ENVELOPES[name])
+    assert main(["query", str(env), "--lambda", "1/4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_parser_survives_bad_argv(diamond_envelope, capsys):
+    # One parser serves every call in a process; a failed parse must not
+    # leave state behind for the next call, nor a good parse for a bad one.
+    assert build_parser() is build_parser()
+    good = ["query", str(diamond_envelope), "--lambda", "0.25"]
+    for argv in (["query", "--lambda"], good, ["nope"], good, ["query", "--bogus"]):
+        if argv is good:
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith("cost=3/2 ")
+        else:
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2
+            capsys.readouterr()
+
+
+def test_gen_bad_weight_bound_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.psp"
+    for bound in ("abc", "1/0", "1e1001"):
+        argv = ["gen", "random", "--weight-max", bound, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: bad weight bound ")
+    assert not out.exists()
 
 
 def test_verify_accepts_diamond(diamond_file, capsys):

@@ -1,0 +1,229 @@
+"""Hypothesis fuzzing of the command line: argv, graph files and envelope files.
+
+Every run must end in a documented exit code (0, 2, 3, 4, 5 or 6), never
+in a traceback.  ``main`` returns the code, or argparse raises
+SystemExit for a usage error (2) or ``--help`` (0); a failure that
+``main`` reports is one ``error:`` line.  Sizes stay small (at most 50
+vertices, edges, blocks or samples) so that every run is cheap.
+"""
+
+import io
+import json
+import os
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import strategies as own
+from parapath.cli import main
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+
+DIAMOND_TEXT = """\
+psp 4 4
+e 0 1 0.5 1.5
+e 1 3 0.5 1.5
+e 0 2 1.5 0.5
+e 2 3 1.5 0.5
+"""
+
+# Command-line text cannot hold NUL, and Linux hands undecodable bytes to
+# Python as lone surrogates, which hypothesis's default alphabet leaves out.
+free_text = st.text(st.characters(blacklist_characters="\0"), max_size=12)
+small_ints = st.integers(-3, 50).map(str)
+counts = st.integers(1, 50).map(str)
+number_tokens = st.sampled_from(
+    ["0", "1", "3", "9", "-1", "0.5", "1/3", "2/3", "1e-1001", "1e1001", "1/0",
+     "abc", "", "nan", "inf", "0x10", "1_0", "+1", "1.5", "-0.1"]
+)
+options = st.sampled_from(
+    ["--source", "--target", "--out", "--lambda", "--max-oracle-vertices", "--seed",
+     "--vertices", "--edges", "--weight-max", "--blocks", "--samples", "--mode",
+     "--help", "-h", "--", "-"]
+)
+words = st.sampled_from(
+    ["build", "query", "verify", "gen", "export-plot", "sssp", "bench", "random",
+     "gadget-chain", "min-slope", "max-slope"]
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "diamond.psp").write_text(DIAMOND_TEXT)
+    (root / "diamond.env").write_text(json.dumps(own.DIAMOND_ENVELOPE))
+    (root / "binary").write_bytes(b"\x00\xff\xfe psp 1 0\n")
+    out = root / "out"
+    out.mkdir()
+    inputs = ["diamond.psp", "diamond.env", "binary", "missing.psp", "out", "fuzz.psp",
+              "fuzz.env"]
+    outputs = ["out/x.env", "out/x.psp", "out/x.csv", "out", "missing-dir/x.env"]
+    return root, [str(root / name) for name in inputs + outputs]
+
+
+def run_cli(argv, root):
+    """Run ``main`` in process; returns (exit code, stdout, stderr).
+
+    It runs inside ``root/out``, so that an output path drawn as a bare
+    token lands there and is removed with the rest.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root / "out")
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage error or --help
+                assert exc.code in (0, 2), (argv, exc.code)
+                return exc.code, out.getvalue(), err.getvalue()
+    finally:
+        os.chdir(cwd)
+        # Outputs of one run must not become inputs of the next.
+        shutil.rmtree(root / "out")
+        (root / "out").mkdir()
+    assert code in DOCUMENTED_EXITS, (argv, code)
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each subcommand's positional argument and options.
+SUBCOMMANDS = {
+    "build": ("graph", ["--source", "--target", "--out"]),
+    "query": ("envelope", ["--lambda"]),
+    "verify": ("graph", ["--source", "--target", "--max-oracle-vertices"]),
+    "gen": ("kind", ["--out", "--seed", "--vertices", "--edges", "--weight-max",
+                     "--blocks"]),
+    "export-plot": ("envelope", ["--samples", "--out"]),
+    "sssp": ("graph", ["--source", "--target", "--lambda", "--mode"]),
+}
+
+
+def usually(draw, common, rare):
+    """Draw from ``common`` five times in six; hypothesis leans to small draws."""
+    return draw(rare if draw(st.integers(0, 5)) == 5 else common)
+
+
+@st.composite
+def argvs(draw, root, paths):
+    """Mostly well-formed calls with fuzzed values, plus stray tokens."""
+    any_token = st.one_of(options, small_ints, number_tokens, words,
+                          st.sampled_from(paths), free_text)
+    vertex = st.sampled_from(["0", "1", "2", "3"])
+    values = {
+        "graph": st.sampled_from([str(root / "diamond.psp"), *paths]),
+        "envelope": st.sampled_from([str(root / "diamond.env"), *paths]),
+        "kind": st.sampled_from(["random", "gadget-chain"]),
+        "--out": st.sampled_from([str(root / "out" / "x"), *paths]),
+        "--source": vertex,
+        "--target": vertex,
+        "--lambda": st.one_of(number_tokens, st.sampled_from(["1/4", "3/4"])),
+        "--mode": st.sampled_from(["min-slope", "max-slope"]),
+        "--weight-max": number_tokens,
+    }
+    command = usually(draw, st.sampled_from(sorted(SUBCOMMANDS)), any_token)
+    positional, opts = SUBCOMMANDS.get(command, ("graph", []))
+    argv = [command, usually(draw, values[positional], any_token)]
+    for opt in opts:
+        if usually(draw, st.just(True), st.just(False)):
+            argv += [opt, usually(draw, values.get(opt, counts), any_token)]
+    return argv + draw(st.lists(any_token, max_size=2))
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_argv_ends_in_documented_exit(files, data):
+    root, paths = files
+    run_cli(data.draw(argvs(root, paths)), root)
+
+
+# -- file text ---------------------------------------------------------
+
+graph_tokens = st.one_of(
+    small_ints, number_tokens, st.sampled_from(["psp", "e", "#", "x"]), free_text
+)
+
+
+@st.composite
+def graph_texts(draw):
+    lines = DIAMOND_TEXT.splitlines()
+    kind = draw(st.sampled_from(["token", "line", "text", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    if kind == "text":
+        return draw(st.text(st.sampled_from("psp e01234 ./-\n#x"), max_size=40))
+    if kind == "line":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = draw(st.sampled_from([[], [lines[i]] * 2, ["e " + lines[i]]]))
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(lines) - 1))
+            fields = lines[i].split()
+            j = draw(st.integers(0, len(fields) - 1))
+            fields[j] = draw(graph_tokens)
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+              st.floats(allow_nan=False, allow_infinity=False), number_tokens,
+              st.sampled_from(["0/1", "1/2", "1/1", "3/1"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["lo", "hi", "c0", "k"]),
+                                            inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+@st.composite
+def envelope_texts(draw):
+    kind = draw(st.sampled_from(["value", "value", "text", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    if kind == "text":
+        return draw(st.text(st.sampled_from('{}[]":,0123/ abc'), max_size=40))
+    payload = json.loads(json.dumps(own.DIAMOND_ENVELOPE))
+    targets = [payload, *payload["segments"]]
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(st.sampled_from(targets))
+        key = draw(st.sampled_from(sorted(target)))
+        target[key] = draw(json_values)
+    return json.dumps(payload)
+
+
+lambda_texts = st.one_of(number_tokens, st.sampled_from(["1/4", "1/2", "3/4"]))
+
+
+@given(text=graph_texts(), lam=lambda_texts)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_graph_file_ends_in_documented_exit(files, text, lam):
+    root, _ = files
+    graph = root / "fuzz.psp"
+    if isinstance(text, bytes):
+        graph.write_bytes(text)
+    else:
+        graph.write_text(text)
+    pair = ["--source", "0", "--target", "3"]
+    run_cli(["build", str(graph), *pair, "--out", str(root / "out" / "x.env")], root)
+    run_cli(["verify", str(graph), *pair], root)
+    run_cli(["sssp", str(graph), *pair, "--lambda", lam], root)
+
+
+@given(text=envelope_texts(), lam=lambda_texts)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_envelope_file_ends_in_documented_exit(files, text, lam):
+    root, _ = files
+    env = root / "fuzz.env"
+    if isinstance(text, bytes):
+        env.write_bytes(text)
+    else:
+        env.write_text(text)
+    csv = root / "out" / "x.csv"
+    run_cli(["query", str(env), "--lambda", lam], root)
+    run_cli(["export-plot", str(env), "--samples", "5", "--out", str(csv)], root)

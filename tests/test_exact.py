@@ -1,0 +1,161 @@
+"""The integer cross-multiplication paths against plain ``Fraction`` formulas.
+
+Line values, intersections, segment lookup and the strict segment check
+compute on numerators and denominators directly.  Each test here keeps
+the ``Fraction`` formula the code used to run as its reference, over
+lambdas at 0, at 1, at breakpoints and with 125-bit denominators.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parapath import CostLine, ParallelLinesError, Path, intersect_lines
+from parapath.envelope import EnvelopeSegment, check_segments
+from parapath.graphio import SegmentRecord
+from parapath.query import locate_segment
+
+BIG = 2**125
+
+denominators = st.one_of(st.integers(1, 12), st.integers(1, BIG))
+rationals = st.builds(F, st.integers(-(2**130), 2**130), denominators)
+cost_lines = st.builds(CostLine, rationals, rationals)
+
+
+@st.composite
+def interior_rationals(draw):
+    """A rational in (0, 1) with a small or a 125-bit denominator."""
+    q = draw(st.one_of(st.integers(2, 12), st.integers(2, BIG)))
+    return F(draw(st.integers(1, q - 1)), q)
+
+
+interior = interior_rationals()
+unit_rationals = st.one_of(st.just(F(0)), st.just(F(1)), interior)
+
+
+def reference_value(line, lam):
+    return (1 - lam) * line.c0 + lam * line.c1
+
+
+def reference_slope(line):
+    return line.c1 - line.c0
+
+
+@given(cost_lines, unit_rationals)
+@settings(max_examples=300, deadline=None)
+def test_value_matches_fraction_formula(line, lam):
+    got = line.value(lam)
+    assert type(got) is F
+    assert got == reference_value(line, lam)
+
+
+@given(cost_lines, unit_rationals)
+@settings(max_examples=200, deadline=None)
+def test_cost_at_matches_fraction_formula(line, lam):
+    record = SegmentRecord(F(0), F(1), line.c0, line.c1, (0, 1))
+    assert record.cost_at(lam) == reference_value(line, lam)
+
+
+@given(cost_lines, cost_lines, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_intersect_lines_matches_fraction_formula(a, b, parallel):
+    if parallel:
+        b = CostLine(b.c0, b.c0 + reference_slope(a))
+    denom = reference_slope(a) - reference_slope(b)
+    if denom == 0:
+        with pytest.raises(ParallelLinesError):
+            intersect_lines(a, b)
+        return
+    got = intersect_lines(a, b)
+    assert got == (b.c0 - a.c0) / denom
+    assert reference_value(a, got) == reference_value(b, got)
+
+
+def reference_locate(upper_bounds, lam):
+    """The lookup as it was written over ``Fraction`` comparisons."""
+    lo, hi = 0, len(upper_bounds) - 1
+    comparisons = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        comparisons += 1
+        if lam <= upper_bounds[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, comparisons
+
+
+@st.composite
+def bounds_and_lambda(draw):
+    inner = draw(st.lists(interior, max_size=20, unique=True))
+    bounds = tuple(sorted(inner)) + (F(1),)
+    pick = st.sampled_from(bounds)
+    lam = draw(
+        st.one_of(
+            unit_rationals,
+            pick,
+            # Just either side of a bound, by less than any 125-bit gap.
+            pick.map(lambda b: b - b / BIG**2),
+            pick.map(lambda b: b + (1 - b) / BIG**2),
+        )
+    )
+    return bounds, lam
+
+
+@given(bounds_and_lambda())
+@settings(max_examples=300, deadline=None)
+def test_locate_segment_matches_linear_scan(case):
+    bounds, lam = case
+    index, comparisons = locate_segment(bounds, lam)
+    assert index == next(i for i, b in enumerate(bounds) if lam <= b)
+    assert (index, comparisons) == reference_locate(bounds, lam)
+
+
+def reference_verdict(a, b, h):
+    """The strict check of one breakpoint, in ``Fraction`` arithmetic."""
+    if a == b:
+        return "share a line"
+    if reference_slope(a) <= reference_slope(b):
+        return "slope not decreasing"
+    if reference_value(a, h) != reference_value(b, h):
+        return "lines disagree"
+    return None
+
+
+@st.composite
+def breakpoint_pairs(draw):
+    """Two lines meeting at ``h``, or sharing a line, or not meeting at all."""
+    h = draw(interior)
+    a = draw(cost_lines)
+    shape = draw(st.sampled_from(["meet", "same", "free"]))
+    if shape == "same":
+        return a, a, h
+    if shape == "free":
+        return a, draw(cost_lines), h
+    slope = reference_slope(a) + draw(st.sampled_from([-1, 1, 0])) * draw(rationals)
+    c0 = reference_value(a, h) - h * slope
+    return a, CostLine(c0, c0 + slope), h
+
+
+@given(breakpoint_pairs(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_strict_check_verdict_matches_fraction_formula(case, records):
+    a, b, h = case
+    if records:
+        segments = (
+            SegmentRecord(F(0), h, a.c0, a.c1, (0, 1)),
+            SegmentRecord(h, F(1), b.c0, b.c1, (0, 1)),
+        )
+    else:
+        segments = (
+            EnvelopeSegment(F(0), h, Path(()), a),
+            EnvelopeSegment(h, F(1), Path(()), b),
+        )
+    want = reference_verdict(a, b, h)
+    if want is None:
+        check_segments(segments, strict=True)
+    else:
+        with pytest.raises(ValueError, match=want):
+            check_segments(segments, strict=True)

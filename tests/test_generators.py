@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -16,7 +17,9 @@ from parapath import (
     random_graph,
     validate_graph,
 )
-from parapath.graphio import format_graph
+from parapath.errors import NumberSizeError
+from parapath.generators import max_chain_blocks
+from parapath.graphio import format_graph, format_weight
 from parapath.model import MAX_VERTICES
 
 
@@ -86,6 +89,14 @@ class TestRandomGraph:
         assert all(e.w0 <= F(1, 20) and e.w1 <= F(1, 20) for e in graph.edges)
 
 
+@pytest.fixture
+def digit_limit():
+    """Set Python's int-to-text digit limit for one test, then restore it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
 class TestChainGraph:
     def test_single_block_is_a_diamond(self):
         graph = chain_graph(1)
@@ -97,6 +108,34 @@ class TestChainGraph:
     def test_block_count_below_one_rejected(self):
         with pytest.raises(GeneratorParameterError):
             chain_graph(0)
+
+    def test_unwritable_block_count_refused_before_allocating(self, digit_limit):
+        # Weights reach 2**(blocks+1), so a chain past the cap could never
+        # be written; refusing it must cost nothing near what building it
+        # would (15000 blocks take about 77 MB).
+        digit_limit(4300)  # Python's default
+        cap = max_chain_blocks()
+        assert cap == 14280
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumberSizeError):
+                chain_graph(cap + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_widest_weight_at_the_cap_formats(self, digit_limit, limit):
+        digit_limit(limit)
+        cap = max_chain_blocks()
+        assert format_weight(F(1 + 2 ** (cap + 1), 2)).endswith(".5")
+        with pytest.raises(NumberSizeError):
+            format_weight(F(1 + 2 ** (cap + 2), 2))
+
+    def test_no_cap_without_a_digit_limit(self, digit_limit):
+        digit_limit(0)
+        assert max_chain_blocks() is None
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
     def test_envelope_size_is_blocks_plus_one(self, blocks):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,8 @@ from parapath.graphio import (
     format_weight,
     parse_envelope,
     parse_graph,
+    read_envelope,
+    read_graph,
 )
 from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES
 
@@ -137,6 +140,8 @@ def test_envelope_rationals_are_ratio_strings(diamond):
         lambda text: text.replace('"1/2"', '"5e-1001"'),
         lambda text: text.replace('"1/2"', '"0.' + "0" * (MAX_NUMBER_CHARS - 2) + '5"'),
         lambda text: text.replace('"source": 0', '"source": ' + "1" * 5000),
+        # json.loads recurses once per nesting level.
+        lambda text: "[" * 100_000 + "]" * 100_000,
     ],
 )
 def test_malformed_envelopes_rejected(diamond, mutate):
@@ -157,3 +162,24 @@ def test_segment_record_cost():
     assert record.cost_at(F(1, 4)) == F(3, 2)
     doc = EnvelopeDocument(0, 1, (record,))
     assert doc.upper_bounds == (F(1),)
+
+
+@pytest.mark.parametrize("name", sorted(own.TAMPERED_ENVELOPES))
+def test_tampered_envelopes_rejected(name):
+    with pytest.raises(EnvelopeFormatError):
+        parse_envelope(own.TAMPERED_ENVELOPES[name])
+
+
+def test_untampered_base_document_loads():
+    doc = parse_envelope(json.dumps(own.DIAMOND_ENVELOPE))
+    assert (doc.source, doc.target) == (0, 3)
+    assert [seg.vertices for seg in doc.segments] == [(0, 1, 3), (0, 2, 3)]
+
+
+def test_undecodable_files_are_format_errors(tmp_path):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"psp 2 1\ne 0 1 1 \xff\n")
+    with pytest.raises(GraphFormatError, match="not text"):
+        read_graph(binary)
+    with pytest.raises(EnvelopeFormatError, match="not text"):
+        read_envelope(binary)

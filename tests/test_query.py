@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from parapath import (
     Path,
     breakpoints,
     build_index,
+    chain_graph,
     check_index_invariants,
     query,
 )
@@ -60,6 +62,16 @@ def test_lambda_domain_is_closed_and_strict(diamond):
     for bad in (F(-1, 1000), F(1001, 1000)):
         with pytest.raises(LambdaRangeError):
             query(index, bad)
+
+
+def test_inexact_lambda_is_refused():
+    # A float would carry binary rounding into the comparisons: at 0.3 the
+    # cost would come out as 6.299999999999999.
+    index = build_index(chain_graph(3), 0, 9)
+    for bad in (0.3, 0.0, Decimal("0.3"), "3/10"):
+        with pytest.raises(TypeError):
+            query(index, bad)
+    assert query(index, F(3, 10)).cost == F(63, 10)
 
 
 def test_breakpoints_accessor(diamond, three_route, single_edge):
