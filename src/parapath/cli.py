@@ -42,6 +42,8 @@ EXIT_MISMATCH = 5
 EXIT_ORACLE_SCALE = 6
 
 _PLOT_CONTEXT = decimal.Context(prec=12)
+# Plot time and memory grow linearly with the sample count.
+MAX_PLOT_SAMPLES = 1_000_000
 
 
 def _fail(code: int, message: str) -> int:
@@ -87,7 +89,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args.lam)
     pos, _comparisons = locate_segment(doc.upper_bounds, lam)
     seg = doc.segments[pos]
-    cost = seg.cost_at(lam)
+    cost = seg.line.value(lam)
     verts = ",".join(str(v) for v in seg.vertices)
     print(
         f"cost={graphio.format_fraction(cost)} path={verts} "
@@ -132,8 +134,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_export_plot(args: argparse.Namespace) -> int:
-    if args.samples < 2:
-        return _fail(EXIT_INPUT, "need at least 2 samples")
+    if not 2 <= args.samples <= MAX_PLOT_SAMPLES:
+        return _fail(EXIT_INPUT, f"--samples must be in 2..{MAX_PLOT_SAMPLES}")
     doc = graphio.read_envelope(args.envelope)
     grid = {Fraction(j, args.samples - 1) for j in range(args.samples)}
     interior = {seg.hi for seg in doc.segments[:-1]}
@@ -144,7 +146,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         if lam in interior:
             positions.append(pos + 1)  # breakpoint belongs to both neighbors
         for p in positions:
-            cost = doc.segments[p].cost_at(lam)
+            cost = doc.segments[p].line.value(lam)
             rows.append(f"{_twelve_digits(lam)},{_twelve_digits(cost)},{p}")
     FilePath(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.out} rows={len(rows) - 1}")

@@ -32,32 +32,23 @@ class DistSlopeLabel:
     slope: Fraction
 
 
-@dataclass
-class SearchAnnotation:
-    """Per-vertex search state after a run; index is the vertex id.
-
-    ``lengths[v] is None`` means v was never reached.  Following
-    ``prev_edge`` from any settled vertex walks back to the source.
-    """
-
-    lengths: list[Fraction | None]
-    slopes: list[Fraction | None]
-    prev_edge: list[int | None]
-    settled: list[bool]
-
-
-def search_annotations(
+def dijkstra_extreme_slope(
     graph: DualWeightGraph,
     lam: Fraction,
     source: int,
+    target: int,
     mode: SlopeMode,
-    stop_at: int | None = None,
-) -> SearchAnnotation:
-    """Run the lexicographic search and return the raw annotations.
+) -> tuple[Path, DistSlopeLabel]:
+    """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
-    With ``stop_at`` set, the search halts as soon as that vertex is
-    settled; pass None to settle every reachable vertex.
+    Returns the path and its exact (length, slope) label.  Output is
+    deterministic: equal labels keep the incumbent predecessor, and heap
+    ties resolve by vertex id.  The search stops once the target is
+    settled.  Raises UnreachableError when no path exists.
     """
+    if source == target:
+        return EMPTY_PATH, DistSlopeLabel(ZERO, ZERO)
+
     n = graph.vertex_count
     lengths: list[Fraction | None] = [None] * n
     slopes: list[Fraction | None] = [None] * n
@@ -80,7 +71,7 @@ def search_annotations(
         if settled[u]:
             continue
         settled[u] = True
-        if u == stop_at:
+        if u == target:
             break
         slope_u = slopes[u]
         for eid in graph.out_edges(u):
@@ -104,42 +95,19 @@ def search_annotations(
                 slopes[v] = new_slope
                 prev_edge[v] = eid
                 heapq.heappush(heap, (new_len, sign * new_slope, v))
-
-    return SearchAnnotation(lengths, slopes, prev_edge, settled)
-
-
-def dijkstra_extreme_slope(
-    graph: DualWeightGraph,
-    lam: Fraction,
-    source: int,
-    target: int,
-    mode: SlopeMode,
-) -> tuple[Path, DistSlopeLabel]:
-    """Shortest source->target path at ``lam`` with extremal cost-line slope.
-
-    Returns the path and its exact (length, slope) label.  Output is
-    deterministic: equal labels keep the incumbent predecessor, and heap
-    ties resolve by vertex id.  Raises UnreachableError when no path
-    exists.
-    """
-    if source == target:
-        return EMPTY_PATH, DistSlopeLabel(ZERO, ZERO)
-
-    annotation = search_annotations(graph, lam, source, mode, stop_at=target)
-    if not annotation.settled[target]:
+    if not settled[target]:
         raise UnreachableError(f"vertex {target} not reachable from {source}")
 
     edges: list[int] = []
     v = target
     while v != source:
-        eid = annotation.prev_edge[v]
+        eid = prev_edge[v]
         if eid is None:  # only the source lacks a predecessor
             raise RuntimeError(f"settled vertex {v} has no predecessor edge")
         edges.append(eid)
         v = graph.edges[eid].tail
     edges.reverse()
-    label = DistSlopeLabel(annotation.lengths[target], annotation.slopes[target])
-    return Path(tuple(edges)), label
+    return Path(tuple(edges)), DistSlopeLabel(lengths[target], slopes[target])
 
 
 def shortest_path_length(

@@ -24,7 +24,7 @@ cost extra splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -88,22 +88,6 @@ def intersect_lines(a: CostLine, b: CostLine) -> Fraction:
     if denom == 0:
         raise ParallelLinesError(f"lines {a} and {b} have equal slope {a.slope}")
     return Fraction(mb * da - ma * db, denom)
-
-
-def _merge_equal_lines(segments: list[EnvelopeSegment]) -> list[EnvelopeSegment]:
-    """Fuse adjacent segments carrying the same line.
-
-    The bisection can split one optimal stretch in two when it probes a
-    parameter interior to it; the leftmost representative path is kept.
-    """
-    merged: list[EnvelopeSegment] = []
-    for seg in segments:
-        if merged and merged[-1].line == seg.line:
-            prev = merged[-1]
-            merged[-1] = EnvelopeSegment(prev.lo, seg.hi, prev.path, prev.line)
-        else:
-            merged.append(seg)
-    return merged
 
 
 def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> None:
@@ -175,7 +159,12 @@ def build_index_detailed(
         lo, hi, (p_lo, l_lo), (p_hi, l_hi) = stack.pop()
         if l_lo.value(hi) == l_hi.value(hi):
             # The left line is optimal at both ends, hence on all of [lo, hi].
-            segments.append(EnvelopeSegment(lo, hi, p_lo, l_lo))
+            if segments and segments[-1].line == l_lo:
+                # A probe interior to one optimal stretch splits it in two;
+                # fuse the halves and keep the leftmost witness path.
+                segments[-1] = replace(segments[-1], hi=hi)
+            else:
+                segments.append(EnvelopeSegment(lo, hi, p_lo, l_lo))
             continue
         r = intersect_lines(l_lo, l_hi)
         # Holds by the endpoint invariant, and keeps both halves nonempty.
@@ -189,7 +178,7 @@ def build_index_detailed(
         # keeping the output in increasing parameter order.
         stack.append((r, hi, rep, (p_hi, l_hi)))
         stack.append((lo, r, (p_lo, l_lo), rep))
-    index = ShortestPathIndex(source, target, tuple(_merge_equal_lines(segments)))
+    index = ShortestPathIndex(source, target, tuple(segments))
     check_index_invariants(index)
     return BuildResult(index, calls)
 

@@ -175,9 +175,6 @@ class SegmentRecord:
     def line(self) -> CostLine:
         return CostLine(self.c0, self.c1)
 
-    def cost_at(self, lam: Fraction) -> Fraction:
-        return self.line.value(lam)
-
 
 @dataclass(frozen=True)
 class EnvelopeDocument:

@@ -154,10 +154,6 @@ class Path:
 
     edges: tuple[int, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.edges
-
 
 EMPTY_PATH = Path(())
 
@@ -182,20 +178,12 @@ def check_path(graph: DualWeightGraph, path: Path) -> None:
         prev_head = edge.head
 
 
-def path_vertices(
-    graph: DualWeightGraph, path: Path, source: int | None = None
-) -> tuple[int, ...]:
-    """Vertex sequence visited by ``path``.
+def path_vertices(graph: DualWeightGraph, path: Path, source: int) -> tuple[int, ...]:
+    """Vertex sequence visited by ``path``, which starts at ``source``.
 
-    An empty path has no edges to name its single vertex, so ``source``
-    is required in that case.
+    ``source`` names the single vertex of an empty path.
     """
-    if path.is_empty:
-        if source is None:
-            raise MalformedPathError("empty path needs an explicit source vertex")
-        return (source,)
-    first = graph.edges[path.edges[0]]
-    verts = [first.tail]
+    verts = [source]
     for eid in path.edges:
         verts.append(graph.edges[eid].head)
     return tuple(verts)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import strategies as own
-from parapath import build_index, query, read_envelope, write_graph
+from parapath import build_index, graphio, query, read_envelope, write_graph
 from parapath.cli import build_parser, main
 
 DIAMOND_TEXT = """\
@@ -214,6 +214,22 @@ def test_export_plot_needs_two_samples(diamond_envelope, tmp_path):
         ["export-plot", str(diamond_envelope), "--samples", "1", "--out", str(out)]
     )
     assert code == 2
+
+
+def test_export_plot_caps_samples(diamond_envelope, tmp_path, capsys, monkeypatch):
+    # Refused before the envelope is read: plot cost is linear in samples.
+    def unread(path):
+        raise AssertionError("envelope read before the sample count was checked")
+
+    monkeypatch.setattr(graphio, "read_envelope", unread)
+    out = tmp_path / "plot.csv"
+    code = main(
+        ["export-plot", str(diamond_envelope), "--samples", "1000001", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_sssp_debug_output(diamond_file, capsys):

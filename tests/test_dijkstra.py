@@ -18,7 +18,6 @@ from parapath import (
     random_graph,
     shortest_path_length,
 )
-from parapath.dijkstra import search_annotations
 
 
 @pytest.fixture
@@ -97,23 +96,31 @@ def test_no_edge_improves_any_label_after_full_run(instance, lam):
     """Every relaxation is neutral once the search has settled everything.
 
     Holds because each edge adds a strictly positive length even when
-    its slope contribution is negative.
+    its slope contribution is negative.  Settled labels are final, so
+    the label a search to ``v`` returns is the one a full run leaves.
     """
     graph, source, _target = instance
     for mode in (MIN_SLOPE, MAX_SLOPE):
-        ann = search_annotations(graph, lam, source, mode, stop_at=None)
-        for edge in graph.edges:
-            if ann.lengths[edge.tail] is None:
+        labels = {}
+        for v in range(graph.vertex_count):
+            try:
+                _path, label = dijkstra_extreme_slope(graph, lam, source, v, mode)
+            except UnreachableError:
                 continue
-            new_len = ann.lengths[edge.tail] + (1 - lam) * edge.w0 + lam * edge.w1
-            new_slope = ann.slopes[edge.tail] + edge.w1 - edge.w0
-            cur_len = ann.lengths[edge.head]
-            assert cur_len is not None and cur_len <= new_len
-            if cur_len == new_len:
+            labels[v] = label
+        for edge in graph.edges:
+            if edge.tail not in labels:
+                continue
+            tail = labels[edge.tail]
+            new_len = tail.length + (1 - lam) * edge.w0 + lam * edge.w1
+            new_slope = tail.slope + edge.w1 - edge.w0
+            head = labels.get(edge.head)
+            assert head is not None and head.length <= new_len
+            if head.length == new_len:
                 if mode == MIN_SLOPE:
-                    assert ann.slopes[edge.head] <= new_slope
+                    assert head.slope <= new_slope
                 else:
-                    assert ann.slopes[edge.head] >= new_slope
+                    assert head.slope >= new_slope
 
 
 @given(own.graphs_with_pair(), own.lambdas)
@@ -136,15 +143,17 @@ def test_runtime_tracks_edges_times_log_vertices():
     per_unit = []
     for n, m in sizes:
         graph = random_graph(n, m, seed=42)
-        best = min(
-            _timed_run(graph, 0, n - 1) for _ in range(3)
-        )
+        # No edge reaches the extra vertex n, so a search for it settles
+        # every vertex reachable from the source before it gives up.
+        padded = DualWeightGraph(n + 1, graph.edges)
+        best = min(_timed_full_settle(padded, 0, n) for _ in range(3))
         per_unit.append(best / (m * math.log2(n)))
     ratio = max(per_unit) / min(per_unit)
     assert ratio < 10, f"per-unit cost drifted by {ratio:.1f}x"
 
 
-def _timed_run(graph, source, target):
+def _timed_full_settle(graph, source, unreachable):
     start = time.perf_counter()
-    search_annotations(graph, F(1, 3), source, MIN_SLOPE, stop_at=None)
+    with pytest.raises(UnreachableError):
+        dijkstra_extreme_slope(graph, F(1, 3), source, unreachable, MIN_SLOPE)
     return time.perf_counter() - start

@@ -123,6 +123,30 @@ def test_merge_keeps_leftmost_witness_path():
     assert index.segments[0].path.edges == (0,)
 
 
+def test_split_stretch_keeps_leftmost_witness():
+    # Lines (1,5), (2,2) on two routes, and (5,1).  The probe at 1/2 lands
+    # inside the (2,2) stretch [1/4, 3/4] and splits it; the two (2,2)
+    # routes swap their tie order at 1/2, so each half has its own witness.
+    # The fused segment keeps the left half's route, edges 0 and 1.
+    graph = DualWeightGraph.build(
+        6,
+        [
+            (0, 1, "0.2", "1.8"),
+            (1, 5, "1.8", "0.2"),
+            (0, 2, "1.8", "0.2"),
+            (2, 5, "0.2", "1.8"),
+            (0, 3, "0.5", "2.5"),
+            (3, 5, "0.5", "2.5"),
+            (0, 4, "2.5", "0.5"),
+            (4, 5, "2.5", "0.5"),
+        ],
+    )
+    index = build_index(graph, 0, 5)
+    assert index.k == 3
+    assert index.upper_bounds[:-1] == (F(1, 4), F(3, 4))
+    assert index.segments[1].path.edges == (0, 1)
+
+
 def test_invariant_checker_rejects_bad_tilings(diamond):
     index = build_index(diamond, 0, 3)
     seg0, seg1 = index.segments

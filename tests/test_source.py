@@ -5,7 +5,15 @@ from pathlib import Path
 
 import parapath
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "parapath"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "parapath"
+
+
+def _load_by_path(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_assert_statements_in_package():
@@ -24,10 +32,7 @@ def test_no_assert_statements_in_package():
 def test_benchmark_trace_targets_resolve():
     # The benchmark's tracer swaps wrappers in for these attributes, so a
     # rename or deletion breaks ``perfbench/run.py --trace 1``.
-    tracing_file = PACKAGE.parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_file)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_by_path("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     assert tracing.TARGETS
     missing = [
         f"{module}.{attr}"
@@ -40,3 +45,11 @@ def test_benchmark_trace_targets_resolve():
 def test_public_names_resolve():
     missing = [name for name in parapath.__all__ if not hasattr(parapath, name)]
     assert not missing, f"names in __all__ missing: {missing}"
+
+
+def test_random_verify_script_runs(capsys):
+    # The 5000-instance oracle check is too slow for this suite; a short
+    # run keeps the script in step with the library it imports.
+    script = _load_by_path("random_verify", ROOT / "scripts" / "random_verify.py")
+    assert script.main(["--instances", "20", "--seed", "1"]) == 0
+    assert "verified 20 instances" in capsys.readouterr().out
