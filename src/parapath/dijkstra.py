@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .errors import UnreachableError
-from .model import DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO
+from .model import DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, validate_pair
 
 SlopeMode = Literal["min-slope", "max-slope"]
 
@@ -118,6 +118,7 @@ def shortest_path_length(
     Kept separate from the lexicographic search so it can serve as an
     independent point check on envelope output.
     """
+    validate_pair(graph, source, target)
     n = graph.vertex_count
     dist: list[Fraction | None] = [None] * n
     done = [False] * n

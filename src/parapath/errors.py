@@ -37,7 +37,7 @@ class ParallelLinesError(ParapathError):
 
 
 class OracleScaleError(ParapathError):
-    """The graph exceeds the exhaustive-enumeration vertex bound."""
+    """The exhaustive enumeration would exceed its edge-step budget."""
 
 
 class GraphFormatError(ParapathError):

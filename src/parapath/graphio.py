@@ -17,6 +17,7 @@ Envelope documents are JSON with every rational rendered as the string
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from typing import Iterable
 from .envelope import ShortestPathIndex, check_segments
 from .errors import EnvelopeFormatError, GraphFormatError, NumberSizeError
 from .model import (
+    MAX_NUMBER_CHARS,
     MAX_VERTICES,
     CostLine,
     DualWeightGraph,
@@ -231,8 +233,8 @@ def format_envelope(doc: EnvelopeDocument) -> str:
 
 # ``int()`` would take 0.9, "3" and true; only a JSON integer is an id.
 def _json_int(value: object, what: str) -> int:
-    if type(value) is not int:
-        raise EnvelopeFormatError(f"{what} must be an integer, got {value!r:.40}")
+    if type(value) is not int or value < 0:
+        raise EnvelopeFormatError(f"{what} must be an integer >= 0, got {value!r:.40}")
     return value
 
 
@@ -244,12 +246,28 @@ def _json_ints(values: list) -> tuple[int, ...]:
     return tuple(values)
 
 
+_CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _parse_canonical(text: str) -> Fraction:
+    """The writer's one spelling: unsigned ``p/q`` in lowest terms, q >= 1."""
+    match = len(text) <= MAX_NUMBER_CHARS and _CANONICAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a canonical p/q: {text!r:.40}")
+    q = int(match[2])
+    value = Fraction(int(match[1]), q)
+    if value.denominator != q:
+        raise ValueError(f"{text!r:.40} is not in lowest terms")
+    return value
+
+
 def parse_envelope(text: str) -> EnvelopeDocument:
     """Load an envelope document, refusing anything the writer cannot emit.
 
-    Beyond the JSON structure, the segments must pass the strict segment
-    check (tiling of [0, 1], strictly decreasing slopes, lines agreeing
-    at breakpoints) and every vertex walk must run from source to target:
+    Beyond the JSON structure, rationals must be canonical ``p/q``, the
+    segments must pass the strict segment check (tiling of [0, 1], strictly
+    decreasing slopes, lines agreeing at breakpoints) and every vertex walk
+    must be a simple path from source to target:
     queries answer from the file alone, so a tampered file would
     otherwise answer wrongly.
     """
@@ -268,15 +286,15 @@ def parse_envelope(text: str) -> EnvelopeDocument:
         declared_k = _json_int(payload["k"], "k")
         segments = tuple(
             SegmentRecord(
-                parse_rational(seg["lo"]),
-                parse_rational(seg["hi"]),
-                parse_rational(seg["c0"]),
-                parse_rational(seg["c1"]),
+                _parse_canonical(seg["lo"]),
+                _parse_canonical(seg["hi"]),
+                _parse_canonical(seg["c0"]),
+                _parse_canonical(seg["c1"]),
                 _json_ints(seg["vertices"]),
             )
             for seg in payload["segments"]
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     doc = EnvelopeDocument(source, target, segments)
     if declared_k != doc.k:
@@ -284,9 +302,11 @@ def parse_envelope(text: str) -> EnvelopeDocument:
             f"document declares k={declared_k} but holds {doc.k} segments"
         )
     for i, seg in enumerate(segments):
-        if not seg.vertices or seg.vertices[0] != source or seg.vertices[-1] != target:
+        walk = seg.vertices
+        simple = min(walk, default=-1) >= 0 and len(set(walk)) == len(walk)
+        if not simple or (walk[0], walk[-1]) != (source, target):
             raise EnvelopeFormatError(
-                f"segment {i}: vertex walk does not run from {source} to {target}"
+                f"segment {i}: walk is not a simple path from {source} to {target}"
             )
     try:
         check_segments(segments, strict=True)

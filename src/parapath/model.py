@@ -43,13 +43,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse a decimal ("0.25", "25e-2") or ratio ("1/4") string exactly.
 
     Raises ValueError (ZeroDivisionError for a zero denominator) like
-    ``Fraction`` does, and also for a token longer than
-    ``MAX_NUMBER_CHARS`` or with a decimal exponent beyond
-    ``MAX_DECIMAL_EXPONENT`` in size; TypeError for a non-string, such as
-    a JSON number, which may be a float.
+    ``Fraction`` does, and also for a token longer than ``MAX_NUMBER_CHARS``
+    or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size.
     """
-    if not isinstance(text, str):
-        raise TypeError(f"expected a number string, got {type(text).__name__}")
     if len(text) > MAX_NUMBER_CHARS:
         raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
     _mantissa, marker, exponent = text.lower().partition("e")

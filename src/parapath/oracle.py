@@ -2,9 +2,9 @@
 
 Enumerates every simple source-to-target path outright, then builds the
 lower envelope of their cost lines geometrically: sort by slope, sweep
-with a convex-chain stack, clip to [0, 1].  Deliberately shares no
-machinery with the bisection builder so the two cannot agree by
-accident.
+with a convex-chain stack, clip to [0, 1].  It shares no search or
+bisection with the builder, so the two cannot agree by accident; only
+the model types, ``intersect_lines`` and ``check_segments`` are shared.
 """
 
 from __future__ import annotations
@@ -14,34 +14,31 @@ from typing import Sequence
 
 from .envelope import EnvelopeSegment, check_segments, intersect_lines
 from .errors import OracleScaleError
-from .model import CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, ZERO_LINE
+from .model import (
+    CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, ZERO_LINE, validate_pair
+)
 
-DEFAULT_VERTEX_BOUND = 12
+MAX_ENUMERATION_STEPS = 1_000_000
 
 
 def enumerate_paths(
-    graph: DualWeightGraph,
-    source: int,
-    target: int,
-    max_vertices: int = DEFAULT_VERTEX_BOUND,
+    graph: DualWeightGraph, source: int, target: int
 ) -> tuple[tuple[CostLine, Path], ...]:
     """Depth-first enumeration of all simple source->target paths.
 
     Returns one ``(cost line, witness path)`` pair per distinct line:
     paths sharing a cost line are collapsed to the first one found (the
     DFS visits edges in id order, so the witness is deterministic).
-    Refuses graphs above ``max_vertices``: the path count is worst-case
-    factorial in the vertex count.
+    Raises OracleScaleError once the DFS has taken more than
+    ``MAX_ENUMERATION_STEPS`` out-edges (a few us each), counting those
+    that reach the target or lead back onto the path: the path count is
+    worst-case factorial, so the bound is on work, not on vertices.
     """
-    if graph.vertex_count > max_vertices:
-        raise OracleScaleError(
-            f"{graph.vertex_count} vertices exceeds enumeration bound {max_vertices}"
-        )
+    validate_pair(graph, source, target)
     if source == target:
         return ((ZERO_LINE, EMPTY_PATH),)
 
-    entries: list[tuple[CostLine, Path]] = []
-    seen_lines: set[tuple[Fraction, Fraction]] = set()
+    found: dict[tuple[Fraction, Fraction], Path] = {}
     on_path = [False] * graph.vertex_count
     on_path[source] = True
     edge_stack: list[int] = []
@@ -49,6 +46,7 @@ def enumerate_paths(
     # tried and the path's cost so far.  An explicit stack, because paths
     # can be longer than the interpreter's recursion limit.
     frames = [(iter(graph.out_edges(source)), ZERO, ZERO)]
+    steps = 0
     while frames:
         pending, c0, c1 = frames[-1]
         eid = next(pending, None)
@@ -57,20 +55,22 @@ def enumerate_paths(
             if edge_stack:
                 on_path[graph.edges[edge_stack.pop()].head] = False
             continue
+        steps += 1
+        if steps > MAX_ENUMERATION_STEPS:
+            raise OracleScaleError(f"oracle needs over {MAX_ENUMERATION_STEPS:,} steps")
         edge = graph.edges[eid]
         if on_path[edge.head]:
             continue
         e0, e1 = c0 + edge.w0, c1 + edge.w1
         if edge.head == target:
             # Extending past the target can never stay simple.
-            if (e0, e1) not in seen_lines:
-                seen_lines.add((e0, e1))
-                entries.append((CostLine(e0, e1), Path((*edge_stack, eid))))
+            if (e0, e1) not in found:
+                found[e0, e1] = Path((*edge_stack, eid))
             continue
         on_path[edge.head] = True
         edge_stack.append(eid)
         frames.append((iter(graph.out_edges(edge.head)), e0, e1))
-    return tuple(entries)
+    return tuple((CostLine(*line), path) for line, path in found.items())
 
 
 def envelope_of_lines(
@@ -105,15 +105,11 @@ def envelope_of_lines(
                 break
         chain.append((line, path))
 
-    crossings = [
-        intersect_lines(chain[i][0], chain[i + 1][0]) for i in range(len(chain) - 1)
-    ]
+    crossings = (intersect_lines(a, b) for (a, _), (b, _) in zip(chain, chain[1:]))
+    bounds = [ZERO, *crossings, ONE]
     segments: list[EnvelopeSegment] = []
     for i, (line, path) in enumerate(chain):
-        lo = ZERO if i == 0 else crossings[i - 1]
-        hi = ONE if i == len(chain) - 1 else crossings[i]
-        lo = max(lo, ZERO)
-        hi = min(hi, ONE)
+        lo, hi = max(bounds[i], ZERO), min(bounds[i + 1], ONE)
         if lo < hi:
             segments.append(EnvelopeSegment(lo, hi, path, line))
     return segments

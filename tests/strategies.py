@@ -181,6 +181,24 @@ TAMPERED_ENVELOPES = {
     "walk-misses-target": _tampered(seg1_vertices=[0, 2]),
     "empty-walk": _tampered(seg0_vertices=[]),
     "vertices-not-a-list": _tampered(seg0_vertices="013"),
+    "negative-source": _tampered(
+        source=-1, seg0_vertices=[-1, 1, 3], seg1_vertices=[-1, 3]
+    ),
+    "negative-inner-vertex": _tampered(seg0_vertices=[0, -1, 3]),
+    "walk-repeats-vertex": _tampered(seg0_vertices=[0, 1, 0, 1, 3]),
+    # Each spelling below parses to the right rational, but the writer
+    # emits only unsigned ASCII ``p/q`` in lowest terms.
+    "lo-decimal": _tampered(seg0_lo="0.0"),
+    "lo-not-lowest-terms": _tampered(seg0_lo="0/2"),
+    "lo-plus-sign": _tampered(seg0_lo="+0/1"),
+    "lo-leading-space": _tampered(seg0_lo=" 0/1"),
+    "lo-exponent": _tampered(seg0_lo="0e5"),
+    "lo-underscore": _tampered(seg0_lo="0_0/1"),
+    "lo-minus-zero": _tampered(seg0_lo="-0/1"),
+    "lo-leading-zero": _tampered(seg0_lo="00/1"),
+    "hi-not-lowest-terms": _tampered(seg0_hi="2/4", seg1_lo="2/4"),
+    "c0-integer": _tampered(seg0_c0="1"),
+    "c1-non-ascii-digits": _tampered(seg1_c1="\u0661/\u0661"),
     "all-at-once": _tampered(
         source=0.9, target="3", seg0_vertices=[0, 1.7, True], seg1_c0="4/1"
     ),

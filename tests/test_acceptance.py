@@ -250,13 +250,7 @@ def test_criterion_8_scaling_benchmark():
     for blocks in (3, 7, 15):
         graph = chain_graph(blocks)
         source, target = chain_endpoints(blocks)
-        oracle_k = len(
-            envelope_of_lines(
-                enumerate_paths(
-                    graph, source, target, max_vertices=graph.vertex_count
-                )
-            )
-        )
+        oracle_k = len(envelope_of_lines(enumerate_paths(graph, source, target)))
         assert oracle_k == blocks + 1
         cases.append((graph, source, target, oracle_k, []))
     for _ in range(SCALING_REPEATS):

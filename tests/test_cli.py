@@ -129,24 +129,21 @@ def test_verify_accepts_diamond(diamond_file, capsys):
     assert capsys.readouterr().out.strip() == "VERIFIED k=2"
 
 
-def test_verify_rejects_oversized_graph(tmp_path):
-    big = tmp_path / "big.psp"
+def test_verify_rejects_oversized_graph(tmp_path, capsys):
+    # The oracle's bound is its own work, not the vertex count.
+    path = tmp_path / "path.psp"
     rows = [f"e {i} {i + 1} 1 1" for i in range(12)]
-    big.write_text("psp 13 12\n" + "\n".join(rows) + "\n")
-    assert main(["verify", str(big), "--source", "0", "--target", "12"]) == 6
-    code = main(
-        [
-            "verify",
-            str(big),
-            "--source",
-            "0",
-            "--target",
-            "12",
-            "--max-oracle-vertices",
-            "13",
-        ]
-    )
-    assert code == 0
+    path.write_text("psp 13 12\n" + "\n".join(rows) + "\n")
+    assert main(["verify", str(path), "--source", "0", "--target", "12"]) == 0
+    assert capsys.readouterr().out.strip() == "VERIFIED k=1"
+    big = tmp_path / "k11.psp"
+    rows = [f"e {u} {v} 1 2" for u in range(11) for v in range(11) if u != v]
+    big.write_text(f"psp 11 {len(rows)}\n" + "\n".join(rows) + "\n")
+    assert main(["verify", str(big), "--source", "0", "--target", "10"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
 
 
 def test_verify_reports_mismatch(diamond_file, monkeypatch):

@@ -40,9 +40,8 @@ number_tokens = st.sampled_from(
      "abc", "", "nan", "inf", "0x10", "1_0", "+1", "1.5", "-0.1"]
 )
 options = st.sampled_from(
-    ["--source", "--target", "--out", "--lambda", "--max-oracle-vertices", "--seed",
-     "--vertices", "--edges", "--weight-max", "--blocks", "--samples", "--mode",
-     "--help", "-h", "--", "-"]
+    ["--source", "--target", "--out", "--lambda", "--seed", "--vertices", "--edges",
+     "--weight-max", "--blocks", "--samples", "--mode", "--help", "-h", "--", "-"]
 )
 words = st.sampled_from(
     ["build", "query", "verify", "gen", "export-plot", "sssp", "bench", "random",
@@ -96,7 +95,7 @@ def run_cli(argv, root):
 SUBCOMMANDS = {
     "build": ("graph", ["--source", "--target", "--out"]),
     "query": ("envelope", ["--lambda"]),
-    "verify": ("graph", ["--source", "--target", "--max-oracle-vertices"]),
+    "verify": ("graph", ["--source", "--target"]),
     "gen": ("kind", ["--out", "--seed", "--vertices", "--edges", "--weight-max",
                      "--blocks"]),
     "export-plot": ("envelope", ["--samples", "--out"]),

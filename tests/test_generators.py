@@ -148,16 +148,14 @@ class TestChainGraph:
         blocks = 5
         graph = chain_graph(blocks)
         source, target = chain_endpoints(blocks)
-        lines = enumerate_paths(graph, source, target, max_vertices=3 * blocks + 1)
+        lines = enumerate_paths(graph, source, target)
         assert len(lines) == 2**blocks
 
     def test_oracle_confirms_chain_envelope(self):
         blocks = 3
         graph = chain_graph(blocks)
         source, target = chain_endpoints(blocks)
-        segs = envelope_of_lines(
-            enumerate_paths(graph, source, target, max_vertices=3 * blocks + 1)
-        )
+        segs = envelope_of_lines(enumerate_paths(graph, source, target))
         assert len(segs) == blocks + 1
         # Deterministic construction: rebuilding gives the same graph.
         assert chain_graph(blocks) == graph

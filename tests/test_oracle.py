@@ -8,11 +8,13 @@ import strategies as own
 from parapath import (
     CostLine,
     DualWeightGraph,
+    GraphStructureError,
     OracleScaleError,
     Path,
     compare_envelopes,
     enumerate_paths,
     envelope_of_lines,
+    shortest_path_length,
 )
 from parapath.envelope import EnvelopeSegment
 
@@ -53,17 +55,31 @@ def test_source_equals_target_is_the_empty_path():
     assert lines == ((CostLine(F(0), F(0)), Path(())),)
 
 
-def test_vertex_bound_enforced():
+def test_enumeration_work_bounded():
+    # Vertex count alone no longer refuses a graph; only the work does.
     graph = DualWeightGraph.build(13, [(0, 1, 1, 1)])
+    assert entry_lines(enumerate_paths(graph, 0, 1)) == [CostLine(F(1), F(1))]
+    # A complete 11-vertex digraph has about 10^7 edge steps from 0 to 10.
+    n = 11
+    edges = [(u, v, 1, 2) for u in range(n) for v in range(n) if u != v]
     with pytest.raises(OracleScaleError):
-        enumerate_paths(graph, 0, 1)
-    enumerate_paths(graph, 0, 1, max_vertices=13)
+        enumerate_paths(DualWeightGraph.build(n, edges), 0, n - 1)
+
+
+@pytest.mark.parametrize("source, target", [(-1, 1), (0, 3), (1, -3)])
+def test_vertex_ids_outside_graph_rejected(source, target):
+    # A negative id would otherwise index from the end of the vertex arrays.
+    graph = DualWeightGraph.build(3, [(0, 1, 1, 2), (2, 1, 1, 1)])
+    with pytest.raises(GraphStructureError):
+        enumerate_paths(graph, source, target)
+    with pytest.raises(GraphStructureError):
+        shortest_path_length(graph, F(1, 2), source, target)
 
 
 def test_path_longer_than_recursion_limit():
     n = 1500
     graph = DualWeightGraph.build(n, [(i, i + 1, 1, 2) for i in range(n - 1)])
-    lines = enumerate_paths(graph, 0, n - 1, max_vertices=n)
+    lines = enumerate_paths(graph, 0, n - 1)
     assert lines == (
         (CostLine(F(n - 1), F(2 * (n - 1))), Path(tuple(range(n - 1)))),
     )

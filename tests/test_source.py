@@ -1,9 +1,12 @@
+import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import parapath
+from parapath.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "parapath"
@@ -40,6 +43,30 @@ def test_benchmark_trace_targets_resolve():
         if not hasattr(importlib.import_module(f"parapath.{module}"), attr)
     ]
     assert not missing, f"tracer targets missing: {missing}"
+
+
+def test_readme_options_exist():
+    # A README that still documents a deleted option sends its readers
+    # to an argparse usage error.  Other tools' command lines are skipped.
+    lines = [
+        line
+        for line in (ROOT / "README.md").read_text().splitlines()
+        if not any(tool in line for tool in ("pip ", "pytest", "scripts/"))
+    ]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "\n".join(lines)))
+    (subcommands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    defined = {
+        option
+        for parser in subcommands.choices.values()
+        for option in parser._option_string_actions
+    }
+    assert documented
+    missing = sorted(documented - defined)
+    assert not missing, f"README documents options no subcommand defines: {missing}"
 
 
 def test_public_names_resolve():
