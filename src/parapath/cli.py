@@ -3,7 +3,7 @@
 Exit codes are a stable contract: 0 success, 2 bad input (parse errors,
 invalid weights, infeasible generator parameters), 3 unreachable target,
 4 query parameter out of range, 5 envelope-vs-oracle mismatch, 6 graph
-too large for the exhaustive oracle (over its edge-step budget).
+too large for the exhaustive oracle (over its work budget).
 """
 
 from __future__ import annotations
@@ -62,10 +62,7 @@ def _parse_lambda(text: str) -> Fraction:
 
 
 def _twelve_digits(value: Fraction) -> str:
-    result = _PLOT_CONTEXT.divide(
-        decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
-    )
-    return str(result)
+    return str(_PLOT_CONTEXT.divide(value.numerator, value.denominator))
 
 
 def _load_graph(path: str) -> "graphio.DualWeightGraph":
@@ -100,9 +97,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    # Build first, so an unreachable target exits 3 before the oracle runs.
-    index = envelope.build_index(graph, args.source, args.target)
+    # Oracle first: its budget refuses a huge graph unbuilt.  The build then
+    # exits 3 on an unreachable target, before an empty envelope of lines.
     lines = oracle.enumerate_paths(graph, args.source, args.target)
+    index = envelope.build_index(graph, args.source, args.target)
     expected = oracle.envelope_of_lines(lines)
     report = oracle.compare_envelopes(index.segments, expected)
     if report is not None:

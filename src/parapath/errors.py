@@ -37,7 +37,7 @@ class ParallelLinesError(ParapathError):
 
 
 class OracleScaleError(ParapathError):
-    """The exhaustive enumeration would exceed its edge-step budget."""
+    """The exhaustive enumeration would exceed its work budget."""
 
 
 class GraphFormatError(ParapathError):

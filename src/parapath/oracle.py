@@ -19,6 +19,7 @@ from .model import (
 )
 
 MAX_ENUMERATION_STEPS = 1_000_000
+MAX_WITNESS_EDGES = 2_000_000
 
 
 def enumerate_paths(
@@ -29,10 +30,10 @@ def enumerate_paths(
     Returns one ``(cost line, witness path)`` pair per distinct line:
     paths sharing a cost line are collapsed to the first one found (the
     DFS visits edges in id order, so the witness is deterministic).
-    Raises OracleScaleError once the DFS has taken more than
-    ``MAX_ENUMERATION_STEPS`` out-edges (a few us each), counting those
-    that reach the target or lead back onto the path: the path count is
-    worst-case factorial, so the bound is on work, not on vertices.
+    Raises OracleScaleError past ``MAX_ENUMERATION_STEPS`` out-edges taken
+    (counting those that reach the target or lead back onto the path) or
+    ``MAX_WITNESS_EDGES`` edges stored in witnesses: the path count is
+    worst-case factorial, so time and memory are bounded by work instead.
     """
     validate_pair(graph, source, target)
     if source == target:
@@ -46,8 +47,10 @@ def enumerate_paths(
     # tried and the path's cost so far.  An explicit stack, because paths
     # can be longer than the interpreter's recursion limit.
     frames = [(iter(graph.out_edges(source)), ZERO, ZERO)]
-    steps = 0
+    steps = witness_edges = 0
     while frames:
+        if steps > MAX_ENUMERATION_STEPS or witness_edges > MAX_WITNESS_EDGES:
+            raise OracleScaleError("oracle passes its edge-step or witness-edge budget")
         pending, c0, c1 = frames[-1]
         eid = next(pending, None)
         if eid is None:
@@ -56,8 +59,6 @@ def enumerate_paths(
                 on_path[graph.edges[edge_stack.pop()].head] = False
             continue
         steps += 1
-        if steps > MAX_ENUMERATION_STEPS:
-            raise OracleScaleError(f"oracle needs over {MAX_ENUMERATION_STEPS:,} steps")
         edge = graph.edges[eid]
         if on_path[edge.head]:
             continue
@@ -65,6 +66,7 @@ def enumerate_paths(
         if edge.head == target:
             # Extending past the target can never stay simple.
             if (e0, e1) not in found:
+                witness_edges += len(edge_stack) + 1
                 found[e0, e1] = Path((*edge_stack, eid))
             continue
         on_path[edge.head] = True

@@ -66,6 +66,20 @@ def test_enumeration_work_bounded():
         enumerate_paths(DualWeightGraph.build(n, edges), 0, n - 1)
 
 
+def test_witness_copies_count_against_the_budget():
+    # A long path fanning out over parallel edges to the target: few edge
+    # steps, but each distinct line stores the whole path as its witness.
+    def path_then_fan(n):
+        edges = [(i, i + 1, 1, 1) for i in range(n)]
+        edges += [(n, n + 1, w, w) for w in range(1, n + 1)]
+        return DualWeightGraph.build(n + 2, edges)
+
+    assert len(enumerate_paths(path_then_fan(100), 0, 101)) == 100
+    # 2000 witnesses of up to 2001 edges: about 4 * 10^6 edges stored.
+    with pytest.raises(OracleScaleError):
+        enumerate_paths(path_then_fan(2000), 0, 2001)
+
+
 @pytest.mark.parametrize("source, target", [(-1, 1), (0, 3), (1, -3)])
 def test_vertex_ids_outside_graph_rejected(source, target):
     # A negative id would otherwise index from the end of the vertex arrays.
