@@ -35,6 +35,7 @@ from .errors import (
     ParapathError,
     UnreachableError,
     WeightDomainError,
+    WeightScaleError,
 )
 from .generators import chain_endpoints, chain_graph, random_graph
 from .graphio import (
@@ -87,6 +88,7 @@ __all__ = [
     "ShortestPathIndex",
     "UnreachableError",
     "WeightDomainError",
+    "WeightScaleError",
     "as_rational",
     "breakpoints",
     "build_index",

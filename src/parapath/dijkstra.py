@@ -6,14 +6,20 @@ paths, returns one whose cost line has minimal (or maximal) slope.  Each
 vertex label is a (length, slope) pair compared lexicographically; the
 length component of every edge relaxation is strictly positive, so
 settled labels are final even though slope increments may be negative.
+
+The search runs on the graph's integer view: weights ``W = w * D`` over
+their common denominator ``D``.  At ``lam = p/q`` an edge adds
+``(q - p) * W0 + p * W1`` to a length and ``W1 - W0`` to a slope, which
+are its blended weight times ``q * D`` and its slope times ``D``.  Labels
+are therefore ints scaled by two positive constants, and they compare
+exactly as the rationals they stand for.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from heapq import heappop, heappush
+from typing import Literal, NamedTuple
 
 from .errors import UnreachableError
 from .model import DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, validate_pair
@@ -24,12 +30,27 @@ MIN_SLOPE: SlopeMode = "min-slope"
 MAX_SLOPE: SlopeMode = "max-slope"
 
 
-@dataclass(frozen=True)
-class DistSlopeLabel:
-    """Distance under the blended weights plus accumulated weight drift."""
+class DistSlopeLabel(NamedTuple):
+    """Distance under the blended weights plus accumulated weight drift.
 
-    length: Fraction
-    slope: Fraction
+    Held as scaled ints: ``length = length_num / length_den`` and
+    ``slope = slope_num / slope_den``, where ``slope_den`` is the graph's
+    common weight denominator ``D`` and ``length_den`` is ``q * D`` at the
+    parameter ``p/q``.
+    """
+
+    length_num: int
+    slope_num: int
+    length_den: int
+    slope_den: int
+
+    @property
+    def length(self) -> Fraction:
+        return Fraction(self.length_num, self.length_den)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.slope_num, self.slope_den)
 
 
 def dijkstra_extreme_slope(
@@ -44,70 +65,67 @@ def dijkstra_extreme_slope(
     Returns the path and its exact (length, slope) label.  Output is
     deterministic: equal labels keep the incumbent predecessor, and heap
     ties resolve by vertex id.  The search stops once the target is
-    settled.  Raises UnreachableError when no path exists.
+    settled.  Raises UnreachableError when no path exists, and the errors
+    of :func:`~parapath.model.validate_graph` for a graph that fails them.
     """
+    view = graph.integer_view
+    p, q = lam.as_integer_ratio()
     if source == target:
-        return EMPTY_PATH, DistSlopeLabel(ZERO, ZERO)
+        return EMPTY_PATH, DistSlopeLabel(0, 0, q * view.den, view.den)
 
     n = graph.vertex_count
-    lengths: list[Fraction | None] = [None] * n
-    slopes: list[Fraction | None] = [None] * n
-    prev_edge: list[int | None] = [None] * n
+    lengths: list[int | None] = [None] * n
+    # Slopes enter as ``sign * slope``, so both modes prefer the smaller
+    # (length, key) pair and a tie keeps the incumbent.
+    keys = [0] * n
+    prev_edge = [-1] * n
     settled = [False] * n
-    prefer_max = mode == MAX_SLOPE
-    sign = -1 if prefer_max else 1
+    sign = -1 if mode == MAX_SLOPE else 1
+    a = q - p
+    adjacency = view.adjacency
 
-    one_minus = ONE - lam
-    lengths[source] = ZERO
-    slopes[source] = ZERO
-    # Heap entries are (length, sign*slope, vertex): ties on the label
-    # break toward the smaller vertex id, which pins down the output.
-    heap: list[tuple[Fraction, Fraction, int]] = [(ZERO, ZERO, source)]
-
+    lengths[source] = 0
+    # Heap entries are (length, key, vertex): ties on the label break
+    # toward the smaller vertex id, which pins down the output.
+    heap: list[tuple[int, int, int]] = [(0, 0, source)]
     while heap:
-        ell, _skey, u = heapq.heappop(heap)
-        # Each push lowers its vertex's key, so a vertex's first pop holds
+        ell, key, u = heappop(heap)
+        # Each push lowers its vertex's label, so a vertex's first pop holds
         # its current label and every later pop finds it settled.
         if settled[u]:
             continue
         settled[u] = True
         if u == target:
             break
-        slope_u = slopes[u]
-        for eid in graph.out_edges(u):
-            edge = graph.edges[eid]
-            v = edge.head
+        for v, w0, w1, eid in adjacency[u]:
             if settled[v]:
                 continue
-            new_len = ell + one_minus * edge.w0 + lam * edge.w1
-            new_slope = slope_u + edge.w1 - edge.w0
-            cur_len = lengths[v]
-            if cur_len is None:
-                better = True
-            elif new_len != cur_len:
-                better = new_len < cur_len
-            elif prefer_max:
-                better = new_slope > slopes[v]
-            else:
-                better = new_slope < slopes[v]
-            if better:
+            new_len = ell + a * w0 + p * w1
+            new_key = key + sign * (w1 - w0)
+            cur = lengths[v]
+            if cur is None or new_len < cur or (new_len == cur and new_key < keys[v]):
                 lengths[v] = new_len
-                slopes[v] = new_slope
+                keys[v] = new_key
                 prev_edge[v] = eid
-                heapq.heappush(heap, (new_len, sign * new_slope, v))
+                heappush(heap, (new_len, new_key, v))
     if not settled[target]:
         raise UnreachableError(f"vertex {target} not reachable from {source}")
 
+    graph_edges = graph.edges
     edges: list[int] = []
     v = target
     while v != source:
         eid = prev_edge[v]
-        if eid is None:  # only the source lacks a predecessor
+        if eid < 0:  # only the source lacks a predecessor
             raise RuntimeError(f"settled vertex {v} has no predecessor edge")
         edges.append(eid)
-        v = graph.edges[eid].tail
+        v = graph_edges[eid].tail
     edges.reverse()
-    return Path(tuple(edges)), DistSlopeLabel(lengths[target], slopes[target])
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    label = tuple.__new__(
+        DistSlopeLabel, (lengths[target], sign * keys[target], q * view.den, view.den)
+    )
+    return Path(tuple(edges)), label
 
 
 def shortest_path_length(
@@ -126,7 +144,7 @@ def shortest_path_length(
     dist[source] = ZERO
     heap: list[tuple[Fraction, int]] = [(ZERO, source)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
@@ -140,5 +158,5 @@ def shortest_path_length(
             nd = d + one_minus * edge.w0 + lam * edge.w1
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                heappush(heap, (nd, v))
     raise UnreachableError(f"vertex {target} not reachable from {source}")

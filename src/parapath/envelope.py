@@ -20,16 +20,23 @@ left endpoint of the right half, and a build with ``k`` segments runs
 at most ``max(2, 2k - 1)`` searches.  The right end of [0, 1] still
 takes the maximal-slope path: a line that is optimal only at 1 would
 cost extra splits.
+
+Each search's label gives its path's line as ints, so the base-case
+test, the crossing, its bounds check and the fusing of equal lines all
+cross-multiply ints.  A ``Fraction`` is built only for each crossing,
+the next probe's parameter.  The cost line of each output segment's
+witness is then walked once with :func:`cost_line`, and must equal the
+line its label gave.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .dijkstra import MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope
+from .dijkstra import MAX_SLOPE, MIN_SLOPE, dijkstra_extreme_slope
 from .errors import ParallelLinesError
 from .model import (
     CostLine,
@@ -42,8 +49,6 @@ from .model import (
     validate_pair,
 )
 
-# A path together with its cost line, as carried by interval endpoints.
-PathLine = tuple[Path, CostLine]
 
 
 @dataclass(frozen=True)
@@ -101,29 +106,32 @@ def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> 
     """
     if not segments:
         raise ValueError("segment array is empty")
-    if segments[0].lo != ZERO:
+    # Numerator/denominator pairs, each in lowest terms.
+    los = [seg.lo.as_integer_ratio() for seg in segments]
+    his = [seg.hi.as_integer_ratio() for seg in segments]
+    if los[0][0] != 0:
         raise ValueError(f"first segment starts at {segments[0].lo}, not 0")
-    if segments[-1].hi != ONE:
+    if his[-1][0] != his[-1][1]:
         raise ValueError(f"last segment ends at {segments[-1].hi}, not 1")
-    for i, seg in enumerate(segments):
-        if not seg.lo < seg.hi:
+    for i, ((lp, lq), (hp, hq)) in enumerate(zip(los, his)):
+        if lp * hq >= hp * lq:
+            seg = segments[i]
             raise ValueError(f"segment {i} has empty interval [{seg.lo}, {seg.hi}]")
-    scaled = [seg.line.scaled() for seg in segments] if strict else []
+    lines = [seg.line.scaled() for seg in segments] if strict else []
     for i in range(len(segments) - 1):
-        a, b = segments[i], segments[i + 1]
-        if a.hi != b.lo:
+        p, q = his[i]
+        if his[i] != los[i + 1]:
             raise ValueError(f"gap between segments {i} and {i + 1}")
         if not strict:
             continue
-        (ma, sa, da), (mb, sb, db) = scaled[i], scaled[i + 1]
-        if (ma, sa, da) == (mb, sb, db):
+        (ma, sa, da), (mb, sb, db) = lines[i], lines[i + 1]
+        if ma * db == mb * da and sa * db == sb * da:
             raise ValueError(f"segments {i} and {i + 1} share a line")
         if sa * db <= sb * da:
             raise ValueError(f"slope not decreasing at segment {i + 1}")
-        p, q = a.hi.numerator, a.hi.denominator
         if (q * ma + p * sa) * db != (q * mb + p * sb) * da:
             raise ValueError(
-                f"lines disagree at breakpoint {a.hi} between {i} and {i + 1}"
+                f"lines disagree at breakpoint {segments[i].hi} between {i} and {i + 1}"
             )
 
 
@@ -142,42 +150,64 @@ def build_index_detailed(
     weights make reachability independent of the parameter).  Intervals
     wait on an explicit stack, because the number of segments (and hence
     the recursion depth) can be large relative to interpreter stack limits.
+    Raises RuntimeError if the bisection invariant breaks or a witness's
+    walked line differs from its search label's: neither can happen on a
+    correct build.
     """
     validate_graph(graph)
     validate_pair(graph, source, target)
-    calls = 0
-
-    def probe(lam: Fraction, mode: SlopeMode) -> PathLine:
-        nonlocal calls
-        calls += 1
-        path, _label = dijkstra_extreme_slope(graph, lam, source, target, mode)
-        return path, cost_line(graph, path)
-
+    # The sweep keeps the left end of the current interval in locals and
+    # the right ends still ahead on a stack, nearest on top.  Each end is a
+    # probe: lam, its numerator and denominator, the search's path, and the
+    # path's line as ints (m, s, d), worth (m + lam*s) / d at lam, which at
+    # lam = p/q is (L - p*S, q*S, q*D) from the label (L, S, q*D, D).
+    path, (m, s, d, _) = dijkstra_extreme_slope(graph, ZERO, source, target, MIN_SLOPE)
+    lo, pl, ql, p_lo, ma, sa, da = ZERO, 0, 1, path, m, s, d
+    path, (m, s, d, _) = dijkstra_extreme_slope(graph, ONE, source, target, MAX_SLOPE)
+    stack = [(ONE, 1, 1, path, m - s, s, d)]
+    calls = 2
     segments: list[EnvelopeSegment] = []
-    stack = [(ZERO, ONE, probe(ZERO, MIN_SLOPE), probe(ONE, MAX_SLOPE))]
+    lm = ls = ld = 0  # the last segment's line; ld == 0 before the first
     while stack:
-        lo, hi, (p_lo, l_lo), (p_hi, l_hi) = stack.pop()
-        if l_lo.value(hi) == l_hi.value(hi):
+        hi, ph, qh, _, mb, sb, db = stack[-1]
+        if (qh * ma + ph * sa) * db == (qh * mb + ph * sb) * da:
             # The left line is optimal at both ends, hence on all of [lo, hi].
-            if segments and segments[-1].line == l_lo:
+            if ld and ma * ld == lm * da and sa * ld == ls * da:
                 # A probe interior to one optimal stretch splits it in two;
                 # fuse the halves and keep the leftmost witness path.
-                segments[-1] = replace(segments[-1], hi=hi)
+                seg = segments[-1]
+                segments[-1] = EnvelopeSegment(seg.lo, hi, seg.path, seg.line)
             else:
-                segments.append(EnvelopeSegment(lo, hi, p_lo, l_lo))
+                # One walk per output segment, which must give the label's line.
+                line = cost_line(graph, p_lo)
+                mc, sc, dc = line.scaled()
+                if mc * da != ma * dc or sc * da != sa * dc:
+                    raise RuntimeError(
+                        f"witness {p_lo.edges} has line {line}, but its search "
+                        f"label gave {Fraction(ma, da)} + lam * {Fraction(sa, da)}"
+                    )
+                segments.append(EnvelopeSegment(lo, hi, p_lo, line))
+                lm, ls, ld = ma, sa, da
+            lo, pl, ql, p_lo, ma, sa, da = stack.pop()
             continue
-        r = intersect_lines(l_lo, l_hi)
-        # Holds by the endpoint invariant, and keeps both halves nonempty.
-        if not (l_lo.slope > l_hi.slope and lo < r < hi):
+        # The lines cross at r = num / gap.  By the endpoint invariant the
+        # left slope is the larger and r lies strictly inside [lo, hi],
+        # which keeps both halves nonempty.
+        gap = sa * db - sb * da
+        num = mb * da - ma * db
+        if not (gap > 0 and pl * gap < num * ql and num * qh < ph * gap):
             raise RuntimeError(
-                f"bisection invariant broken on [{lo}, {hi}]: lines {l_lo} "
-                f"and {l_hi} cross at {r}"
+                f"bisection invariant broken on [{lo}, {hi}]: scaled lines "
+                f"{(ma, sa, da)} and {(mb, sb, db)} do not cross inside it"
             )
-        rep = probe(r, MIN_SLOPE)
-        # Right pushed first so the left half is processed first (LIFO),
-        # keeping the output in increasing parameter order.
-        stack.append((r, hi, rep, (p_hi, l_hi)))
-        stack.append((lo, r, (p_lo, l_lo), rep))
+        r = Fraction(num, gap)
+        path, (m, s, d, _) = dijkstra_extreme_slope(graph, r, source, target, MIN_SLOPE)
+        calls += 1
+        pr, qr = r.as_integer_ratio()
+        # The probe at r becomes the right end of [lo, r] and, once that is
+        # done, the left end of [r, hi].
+        stack.append((r, pr, qr, path, m - pr * s, qr * s, d))
+
     index = ShortestPathIndex(source, target, tuple(segments))
     check_index_invariants(index)
     return BuildResult(index, calls)

@@ -16,6 +16,10 @@ class WeightDomainError(ParapathError):
     """An edge weight is zero or negative (weights must be > 0)."""
 
 
+class WeightScaleError(ParapathError):
+    """The weights' common denominator makes the integer view too large."""
+
+
 class GraphStructureError(ParapathError):
     """A vertex or edge reference is out of range or otherwise invalid."""
 

@@ -3,10 +3,11 @@
 A dual-weight digraph carries two strictly positive weights per edge.
 Blending them with a parameter ``lam`` in [0, 1] yields the interpolated
 weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path is a
-linear function of ``lam``.  Everything here is computed over
-``fractions.Fraction`` so that comparisons of path costs and of
-interval breakpoints are exact; all types are immutable after
-construction and safe to share between threads.
+linear function of ``lam``.  Weights are ``fractions.Fraction``s, and
+each graph also keeps them as ints over their least common denominator
+(:class:`IntegerView`), on which searches and cost lines sum exactly
+without a gcd per addition.  All types are immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from math import lcm
+from typing import Iterable, NamedTuple
 
 from .errors import (
     GraphStructureError,
     LambdaRangeError,
     MalformedPathError,
     WeightDomainError,
+    WeightScaleError,
 )
 
 ZERO = Fraction(0)
@@ -37,6 +40,13 @@ MAX_DECIMAL_EXPONENT = 1_000
 # 110 bytes per declared vertex, edges or not, so without it the 17-byte
 # header ``psp 1000000000 0`` asks for some 100 GB; at the cap it is 110 MB.
 MAX_VERTICES = 1_000_000
+
+# Cap on the integer view's size, taken as 2 * edges * bits(D).  The common
+# denominator D can have as many bits as all weight denominators together,
+# and every scaled weight carries it, so without the cap E coprime
+# denominators would cost memory quadratic in E.  At the cap the scaled
+# weights take about 32 MB.
+MAX_SCALED_WEIGHT_BITS = 2**28
 
 
 def parse_rational(text: str) -> Fraction:
@@ -79,6 +89,20 @@ class Edge:
     w1: Fraction
 
 
+class IntegerView(NamedTuple):
+    """A graph's weights as ints over one common denominator ``den``.
+
+    ``edges[e].w0 == Fraction(w0[e], den)``, likewise for ``w1``, and
+    ``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges
+    leaving ``v``, in edge-list order.
+    """
+
+    den: int
+    w0: tuple[int, ...]
+    w1: tuple[int, ...]
+    adjacency: tuple[tuple[tuple[int, int, int, int], ...], ...]
+
+
 @dataclass(frozen=True)
 class DualWeightGraph:
     """Directed multigraph; parallel edges and self-loops are allowed.
@@ -114,22 +138,55 @@ class DualWeightGraph:
         """Edge ids leaving ``vertex``, in edge-list order."""
         return self._adjacency[vertex]
 
+    @cached_property
+    def integer_view(self) -> IntegerView:
+        """The weights as ints over their least common denominator.
+
+        Built once per graph in O(E) int operations, checking the graph on
+        the way (see :func:`validate_graph`).  Raises WeightScaleError, as
+        soon as the denominator grows that far, when the view would pass
+        ``MAX_SCALED_WEIGHT_BITS``.
+        """
+        n = self.vertex_count
+        if n < 1:
+            raise GraphStructureError("graph needs at least one vertex")
+        weights = 2 * len(self.edges)
+        den = 1
+        for eid, edge in enumerate(self.edges):
+            tail, head, w0, w1 = edge.tail, edge.head, edge.w0, edge.w1
+            if not (0 <= tail < n and 0 <= head < n):
+                raise GraphStructureError(
+                    f"edge {eid}: endpoint ({tail}, {head}) outside 0..{n - 1}"
+                )
+            if w0.numerator <= 0 or w1.numerator <= 0:
+                raise WeightDomainError(
+                    f"edge {eid}: weights must be strictly positive, got ({w0}, {w1})"
+                )
+            grown = lcm(den, w0.denominator, w1.denominator)
+            if grown != den:
+                den = grown
+                if weights * den.bit_length() > MAX_SCALED_WEIGHT_BITS:
+                    raise WeightScaleError(
+                        f"weights need a common denominator of at least "
+                        f"{den.bit_length()} bits; {len(self.edges)} edges scaled "
+                        f"by it pass the cap of {MAX_SCALED_WEIGHT_BITS} bits"
+                    )
+        w0s = tuple(e.w0.numerator * (den // e.w0.denominator) for e in self.edges)
+        w1s = tuple(e.w1.numerator * (den // e.w1.denominator) for e in self.edges)
+        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+        for eid, edge in enumerate(self.edges):
+            out[edge.tail].append((edge.head, w0s[eid], w1s[eid], eid))
+        return IntegerView(den, w0s, w1s, tuple(map(tuple, out)))
+
 
 def validate_graph(graph: DualWeightGraph) -> None:
-    """Reject graphs with out-of-range endpoints or nonpositive weights."""
-    n = graph.vertex_count
-    if n < 1:
-        raise GraphStructureError("graph needs at least one vertex")
-    for eid, edge in enumerate(graph.edges):
-        if not (0 <= edge.tail < n and 0 <= edge.head < n):
-            raise GraphStructureError(
-                f"edge {eid}: endpoint ({edge.tail}, {edge.head}) outside 0..{n - 1}"
-            )
-        if edge.w0 <= 0 or edge.w1 <= 0:
-            raise WeightDomainError(
-                f"edge {eid}: weights must be strictly positive, got "
-                f"({edge.w0}, {edge.w1})"
-            )
+    """Reject a graph with no vertex, an endpoint out of range, a
+    nonpositive weight, or weights too costly to scale to ints.
+
+    The checks run once per graph, while its integer view is built; a
+    graph that already has its view passed them.
+    """
+    graph.integer_view  # built, or found built, for its checks
 
 
 def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
@@ -154,26 +211,6 @@ class Path:
 EMPTY_PATH = Path(())
 
 
-def check_path(graph: DualWeightGraph, path: Path) -> None:
-    """Raise MalformedPathError unless ``path`` is a contiguous simple path."""
-    seen: set[int] = set()
-    prev_head: int | None = None
-    for eid in path.edges:
-        if not (0 <= eid < len(graph.edges)):
-            raise MalformedPathError(f"edge id {eid} out of range")
-        edge = graph.edges[eid]
-        if prev_head is not None and edge.tail != prev_head:
-            raise MalformedPathError(
-                f"edge {eid} starts at {edge.tail}, expected {prev_head}"
-            )
-        if prev_head is None:
-            seen.add(edge.tail)
-        if edge.head in seen:
-            raise MalformedPathError(f"vertex {edge.head} repeated; path not simple")
-        seen.add(edge.head)
-        prev_head = edge.head
-
-
 def path_vertices(graph: DualWeightGraph, path: Path, source: int) -> tuple[int, ...]:
     """Vertex sequence visited by ``path``, which starts at ``source``.
 
@@ -185,37 +222,68 @@ def path_vertices(graph: DualWeightGraph, path: Path, source: int) -> tuple[int,
     return tuple(verts)
 
 
-@dataclass(frozen=True)
 class CostLine:
     """Cost of a fixed path as a linear function of the blend parameter.
 
-    Characterized by its values at the two endpoints; slope and
-    interior values are derived.
+    Characterized by its values ``c0`` and ``c1`` at the two endpoints;
+    slope and interior values are derived.  Held as ints ``(m, s, d)``,
+    ``d > 0``, worth ``(m + lam*s) / d`` at ``lam``: evaluating and
+    comparing lines in this form takes a few int multiplications, which
+    Python does in C, where ``Fraction`` operators reduce every
+    intermediate result by a gcd.  The endpoint Fractions are built when
+    read.  Equal lines compare and hash equal however they are scaled.
     """
 
-    c0: Fraction
-    c1: Fraction
+    __slots__ = ("_scaled",)
+
+    def __init__(self, c0: Fraction, c1: Fraction) -> None:
+        a, b = c0.as_integer_ratio()
+        c, d = c1.as_integer_ratio()
+        m = a * d
+        self._scaled = (m, c * b - m, b * d)
+
+    @classmethod
+    def from_scaled(cls, m: int, s: int, d: int) -> "CostLine":
+        """The line worth ``(m + lam*s) / d`` at ``lam``, for ``d > 0``."""
+        line = cls.__new__(cls)
+        line._scaled = (m, s, d)
+        return line
+
+    @property
+    def c0(self) -> Fraction:
+        m, _s, d = self._scaled
+        return Fraction(m, d)
+
+    @property
+    def c1(self) -> Fraction:
+        m, s, d = self._scaled
+        return Fraction(m + s, d)
 
     @property
     def slope(self) -> Fraction:
-        return self.c1 - self.c0
+        _m, s, d = self._scaled
+        return Fraction(s, d)
 
     def scaled(self) -> tuple[int, int, int]:
-        """Integers ``(m, s, d)``, ``d > 0``, with ``value(lam) = (m + lam*s) / d``.
-
-        Evaluating and comparing lines in this form takes a few int
-        multiplications, which Python does in C, where ``Fraction``
-        operators reduce every intermediate result by a gcd.
-        """
-        a, b = self.c0.numerator, self.c0.denominator
-        c, d = self.c1.numerator, self.c1.denominator
-        m = a * d
-        return m, c * b - m, b * d
+        """Integers ``(m, s, d)``, ``d > 0``, with ``value(lam) = (m + lam*s) / d``."""
+        return self._scaled
 
     def value(self, lam: Fraction) -> Fraction:
-        m, s, d = self.scaled()
+        m, s, d = self._scaled
         p, q = lam.numerator, lam.denominator
         return Fraction(q * m + p * s, q * d)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CostLine):
+            return NotImplemented
+        (ma, sa, da), (mb, sb, db) = self._scaled, other._scaled
+        return ma * db == mb * da and sa * db == sb * da
+
+    def __hash__(self) -> int:
+        return hash((self.c0, self.c1))
+
+    def __repr__(self) -> str:
+        return f"CostLine(c0={self.c0!r}, c1={self.c1!r})"
 
 
 ZERO_LINE = CostLine(ZERO, ZERO)
@@ -234,14 +302,31 @@ def interpolate_weight(graph: DualWeightGraph, edge_id: int, lam: Fraction) -> F
 def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
     """Sum the endpoint weights along ``path`` into its cost line.
 
-    Validates contiguity; a malformed edge sequence would silently
-    produce a meaningless line otherwise.
+    Raises MalformedPathError unless ``path`` is a contiguous simple path;
+    a malformed edge sequence would silently produce a meaningless line
+    otherwise.  Sums the integer view's weights, so the line comes out
+    scaled by their common denominator.
     """
-    check_path(graph, path)
-    c0 = ZERO
-    c1 = ZERO
+    edges = graph.edges
+    count = len(edges)
+    seen: set[int] = set()
+    prev_head: int | None = None
     for eid in path.edges:
-        edge = graph.edges[eid]
-        c0 += edge.w0
-        c1 += edge.w1
-    return CostLine(c0, c1)
+        if not 0 <= eid < count:
+            raise MalformedPathError(f"edge id {eid} out of range")
+        edge = edges[eid]
+        tail, head = edge.tail, edge.head
+        if prev_head is None:
+            seen.add(tail)
+        elif tail != prev_head:
+            raise MalformedPathError(
+                f"edge {eid} starts at {tail}, expected {prev_head}"
+            )
+        if head in seen:
+            raise MalformedPathError(f"vertex {head} repeated; path not simple")
+        seen.add(head)
+        prev_head = head
+    view = graph.integer_view
+    c0 = sum(map(view.w0.__getitem__, path.edges))
+    c1 = sum(map(view.w1.__getitem__, path.edges))
+    return CostLine.from_scaled(c0, c1 - c0, view.den)

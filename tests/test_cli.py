@@ -59,6 +59,21 @@ def test_build_zero_weight_is_input_error(tmp_path):
     assert main(["build", str(bad), "--source", "0", "--target", "1", "--out", "x"]) == 2
 
 
+def test_build_hostile_denominators_is_input_error(tmp_path, capsys):
+    # 4000 routes whose weights 1/(10**12 + i) share no denominator.
+    rows = "".join(
+        f"e 0 {i + 2} 1/{10**12 + i} 1/{10**12 + i}\n"
+        f"e {i + 2} 1 1/{10**12 + i} 1/{10**12 + i}\n"
+        for i in range(4000)
+    )
+    star = tmp_path / "star.psp"
+    star.write_text(f"psp 4002 8000\n{rows}")
+    code = main(["build", str(star), "--source", "0", "--target", "1", "--out", "x"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: weights need a common")
+
+
 def test_build_unreachable_target(tmp_path):
     g = tmp_path / "g.psp"
     g.write_text("psp 3 1\ne 0 1 1 1\n")

@@ -1,18 +1,31 @@
 """The integer cross-multiplication paths against plain ``Fraction`` formulas.
 
-Line values, intersections, segment lookup and the strict segment check
-compute on numerators and denominators directly.  Each test here keeps
-the ``Fraction`` formula the code used to run as its reference, over
-lambdas at 0, at 1, at breakpoints and with 125-bit denominators.
+The slope-extremal search, line values, intersections, segment lookup
+and the strict segment check compute on ints directly.  Each test here
+keeps the ``Fraction`` formula the code used to run as its reference,
+over lambdas at 0, at 1, at breakpoints and with 125-bit denominators.
 """
 
+import heapq
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parapath import CostLine, ParallelLinesError, Path, intersect_lines
+import strategies as own
+from parapath import (
+    MAX_SLOPE,
+    MIN_SLOPE,
+    CostLine,
+    DualWeightGraph,
+    Edge,
+    ParallelLinesError,
+    Path,
+    UnreachableError,
+    dijkstra_extreme_slope,
+    intersect_lines,
+)
 from parapath.envelope import EnvelopeSegment, check_segments
 from parapath.graphio import SegmentRecord
 from parapath.query import locate_segment
@@ -159,3 +172,94 @@ def test_strict_check_verdict_matches_fraction_formula(case, records):
     else:
         with pytest.raises(ValueError, match=want):
             check_segments(segments, strict=True)
+
+
+def reference_extreme_slope(graph, lam, source, target, mode):
+    """The slope-extremal search as it was written over ``Fraction`` labels.
+
+    Returns (edge ids, length, slope), or None when ``target`` is
+    unreachable.
+    """
+    if source == target:
+        return (), F(0), F(0)
+    n = graph.vertex_count
+    lengths = [None] * n
+    slopes = [None] * n
+    prev_edge = [None] * n
+    settled = [False] * n
+    prefer_max = mode == MAX_SLOPE
+    sign = -1 if prefer_max else 1
+    lengths[source] = slopes[source] = F(0)
+    heap = [(F(0), F(0), source)]
+    while heap:
+        ell, _skey, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if u == target:
+            break
+        for eid in graph.out_edges(u):
+            edge = graph.edges[eid]
+            v = edge.head
+            if settled[v]:
+                continue
+            new_len = ell + (1 - lam) * edge.w0 + lam * edge.w1
+            new_slope = slopes[u] + edge.w1 - edge.w0
+            cur_len = lengths[v]
+            if cur_len is None:
+                better = True
+            elif new_len != cur_len:
+                better = new_len < cur_len
+            elif prefer_max:
+                better = new_slope > slopes[v]
+            else:
+                better = new_slope < slopes[v]
+            if better:
+                lengths[v] = new_len
+                slopes[v] = new_slope
+                prev_edge[v] = eid
+                heapq.heappush(heap, (new_len, sign * new_slope, v))
+    if not settled[target]:
+        return None
+    edges = []
+    v = target
+    while v != source:
+        edges.append(prev_edge[v])
+        v = graph.edges[prev_edge[v]].tail
+    return tuple(reversed(edges)), lengths[target], slopes[target]
+
+
+search_weights = st.one_of(
+    st.integers(1, 3).map(F),  # tie-heavy
+    st.builds(F, st.integers(1, 40), st.integers(1, 12)),  # mixed p/q
+    own.weights,
+)
+
+
+@st.composite
+def search_cases(draw):
+    """A small multigraph with mixed weights, an ordered pair and a lambda."""
+    n = draw(st.integers(2, 7))
+    tie_heavy = draw(st.booleans())
+    weight = st.integers(1, 3).map(F) if tie_heavy else search_weights
+    edges = tuple(
+        Edge(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)),
+             draw(weight), draw(weight))
+        for _ in range(draw(st.integers(1, 18)))
+    )
+    source, target = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return DualWeightGraph(n, edges), source, target, draw(unit_rationals)
+
+
+@given(search_cases())
+@settings(max_examples=400, deadline=None)
+def test_search_matches_fraction_reference(case):
+    graph, source, target, lam = case
+    for mode in (MIN_SLOPE, MAX_SLOPE):
+        want = reference_extreme_slope(graph, lam, source, target, mode)
+        if want is None:
+            with pytest.raises(UnreachableError):
+                dijkstra_extreme_slope(graph, lam, source, target, mode)
+            continue
+        path, label = dijkstra_extreme_slope(graph, lam, source, target, mode)
+        assert (path.edges, label.length, label.slope) == want

@@ -13,7 +13,9 @@ from parapath import (
     MalformedPathError,
     Path,
     WeightDomainError,
+    WeightScaleError,
     as_rational,
+    build_index,
     cost_line,
     interpolate_weight,
     path_vertices,
@@ -22,9 +24,23 @@ from parapath import (
 from parapath.model import (
     MAX_DECIMAL_EXPONENT,
     MAX_NUMBER_CHARS,
+    MAX_SCALED_WEIGHT_BITS,
     parse_rational,
     validate_pair,
 )
+
+
+def hostile_star(routes: int = 4000) -> DualWeightGraph:
+    """Routes 0 -> m -> 1 whose weights 1/(10**12 + i) share no denominator.
+
+    The common denominator grows by some 40 bits per route, so scaling all
+    the weights by it would take memory quadratic in the edge count.
+    """
+    rows = []
+    for i in range(routes):
+        w = F(1, 10**12 + i)
+        rows += [(0, i + 2, w, w), (i + 2, 1, w, w)]
+    return DualWeightGraph.build(routes + 2, rows)
 
 
 class TestRationalConversion:
@@ -136,6 +152,36 @@ class TestValidateGraph:
         graph = DualWeightGraph.build(2, [(0, 2, 1, 1)])
         with pytest.raises(GraphStructureError):
             validate_graph(graph)
+
+    def test_hostile_denominators_refused_early(self):
+        graph = hostile_star()
+        with pytest.raises(WeightScaleError) as info:
+            validate_graph(graph)
+        # The refusal comes while the denominator is being accumulated, at
+        # the cap's size, not after all 8000 weights have been scaled.
+        bits = int(info.value.args[0].split(" bits")[0].split()[-1])
+        assert bits * 2 * len(graph.edges) <= 2 * MAX_SCALED_WEIGHT_BITS
+        with pytest.raises(WeightScaleError):
+            build_index(graph, 0, 1)
+
+
+@given(own.graphs())
+@settings(max_examples=60, deadline=None)
+def test_integer_view_scales_every_weight(graph):
+    view = graph.integer_view
+    for eid, edge in enumerate(graph.edges):
+        assert F(view.w0[eid], view.den) == edge.w0
+        assert F(view.w1[eid], view.den) == edge.w1
+        assert (edge.head, view.w0[eid], view.w1[eid], eid) in view.adjacency[edge.tail]
+
+
+def test_cost_line_equality_ignores_scaling():
+    line = CostLine(F(1, 2), F(3, 2))
+    scaled = CostLine.from_scaled(6, 12, 12)
+    assert scaled == line and hash(scaled) == hash(line)
+    assert (scaled.c0, scaled.c1, scaled.slope) == (F(1, 2), F(3, 2), F(1))
+    assert repr(scaled) == repr(line)
+    assert CostLine.from_scaled(6, 12, 11) != line
 
 
 def test_path_vertices_starts_at_source():
