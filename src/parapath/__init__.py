@@ -8,7 +8,6 @@ rational arithmetic.
 """
 
 from .dijkstra import (
-    DistSlopeLabel,
     MAX_SLOPE,
     MIN_SLOPE,
     dijkstra_extreme_slope,
@@ -21,7 +20,6 @@ from .envelope import (
     build_index,
     build_index_detailed,
     check_index_invariants,
-    intersect_lines,
 )
 from .errors import (
     EnvelopeFormatError,
@@ -58,7 +56,12 @@ from .model import (
     path_vertices,
     validate_graph,
 )
-from .oracle import compare_envelopes, enumerate_paths, envelope_of_lines
+from .oracle import (
+    compare_envelopes,
+    enumerate_paths,
+    envelope_of_lines,
+    intersect_lines,
+)
 from .query import QueryResult, breakpoints, query
 
 __version__ = "0.1.0"
@@ -66,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildResult",
     "CostLine",
-    "DistSlopeLabel",
     "DualWeightGraph",
     "Edge",
     "EnvelopeDocument",

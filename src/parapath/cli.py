@@ -23,15 +23,7 @@ from .errors import (
     ParapathError,
     UnreachableError,
 )
-from .model import (
-    ONE,
-    ZERO,
-    cost_line,
-    parse_rational,
-    path_vertices,
-    validate_graph,
-    validate_pair,
-)
+from .model import ONE, ZERO, parse_rational, path_vertices, validate_graph
 from .query import locate_segment
 
 EXIT_OK = 0
@@ -146,14 +138,12 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
 
 def cmd_sssp(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    validate_pair(graph, args.source, args.target)
     lam = _parse_lambda(args.lam)
-    path, label = dijkstra_extreme_slope(graph, lam, args.source, args.target, args.mode)
-    line = cost_line(graph, path)
+    path, line = dijkstra_extreme_slope(graph, lam, args.source, args.target, args.mode)
     verts = ",".join(str(v) for v in path_vertices(graph, path, source=args.source))
     print(
-        f"length={graphio.format_fraction(label.length)} "
-        f"slope={graphio.format_fraction(label.slope)} "
+        f"length={graphio.format_fraction(line.value(lam))} "
+        f"slope={graphio.format_fraction(line.slope)} "
         f"c0={graphio.format_fraction(line.c0)} "
         f"c1={graphio.format_fraction(line.c1)} path={verts}"
     )

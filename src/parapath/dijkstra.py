@@ -12,45 +12,26 @@ their common denominator ``D``.  At ``lam = p/q`` an edge adds
 ``(q - p) * W0 + p * W1`` to a length and ``W1 - W0`` to a slope, which
 are its blended weight times ``q * D`` and its slope times ``D``.  Labels
 are therefore ints scaled by two positive constants, and they compare
-exactly as the rationals they stand for.
+exactly as the rationals they stand for.  The target's label ``(L, S)``
+gives its path's line over ``D``: slope ``S``, value ``(L - p*S) / q`` at 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Literal, NamedTuple
+from typing import Literal
 
 from .errors import UnreachableError
-from .model import DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, validate_pair
+from .model import (
+    CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, validate_lambda,
+    validate_pair,
+)
 
 SlopeMode = Literal["min-slope", "max-slope"]
 
 MIN_SLOPE: SlopeMode = "min-slope"
 MAX_SLOPE: SlopeMode = "max-slope"
-
-
-class DistSlopeLabel(NamedTuple):
-    """Distance under the blended weights plus accumulated weight drift.
-
-    Held as scaled ints: ``length = length_num / length_den`` and
-    ``slope = slope_num / slope_den``, where ``slope_den`` is the graph's
-    common weight denominator ``D`` and ``length_den`` is ``q * D`` at the
-    parameter ``p/q``.
-    """
-
-    length_num: int
-    slope_num: int
-    length_den: int
-    slope_den: int
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(self.length_num, self.length_den)
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.slope_num, self.slope_den)
 
 
 def dijkstra_extreme_slope(
@@ -59,21 +40,27 @@ def dijkstra_extreme_slope(
     source: int,
     target: int,
     mode: SlopeMode,
-) -> tuple[Path, DistSlopeLabel]:
+) -> tuple[Path, CostLine]:
     """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
-    Returns the path and its exact (length, slope) label.  Output is
+    Returns the path and its line, scaled over the graph's integer view
+    exactly as :func:`~parapath.model.cost_line` gives it.  Output is
     deterministic: equal labels keep the incumbent predecessor, and heap
     ties resolve by vertex id.  The search stops once the target is
-    settled.  Raises UnreachableError when no path exists, and the errors
-    of :func:`~parapath.model.validate_graph` for a graph that fails them.
+    settled.  Raises UnreachableError when no path exists, and as
+    ``validate_lambda``, ``validate_pair`` and ``validate_graph`` do for
+    a bad ``lam``, pair or graph.
     """
     view = graph.integer_view
-    p, q = lam.as_integer_ratio()
-    if source == target:
-        return EMPTY_PATH, DistSlopeLabel(0, 0, q * view.den, view.den)
-
+    # Inline int checks, so a probe pays no call; the validators name a failure.
     n = graph.vertex_count
+    p, q = getattr(lam, "numerator", -1), getattr(lam, "denominator", 0)
+    if not (0 <= p <= q and 0 <= source < n and 0 <= target < n):
+        validate_lambda(lam)
+        validate_pair(graph, source, target)
+    if source == target:
+        return EMPTY_PATH, CostLine.from_scaled(0, 0, view.den)
+
     lengths: list[int | None] = [None] * n
     # Slopes enter as ``sign * slope``, so both modes prefer the smaller
     # (length, key) pair and a tie keeps the incumbent.
@@ -121,11 +108,9 @@ def dijkstra_extreme_slope(
         edges.append(eid)
         v = graph_edges[eid].tail
     edges.reverse()
-    # tuple.__new__ skips the NamedTuple's Python-level __new__.
-    label = tuple.__new__(
-        DistSlopeLabel, (lengths[target], sign * keys[target], q * view.den, view.den)
-    )
-    return Path(tuple(edges)), label
+    slope = sign * keys[target]
+    line = CostLine.from_scaled((lengths[target] - p * slope) // q, slope, view.den)
+    return Path(tuple(edges)), line
 
 
 def shortest_path_length(
@@ -134,8 +119,11 @@ def shortest_path_length(
     """Plain exact Dijkstra distance at ``lam``, ignoring slopes.
 
     Kept separate from the lexicographic search so it can serve as an
-    independent point check on envelope output.
+    independent point check on envelope output: it sums the ``Fraction``
+    weights and takes only the adjacency from the integer view.
     """
+    adjacency = graph.integer_view.adjacency
+    validate_lambda(lam)
     validate_pair(graph, source, target)
     n = graph.vertex_count
     dist: list[Fraction | None] = [None] * n
@@ -150,11 +138,10 @@ def shortest_path_length(
         done[u] = True
         if u == target:
             return d
-        for eid in graph.out_edges(u):
-            edge = graph.edges[eid]
-            v = edge.head
+        for v, _w0, _w1, eid in adjacency[u]:
             if done[v]:
                 continue
+            edge = graph.edges[eid]
             nd = d + one_minus * edge.w0 + lam * edge.w1
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd

@@ -21,12 +21,13 @@ at most ``max(2, 2k - 1)`` searches.  The right end of [0, 1] still
 takes the maximal-slope path: a line that is optimal only at 1 would
 cost extra splits.
 
-Each search's label gives its path's line as ints, so the base-case
-test, the crossing, its bounds check and the fusing of equal lines all
-cross-multiply ints.  A ``Fraction`` is built only for each crossing,
-the next probe's parameter.  The cost line of each output segment's
-witness is then walked once with :func:`cost_line`, and must equal the
-line its label gave.
+Each search returns its path's cost line over the graph's one weight
+denominator ``D``, so lines compare by their numerators alone: the
+base-case test, the crossing, its bounds check and the fusing of equal
+lines are int arithmetic with no denominator in it.  A ``Fraction`` is
+built only for each crossing, the next probe's parameter.  The cost line
+of each output segment's witness is then walked once with
+:func:`cost_line`, and must equal the line its search returned.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .dijkstra import MAX_SLOPE, MIN_SLOPE, dijkstra_extreme_slope
-from .errors import ParallelLinesError
+from .dijkstra import MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope
 from .model import (
     CostLine,
     DualWeightGraph,
@@ -46,9 +46,7 @@ from .model import (
     ZERO,
     cost_line,
     validate_graph,
-    validate_pair,
 )
-
 
 
 @dataclass(frozen=True)
@@ -83,16 +81,6 @@ class ShortestPathIndex:
 class BuildResult:
     index: ShortestPathIndex
     dijkstra_calls: int
-
-
-def intersect_lines(a: CostLine, b: CostLine) -> Fraction:
-    """Unique parameter where two non-parallel cost lines agree."""
-    ma, sa, da = a.scaled()
-    mb, sb, db = b.scaled()
-    denom = sa * db - sb * da
-    if denom == 0:
-        raise ParallelLinesError(f"lines {a} and {b} have equal slope {a.slope}")
-    return Fraction(mb * da - ma * db, denom)
 
 
 def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> None:
@@ -151,62 +139,62 @@ def build_index_detailed(
     wait on an explicit stack, because the number of segments (and hence
     the recursion depth) can be large relative to interpreter stack limits.
     Raises RuntimeError if the bisection invariant breaks or a witness's
-    walked line differs from its search label's: neither can happen on a
-    correct build.
+    walked line differs from the one its search returned: neither can
+    happen on a correct build.
     """
     validate_graph(graph)
-    validate_pair(graph, source, target)
+    den = graph.integer_view.den
+
+    def probe(lam: Fraction, mode: SlopeMode) -> tuple:
+        """lam, its numerator and denominator, the search's path, and the
+        numerators (m, s) of the path's line, worth (m + lam*s) / den."""
+        path, line = dijkstra_extreme_slope(graph, lam, source, target, mode)
+        m, s, _ = line.scaled()
+        p, q = lam.as_integer_ratio()
+        return lam, p, q, path, m, s
+
     # The sweep keeps the left end of the current interval in locals and
-    # the right ends still ahead on a stack, nearest on top.  Each end is a
-    # probe: lam, its numerator and denominator, the search's path, and the
-    # path's line as ints (m, s, d), worth (m + lam*s) / d at lam, which at
-    # lam = p/q is (L - p*S, q*S, q*D) from the label (L, S, q*D, D).
-    path, (m, s, d, _) = dijkstra_extreme_slope(graph, ZERO, source, target, MIN_SLOPE)
-    lo, pl, ql, p_lo, ma, sa, da = ZERO, 0, 1, path, m, s, d
-    path, (m, s, d, _) = dijkstra_extreme_slope(graph, ONE, source, target, MAX_SLOPE)
-    stack = [(ONE, 1, 1, path, m - s, s, d)]
+    # the right ends still ahead on a stack, nearest on top; each is a probe.
+    lo, pl, ql, p_lo, ma, sa = probe(ZERO, MIN_SLOPE)
+    stack = [probe(ONE, MAX_SLOPE)]
     calls = 2
     segments: list[EnvelopeSegment] = []
-    lm = ls = ld = 0  # the last segment's line; ld == 0 before the first
+    last = None  # the last segment's (m, s)
     while stack:
-        hi, ph, qh, _, mb, sb, db = stack[-1]
-        if (qh * ma + ph * sa) * db == (qh * mb + ph * sb) * da:
+        hi, ph, qh, _, mb, sb = stack[-1]
+        if qh * ma + ph * sa == qh * mb + ph * sb:
             # The left line is optimal at both ends, hence on all of [lo, hi].
-            if ld and ma * ld == lm * da and sa * ld == ls * da:
+            if (ma, sa) == last:
                 # A probe interior to one optimal stretch splits it in two;
                 # fuse the halves and keep the leftmost witness path.
                 seg = segments[-1]
                 segments[-1] = EnvelopeSegment(seg.lo, hi, seg.path, seg.line)
             else:
-                # One walk per output segment, which must give the label's line.
+                # One walk per output segment, which must give the search's line.
                 line = cost_line(graph, p_lo)
-                mc, sc, dc = line.scaled()
-                if mc * da != ma * dc or sc * da != sa * dc:
+                if line.scaled() != (ma, sa, den):
                     raise RuntimeError(
                         f"witness {p_lo.edges} has line {line}, but its search "
-                        f"label gave {Fraction(ma, da)} + lam * {Fraction(sa, da)}"
+                        f"gave {CostLine.from_scaled(ma, sa, den)}"
                     )
                 segments.append(EnvelopeSegment(lo, hi, p_lo, line))
-                lm, ls, ld = ma, sa, da
-            lo, pl, ql, p_lo, ma, sa, da = stack.pop()
+                last = ma, sa
+            lo, pl, ql, p_lo, ma, sa = stack.pop()
             continue
         # The lines cross at r = num / gap.  By the endpoint invariant the
         # left slope is the larger and r lies strictly inside [lo, hi],
         # which keeps both halves nonempty.
-        gap = sa * db - sb * da
-        num = mb * da - ma * db
+        gap = sa - sb
+        num = mb - ma
         if not (gap > 0 and pl * gap < num * ql and num * qh < ph * gap):
             raise RuntimeError(
-                f"bisection invariant broken on [{lo}, {hi}]: scaled lines "
-                f"{(ma, sa, da)} and {(mb, sb, db)} do not cross inside it"
+                f"bisection invariant broken on [{lo}, {hi}]: lines "
+                f"{(ma, sa)} and {(mb, sb)} over {den} do not cross inside it"
             )
-        r = Fraction(num, gap)
-        path, (m, s, d, _) = dijkstra_extreme_slope(graph, r, source, target, MIN_SLOPE)
-        calls += 1
-        pr, qr = r.as_integer_ratio()
         # The probe at r becomes the right end of [lo, r] and, once that is
         # done, the left end of [r, hi].
-        stack.append((r, pr, qr, path, m - pr * s, qr * s, d))
+        stack.append(probe(Fraction(num, gap), MIN_SLOPE))
+        calls += 1
 
     index = ShortestPathIndex(source, target, tuple(segments))
     check_index_invariants(index)

@@ -4,10 +4,11 @@ A dual-weight digraph carries two strictly positive weights per edge.
 Blending them with a parameter ``lam`` in [0, 1] yields the interpolated
 weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path is a
 linear function of ``lam``.  Weights are ``fractions.Fraction``s, and
-each graph also keeps them as ints over their least common denominator
-(:class:`IntegerView`), on which searches and cost lines sum exactly
-without a gcd per addition.  All types are immutable after construction
-and safe to share between threads.
+each graph also keeps them, and its one adjacency, as ints over their
+least common denominator ``D`` (:class:`IntegerView`), on which searches
+and cost lines sum exactly without a gcd per addition; both return lines
+over ``D``.  All types are immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -128,17 +129,6 @@ class DualWeightGraph:
         return cls(vertex_count, edges)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for eid, edge in enumerate(self.edges):
-            out[edge.tail].append(eid)
-        return tuple(tuple(ids) for ids in out)
-
-    def out_edges(self, vertex: int) -> tuple[int, ...]:
-        """Edge ids leaving ``vertex``, in edge-list order."""
-        return self._adjacency[vertex]
-
-    @cached_property
     def integer_view(self) -> IntegerView:
         """The weights as ints over their least common denominator.
 
@@ -199,6 +189,22 @@ def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
     for role, vertex in (("source", source), ("target", target)):
         if not 0 <= vertex < n:
             raise GraphStructureError(f"{role} vertex {vertex} outside 0..{n - 1}")
+
+
+def validate_lambda(lam: Fraction) -> None:
+    """Reject a parameter that is not an exact rational in [0, 1].
+
+    Raises TypeError for a ``lam`` without a numerator and denominator,
+    such as a float or a ``Decimal``, like :func:`as_rational`, and
+    LambdaRangeError outside [0, 1]; values are never clamped.
+    """
+    try:
+        p, q = lam.numerator, lam.denominator
+    except AttributeError:
+        name = type(lam).__name__
+        raise TypeError(f"lambda must be an exact rational, not {name}") from None
+    if not 0 <= p <= q:
+        raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -291,8 +297,7 @@ ZERO_LINE = CostLine(ZERO, ZERO)
 
 def interpolate_weight(graph: DualWeightGraph, edge_id: int, lam: Fraction) -> Fraction:
     """Exact blended weight of one edge at parameter ``lam`` in [0, 1]."""
-    if not (ZERO <= lam <= ONE):
-        raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
+    validate_lambda(lam)
     if not (0 <= edge_id < len(graph.edges)):
         raise GraphStructureError(f"edge id {edge_id} out of range")
     edge = graph.edges[edge_id]

@@ -4,7 +4,9 @@ Enumerates every simple source-to-target path outright, then builds the
 lower envelope of their cost lines geometrically: sort by slope, sweep
 with a convex-chain stack, clip to [0, 1].  It shares no search or
 bisection with the builder, so the two cannot agree by accident; only
-the model types, ``intersect_lines`` and ``check_segments`` are shared.
+the model types, ``check_segments`` and the integer view's adjacency are
+shared.  The oracle sums the ``Fraction`` weights, not the view's ints,
+and building the view checks the graph as the builder's does.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .envelope import EnvelopeSegment, check_segments, intersect_lines
-from .errors import OracleScaleError
+from .envelope import EnvelopeSegment, check_segments
+from .errors import OracleScaleError, ParallelLinesError
 from .model import (
     CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, ZERO_LINE, validate_pair
 )
@@ -35,6 +37,7 @@ def enumerate_paths(
     ``MAX_WITNESS_EDGES`` edges stored in witnesses: the path count is
     worst-case factorial, so time and memory are bounded by work instead.
     """
+    adjacency = graph.integer_view.adjacency
     validate_pair(graph, source, target)
     if source == target:
         return ((ZERO_LINE, EMPTY_PATH),)
@@ -46,33 +49,44 @@ def enumerate_paths(
     # One frame per vertex on the current path: its out-edges not yet
     # tried and the path's cost so far.  An explicit stack, because paths
     # can be longer than the interpreter's recursion limit.
-    frames = [(iter(graph.out_edges(source)), ZERO, ZERO)]
+    frames = [(iter(adjacency[source]), ZERO, ZERO)]
     steps = witness_edges = 0
     while frames:
         if steps > MAX_ENUMERATION_STEPS or witness_edges > MAX_WITNESS_EDGES:
             raise OracleScaleError("oracle passes its edge-step or witness-edge budget")
         pending, c0, c1 = frames[-1]
-        eid = next(pending, None)
-        if eid is None:
+        out = next(pending, None)
+        if out is None:
             frames.pop()
             if edge_stack:
                 on_path[graph.edges[edge_stack.pop()].head] = False
             continue
         steps += 1
-        edge = graph.edges[eid]
-        if on_path[edge.head]:
+        head, _w0, _w1, eid = out
+        if on_path[head]:
             continue
+        edge = graph.edges[eid]
         e0, e1 = c0 + edge.w0, c1 + edge.w1
-        if edge.head == target:
+        if head == target:
             # Extending past the target can never stay simple.
             if (e0, e1) not in found:
                 witness_edges += len(edge_stack) + 1
                 found[e0, e1] = Path((*edge_stack, eid))
             continue
-        on_path[edge.head] = True
+        on_path[head] = True
         edge_stack.append(eid)
-        frames.append((iter(graph.out_edges(edge.head)), e0, e1))
+        frames.append((iter(adjacency[head]), e0, e1))
     return tuple((CostLine(*line), path) for line, path in found.items())
+
+
+def intersect_lines(a: CostLine, b: CostLine) -> Fraction:
+    """Unique parameter where two non-parallel cost lines agree."""
+    ma, sa, da = a.scaled()
+    mb, sb, db = b.scaled()
+    denom = sa * db - sb * da
+    if denom == 0:
+        raise ParallelLinesError(f"lines {a} and {b} have equal slope {a.slope}")
+    return Fraction(mb * da - ma * db, denom)
 
 
 def envelope_of_lines(

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import LambdaRangeError
-from .model import CostLine, Path
+from .model import CostLine, Path, validate_lambda
 from .envelope import ShortestPathIndex
 
 
@@ -53,18 +52,10 @@ def locate_segment(
 def query(index: ShortestPathIndex, lam: Fraction) -> QueryResult:
     """Optimal path, its line, and its exact cost at ``lam``.
 
-    Raises LambdaRangeError outside [0, 1]; values are never clamped.
-    Raises TypeError for a ``lam`` that is not an exact rational, such as
-    a float, like :func:`parapath.model.as_rational`.
+    Raises as :func:`~parapath.model.validate_lambda` does for a ``lam``
+    that is not an exact rational in [0, 1].
     """
-    try:
-        p, q = lam.numerator, lam.denominator
-    except AttributeError:
-        raise TypeError(
-            f"lambda must be an exact rational, not {type(lam).__name__}"
-        ) from None
-    if not 0 <= p <= q:
-        raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
+    validate_lambda(lam)
     pos, comparisons = locate_segment(index.upper_bounds, lam)
     seg = index.segments[pos]
     return QueryResult(pos, seg.path, seg.line, seg.line.value(lam), comparisons)

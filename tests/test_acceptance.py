@@ -231,8 +231,8 @@ def test_criterion_7_slope_extremal_search():
         best = min(v for v, _ in values)
         tied = [m for v, m in values if v == best]
         for mode, want in ((MIN_SLOPE, min(tied)), (MAX_SLOPE, max(tied))):
-            _, label = dijkstra_extreme_slope(graph, lam, source, target, mode)
-            if (label.length, label.slope) != (best, want):
+            _, line = dijkstra_extreme_slope(graph, lam, source, target, mode)
+            if (line.value(lam), line.slope) != (best, want):
                 failures += 1
     ok = failures == 0
     _report(7, "slope-extremal search matches enumeration", ok, "500 instances x 2 modes")

@@ -263,6 +263,15 @@ def test_sssp_debug_output(diamond_file, capsys):
     assert out == "length=1/1 slope=2/1 c0=1/1 c1=3/1 path=0,1,3"
 
 
+def test_sssp_debug_output_at_a_ratio(diamond_file, capsys):
+    # The length at p/q comes from the search's line, not from q * D.
+    argv = ["sssp", str(diamond_file), "--source", "0", "--target", "3",
+            "--lambda", "1/3", "--mode", "max-slope"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == "length=5/3 slope=2/1 c0=1/1 c1=3/1 path=0,1,3"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 import strategies as own
 from parapath import (
     DualWeightGraph,
+    GraphStructureError,
+    LambdaRangeError,
     MAX_SLOPE,
     MIN_SLOPE,
     Path,
@@ -35,27 +38,27 @@ def tied_diamond() -> DualWeightGraph:
 
 
 def test_source_equals_target_gives_empty_path(tied_diamond):
-    path, label = dijkstra_extreme_slope(tied_diamond, F(0), 2, 2, MIN_SLOPE)
+    path, line = dijkstra_extreme_slope(tied_diamond, F(0), 2, 2, MIN_SLOPE)
     assert path == Path(())
-    assert (label.length, label.slope) == (F(0), F(0))
+    assert (line.value(F(0)), line.slope) == (F(0), F(0))
 
 
 def test_min_slope_breaks_tie_downward(tied_diamond):
-    path, label = dijkstra_extreme_slope(tied_diamond, F(0), 0, 3, MIN_SLOPE)
+    path, line = dijkstra_extreme_slope(tied_diamond, F(0), 0, 3, MIN_SLOPE)
     assert path.edges == (2, 3)
-    assert (label.length, label.slope) == (F(2), F(-1))
+    assert (line.value(F(0)), line.slope) == (F(2), F(-1))
 
 
 def test_max_slope_breaks_tie_upward(tied_diamond):
-    path, label = dijkstra_extreme_slope(tied_diamond, F(0), 0, 3, MAX_SLOPE)
+    path, line = dijkstra_extreme_slope(tied_diamond, F(0), 0, 3, MAX_SLOPE)
     assert path.edges == (0, 1)
-    assert (label.length, label.slope) == (F(2), F(2))
+    assert (line.value(F(0)), line.slope) == (F(2), F(2))
 
 
 def test_single_edge_midpoint(single_edge):
-    path, label = dijkstra_extreme_slope(single_edge, F(1, 2), 0, 1, MIN_SLOPE)
+    path, line = dijkstra_extreme_slope(single_edge, F(1, 2), 0, 1, MIN_SLOPE)
     assert path.edges == (0,)
-    assert (label.length, label.slope) == (F(2), F(2))
+    assert (line.value(F(1, 2)), line.slope) == (F(2), F(2))
 
 
 def test_unreachable_raises():
@@ -64,6 +67,31 @@ def test_unreachable_raises():
         dijkstra_extreme_slope(graph, F(0), 0, 2, MIN_SLOPE)
     with pytest.raises(UnreachableError):
         shortest_path_length(graph, F(0), 0, 2)
+
+
+@pytest.mark.parametrize(
+    "lam, source, target, error",
+    [
+        (F(2), 0, 2, LambdaRangeError),
+        (F(-1, 3), 0, 2, LambdaRangeError),
+        (0.5, 0, 2, TypeError),
+        (Decimal("0.5"), 0, 2, TypeError),
+        (F(1, 2), 0, -1, GraphStructureError),
+        (F(1, 2), -3, 2, GraphStructureError),
+        (F(1, 2), 5, 5, GraphStructureError),
+    ],
+    ids=["above-1", "below-0", "float", "decimal", "target-negative",
+         "source-negative", "pair-outside"],
+)
+def test_search_checks_its_inputs(lam, source, target, error):
+    # Unchecked, lam = 2 would give length -3, target -1 the answer for
+    # vertex 2, source -3 a RuntimeError and (5, 5) an empty path.
+    graph = DualWeightGraph.build(3, [(0, 1, 1, 2), (1, 2, 1, 2)])
+    for mode in (MIN_SLOPE, MAX_SLOPE):
+        with pytest.raises(error):
+            dijkstra_extreme_slope(graph, lam, source, target, mode)
+    with pytest.raises(error):
+        shortest_path_length(graph, lam, source, target)
 
 
 def _enumerated_extremes(graph, source, target, lam):
@@ -79,15 +107,15 @@ def _enumerated_extremes(graph, source, target, lam):
 def test_labels_match_exhaustive_extrema(instance, lam):
     graph, source, target = instance
     best, lo_slope, hi_slope = _enumerated_extremes(graph, source, target, lam)
-    path_min, label_min = dijkstra_extreme_slope(graph, lam, source, target, MIN_SLOPE)
-    path_max, label_max = dijkstra_extreme_slope(graph, lam, source, target, MAX_SLOPE)
-    assert (label_min.length, label_min.slope) == (best, lo_slope)
-    assert (label_max.length, label_max.slope) == (best, hi_slope)
-    # Returned labels must be reproducible from the returned paths.
-    for path, label in ((path_min, label_min), (path_max, label_max)):
-        line = cost_line(graph, path)
-        assert line.value(lam) == label.length
-        assert line.slope == label.slope
+    path_min, line_min = dijkstra_extreme_slope(graph, lam, source, target, MIN_SLOPE)
+    path_max, line_max = dijkstra_extreme_slope(graph, lam, source, target, MAX_SLOPE)
+    assert (line_min.value(lam), line_min.slope) == (best, lo_slope)
+    assert (line_max.value(lam), line_max.slope) == (best, hi_slope)
+    # Returned lines must be reproducible from the returned paths.
+    for path, line in ((path_min, line_min), (path_max, line_max)):
+        walked = cost_line(graph, path)
+        assert walked.value(lam) == line.value(lam)
+        assert walked.slope == line.slope
 
 
 @given(own.graphs_with_pair(), own.lambdas)
@@ -104,23 +132,24 @@ def test_no_edge_improves_any_label_after_full_run(instance, lam):
         labels = {}
         for v in range(graph.vertex_count):
             try:
-                _path, label = dijkstra_extreme_slope(graph, lam, source, v, mode)
+                _path, line = dijkstra_extreme_slope(graph, lam, source, v, mode)
             except UnreachableError:
                 continue
-            labels[v] = label
+            labels[v] = line.value(lam), line.slope
         for edge in graph.edges:
             if edge.tail not in labels:
                 continue
-            tail = labels[edge.tail]
-            new_len = tail.length + (1 - lam) * edge.w0 + lam * edge.w1
-            new_slope = tail.slope + edge.w1 - edge.w0
-            head = labels.get(edge.head)
-            assert head is not None and head.length <= new_len
-            if head.length == new_len:
+            tail_len, tail_slope = labels[edge.tail]
+            new_len = tail_len + (1 - lam) * edge.w0 + lam * edge.w1
+            new_slope = tail_slope + edge.w1 - edge.w0
+            assert edge.head in labels
+            head_len, head_slope = labels[edge.head]
+            assert head_len <= new_len
+            if head_len == new_len:
                 if mode == MIN_SLOPE:
-                    assert head.slope <= new_slope
+                    assert head_slope <= new_slope
                 else:
-                    assert head.slope >= new_slope
+                    assert head_slope >= new_slope
 
 
 @given(own.graphs_with_pair(), own.lambdas)

@@ -23,6 +23,7 @@ from parapath import (
     ParallelLinesError,
     Path,
     UnreachableError,
+    cost_line,
     dijkstra_extreme_slope,
     intersect_lines,
 )
@@ -183,6 +184,9 @@ def reference_extreme_slope(graph, lam, source, target, mode):
     if source == target:
         return (), F(0), F(0)
     n = graph.vertex_count
+    out_edges = [[] for _ in range(n)]
+    for eid, edge in enumerate(graph.edges):
+        out_edges[edge.tail].append(eid)
     lengths = [None] * n
     slopes = [None] * n
     prev_edge = [None] * n
@@ -198,7 +202,7 @@ def reference_extreme_slope(graph, lam, source, target, mode):
         settled[u] = True
         if u == target:
             break
-        for eid in graph.out_edges(u):
+        for eid in out_edges[u]:
             edge = graph.edges[eid]
             v = edge.head
             if settled[v]:
@@ -261,5 +265,9 @@ def test_search_matches_fraction_reference(case):
             with pytest.raises(UnreachableError):
                 dijkstra_extreme_slope(graph, lam, source, target, mode)
             continue
-        path, label = dijkstra_extreme_slope(graph, lam, source, target, mode)
-        assert (path.edges, label.length, label.slope) == want
+        path, line = dijkstra_extreme_slope(graph, lam, source, target, mode)
+        assert (path.edges, line.value(lam), line.slope) == want
+        # The builder compares lines by numerators alone, which needs every
+        # search to return the walked line's scaling over the one ``D``.
+        assert line.scaled() == cost_line(graph, path).scaled()
+        assert line.scaled()[2] == graph.integer_view.den

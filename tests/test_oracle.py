@@ -8,9 +8,12 @@ import strategies as own
 from parapath import (
     CostLine,
     DualWeightGraph,
+    Edge,
     GraphStructureError,
     OracleScaleError,
     Path,
+    WeightDomainError,
+    build_index,
     compare_envelopes,
     enumerate_paths,
     envelope_of_lines,
@@ -87,6 +90,25 @@ def test_vertex_ids_outside_graph_rejected(source, target):
     with pytest.raises(GraphStructureError):
         enumerate_paths(graph, source, target)
     with pytest.raises(GraphStructureError):
+        shortest_path_length(graph, F(1, 2), source, target)
+
+
+@pytest.mark.parametrize(
+    "graph, source, target, error",
+    [
+        # Tail -1 would index from the end: an edge 2 -> 1 that is not there.
+        (DualWeightGraph(3, (Edge(-1, 1, F(1), F(1)),)), 2, 1, GraphStructureError),
+        (DualWeightGraph(2, (Edge(0, 1, F(-1), F(1)),)), 0, 1, WeightDomainError),
+        (DualWeightGraph(2, (Edge(5, 1, F(1), F(1)),)), 0, 1, GraphStructureError),
+    ],
+    ids=["negative-tail", "negative-weight", "tail-outside"],
+)
+def test_references_refuse_what_the_builder_refuses(graph, source, target, error):
+    with pytest.raises(error):
+        build_index(graph, source, target)
+    with pytest.raises(error):
+        enumerate_paths(graph, source, target)
+    with pytest.raises(error):
         shortest_path_length(graph, F(1, 2), source, target)
 
 

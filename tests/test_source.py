@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 import parapath
-from parapath.cli import build_parser
+from parapath import chain_endpoints, chain_graph, write_graph
+from parapath.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "parapath"
@@ -43,6 +44,28 @@ def test_benchmark_trace_targets_resolve():
         if not hasattr(importlib.import_module(f"parapath.{module}"), attr)
     ]
     assert not missing, f"tracer targets missing: {missing}"
+
+
+def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
+    # A layer the program no longer looks up through the traced module
+    # global (say ``envelope.cost_line``) would read 0 in a traced run.
+    tracing = _load_by_path("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    modules = {name: importlib.import_module(f"parapath.{name}")
+               for name in ("graphio", "cli", "envelope", "query")}
+    tracer = tracing.Tracer(modules)
+    graph_file, env_file = tmp_path / "chain.psp", tmp_path / "chain.env"
+    write_graph(chain_graph(3), graph_file)
+    source, target = chain_endpoints(3)
+    with tracer.installed():
+        with tracer.op("build") as build_op:
+            assert main(["build", str(graph_file), "--source", str(source),
+                         "--target", str(target), "--out", str(env_file)]) == 0
+        with tracer.op("cli_query"):
+            assert main(["query", str(env_file), "--lambda", "1/2"]) == 0
+    _totals, searches, _rest, problems = tracer.summary()
+    assert problems == []
+    calls = re.search(r"dijkstra_calls=(\d+)", capsys.readouterr().out)
+    assert searches[build_op] == int(calls.group(1))
 
 
 def test_readme_options_exist():
