@@ -23,7 +23,7 @@ from .errors import (
     ParapathError,
     UnreachableError,
 )
-from .model import ONE, ZERO, parse_rational, path_vertices, validate_graph
+from .model import parse_rational, path_vertices, validate_graph, validate_lambda
 from .query import locate_segment
 
 EXIT_OK = 0
@@ -48,8 +48,7 @@ def _parse_lambda(text: str) -> Fraction:
         lam = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise LambdaRangeError(f"cannot parse lambda {text!r}: {exc}") from None
-    if not (ZERO <= lam <= ONE):
-        raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
+    validate_lambda(lam)
     return lam
 
 

@@ -75,11 +75,15 @@ def format_weight(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _parse_weight(token: str, line_no: int) -> Fraction:
-    try:
-        return parse_rational(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GraphFormatError(f"bad weight {token!r}: {exc}", line_no) from None
+def _parse_weight(token: str, line_no: int, parsed: dict[str, Fraction]) -> Fraction:
+    """``token``'s value, parsed on its first use and then taken from ``parsed``."""
+    value = parsed.get(token)
+    if value is None:
+        try:
+            value = parsed[token] = parse_rational(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GraphFormatError(f"bad weight {token!r}: {exc}", line_no) from None
+    return value
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -90,10 +94,15 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 
 
 def parse_graph(text: str) -> DualWeightGraph:
-    """Parse graph-file text; errors carry the 1-based offending line."""
+    """Parse graph-file text; errors carry the 1-based offending line.
+
+    Each distinct weight token is parsed once, and the edges that spell a
+    weight alike share its (immutable) ``Fraction``.
+    """
     vertex_count: int | None = None
     edge_count: int | None = None
     edges: list[Edge] = []
+    weights: dict[str, Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -117,13 +126,13 @@ def parse_graph(text: str) -> DualWeightGraph:
             raise GraphFormatError("more edge lines than the header declares", line_no)
         tail = _parse_int(fields[1], line_no, "tail")
         head = _parse_int(fields[2], line_no, "head")
-        w0 = _parse_weight(fields[3], line_no)
-        w1 = _parse_weight(fields[4], line_no)
+        w0 = _parse_weight(fields[3], line_no, weights)
+        w1 = _parse_weight(fields[4], line_no, weights)
         if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
             raise GraphFormatError(
                 f"vertex id outside 0..{vertex_count - 1}", line_no
             )
-        if w0 <= 0 or w1 <= 0:
+        if w0.numerator <= 0 or w1.numerator <= 0:
             raise GraphFormatError("weights must be strictly positive", line_no)
         edges.append(Edge(tail, head, w0, w1))
     if vertex_count is None:
@@ -211,24 +220,36 @@ def document_from_index(
     return EnvelopeDocument(index.source, index.target, records)
 
 
+def _json_array(items: list[str], depth: int) -> str:
+    """Rendered ``items`` as a JSON array nested ``depth`` levels deep, laid
+    out as ``json.dumps(..., indent=2)`` lays it out."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
+
+
 def format_envelope(doc: EnvelopeDocument) -> str:
-    payload = {
-        "format": ENVELOPE_FORMAT_VERSION,
-        "source": doc.source,
-        "target": doc.target,
-        "k": doc.k,
-        "segments": [
-            {
-                "lo": format_fraction(seg.lo),
-                "hi": format_fraction(seg.hi),
-                "c0": format_fraction(seg.c0),
-                "c1": format_fraction(seg.c1),
-                "vertices": list(seg.vertices),
-            }
-            for seg in doc.segments
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The document as ``json.dumps(payload, indent=2)`` writes it, plus a newline.
+
+    The fixed layout is written directly: any ``indent`` sends ``json.dumps``
+    to its pure-Python encoder, several times slower.  Every rational goes
+    through :func:`format_fraction`, so one past the digit limit raises
+    NumberSizeError.
+    """
+    segments = [
+        f'{{\n      "lo": "{format_fraction(seg.lo)}",'
+        f'\n      "hi": "{format_fraction(seg.hi)}",'
+        f'\n      "c0": "{format_fraction(seg.c0)}",'
+        f'\n      "c1": "{format_fraction(seg.c1)}",'
+        f'\n      "vertices": {_json_array(list(map(str, seg.vertices)), 3)}\n    }}'
+        for seg in doc.segments
+    ]
+    return (
+        f'{{\n  "format": {ENVELOPE_FORMAT_VERSION},\n  "source": {doc.source},'
+        f'\n  "target": {doc.target},\n  "k": {doc.k},'
+        f'\n  "segments": {_json_array(segments, 1)}\n}}\n'
+    )
 
 
 # ``int()`` would take 0.9, "3" and true; only a JSON integer is an id.

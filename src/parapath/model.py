@@ -56,9 +56,27 @@ def parse_rational(text: str) -> Fraction:
     Raises ValueError (ZeroDivisionError for a zero denominator) like
     ``Fraction`` does, and also for a token longer than ``MAX_NUMBER_CHARS``
     or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size.
+    The spellings the writers emit, ASCII ``digits[.digits]`` and
+    ``digits/digits``, are read with ``int()``; every other spelling, and
+    one ``int()`` refuses, goes to ``Fraction(text)``, so values and errors
+    are ``Fraction``'s either way.
     """
     if len(text) > MAX_NUMBER_CHARS:
         raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
+    num, slash, den = text.partition("/")
+    try:
+        if slash:
+            if num.isdigit() and den.isdigit() and text.isascii():
+                q = int(den)
+                if q:
+                    return Fraction(int(num), q)
+        else:
+            whole, _dot, frac = text.partition(".")
+            digits = whole + frac
+            if digits.isdigit() and digits.isascii():
+                return Fraction(int(digits), 10 ** len(frac))
+    except ValueError:  # past Python's int-from-str digit limit
+        pass
     _mantissa, marker, exponent = text.lower().partition("e")
     if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")

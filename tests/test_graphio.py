@@ -1,16 +1,26 @@
+import importlib.util
 import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import strategies as own
 from parapath import (
+    DualWeightGraph,
+    Edge,
     EnvelopeFormatError,
     GraphFormatError,
     build_index,
+    chain_endpoints,
+    chain_graph,
     document_from_index,
+    random_graph,
 )
+from parapath.errors import NumberSizeError
 from parapath.graphio import (
     EnvelopeDocument,
     SegmentRecord,
@@ -24,6 +34,8 @@ from parapath.graphio import (
     read_graph,
 )
 from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 DIAMOND_TEXT = """\
 # two routes crossing at 1/2
@@ -84,6 +96,9 @@ def test_nondecimal_weights_survive_roundtrip():
         ("psp 2 1\ne 0 1 1e1001 1\n", 2),
         ("psp 2 1\ne 0 1 1 1." + "0" * (MAX_NUMBER_CHARS - 1) + "\n", 2),
         ("psp 2 1\ne 0 1 1 1\ne 1 0 1 1\n", 3),
+        # A repeated bad or non-positive token is reported where first used.
+        ("psp 3 3\ne 0 1 1 2\ne 1 2 2 1/0\ne 0 2 1/0 1\n", 3),
+        ("psp 3 3\ne 0 1 1 2\ne 1 2 2 -1\ne 0 2 -1 1\n", 3),
         (f"psp {MAX_VERTICES + 1} 0\n", 1),
     ],
 )
@@ -183,3 +198,138 @@ def test_undecodable_files_are_format_errors(tmp_path):
         read_graph(binary)
     with pytest.raises(EnvelopeFormatError, match="not text"):
         read_envelope(binary)
+
+
+@pytest.fixture(scope="module")
+def bench_instances():
+    """The benchmark's instance generator, loaded from ``perfbench/``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", ROOT / "perfbench" / "instances.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_parse_graph(text: str) -> DualWeightGraph:
+    """A valid graph file read token by token with ``Fraction(str)``."""
+    rows = [
+        line.split()
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    (_psp, vertices, _count), *edges = rows
+    return DualWeightGraph(
+        int(vertices),
+        tuple(Edge(int(t), int(h), F(w0), F(w1)) for _e, t, h, w0, w1 in edges),
+    )
+
+
+def json_reference_envelope(doc: EnvelopeDocument) -> str:
+    """The envelope layout as ``json.dumps`` writes it; ``format_envelope``
+    must produce the same bytes."""
+    payload = {
+        "format": 1,
+        "source": doc.source,
+        "target": doc.target,
+        "k": doc.k,
+        "segments": [
+            {
+                "lo": format_fraction(seg.lo),
+                "hi": format_fraction(seg.hi),
+                "c0": format_fraction(seg.c0),
+                "c1": format_fraction(seg.c1),
+                "vertices": list(seg.vertices),
+            }
+            for seg in doc.segments
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_parse_graph_matches_token_reference(bench_instances):
+    texts = [
+        format_graph(random_graph(n, m, weight_max=wmax, seed=seed), ["gen random"])
+        for seed, (n, m, wmax) in enumerate(
+            [(2, 1, 10), (8, 30, 10), (30, 200, 3), (60, 400, 100), (100, 900, 1)]
+        )
+    ]
+    texts += [bench_instances.format_psp(bench_instances.grid_instance(1))]
+    for text in texts:
+        assert parse_graph(text) == reference_parse_graph(text)
+
+
+def test_ratio_weights_not_in_lowest_terms_are_reduced_and_shared():
+    text = "psp 3 2\ne 0 1 2/4 6/8\ne 1 2 2/4 0.50\n"
+    graph = parse_graph(text)
+    assert graph == reference_parse_graph(text)
+    first, second = graph.edges
+    assert (first.w0.numerator, first.w0.denominator) == (1, 2)
+    assert second.w0 is first.w0 and second.w1 == first.w0
+
+
+ratios = st.builds(
+    F,
+    st.one_of(
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=10**4298, max_value=10**4301),
+    ),
+    st.one_of(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=10**4298, max_value=10**4301),
+    ),
+)
+vertex_ids = st.integers(min_value=0, max_value=10**6)
+documents = st.builds(
+    EnvelopeDocument,
+    vertex_ids,
+    vertex_ids,
+    st.lists(
+        st.builds(
+            SegmentRecord,
+            ratios,
+            ratios,
+            ratios,
+            ratios,
+            st.lists(vertex_ids, max_size=5).map(tuple),
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+@given(documents)
+@example(EnvelopeDocument(2, 2, (SegmentRecord(F(0), F(1), F(0), F(0), (2,)),)))
+@example(EnvelopeDocument(0, 1, (SegmentRecord(F(0), F(1), F(1), F(3), ()),)))
+@example(EnvelopeDocument(0, 1, ()))
+@example(EnvelopeDocument(0, 1, (SegmentRecord(F(0), F(1), F(10**4299), F(1), (0, 1)),)))
+@settings(max_examples=150, deadline=None)
+def test_format_envelope_matches_json_reference(doc):
+    try:
+        expected = json_reference_envelope(doc)
+    except NumberSizeError:
+        with pytest.raises(NumberSizeError):
+            format_envelope(doc)
+    else:
+        assert format_envelope(doc) == expected
+
+
+def test_format_envelope_refuses_numbers_past_the_digit_limit():
+    # Not a Hypothesis example: Hypothesis prints examples, and such a
+    # Fraction has no repr.
+    doc = EnvelopeDocument(0, 1, (SegmentRecord(F(0), F(1), F(10**4300), F(1), (0, 1)),))
+    for writer in (json_reference_envelope, format_envelope):
+        with pytest.raises(NumberSizeError):
+            writer(doc)
+
+
+def test_built_envelopes_match_json_reference(bench_instances):
+    cases = [(chain_graph(b), *chain_endpoints(b)) for b in range(1, 64)]
+    for seed in range(1, 11):
+        inst = bench_instances.grid_instance(seed)
+        graph = DualWeightGraph(inst.vertex_count, tuple(Edge(*r) for r in inst.rows))
+        cases.append((graph, inst.source, inst.target))
+    for graph, source, target in cases:
+        doc = document_from_index(build_index(graph, source, target), graph)
+        assert format_envelope(doc) == json_reference_envelope(doc)

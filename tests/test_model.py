@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -70,6 +70,69 @@ class TestRationalConversion:
         for text in (f"1e{cap + 1}", f"1E-{cap + 1}", "1e1000000"):
             with pytest.raises(ValueError, match="exponent"):
                 as_rational(text)
+
+
+def reference_parse_rational(text: str) -> F:
+    """``parse_rational`` without its int fast path: the caps, then ``Fraction``."""
+    if len(text) > MAX_NUMBER_CHARS:
+        raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
+    _mantissa, marker, exponent = text.lower().partition("e")
+    if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    return F(text)
+
+
+def parse_outcome(parse, text: str):
+    """The value ``parse`` returns, or the class and message of what it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.text(alphabet="0123456789./+-_eE \u0661", max_size=12))
+@settings(max_examples=400, deadline=None)
+@example("1/0")
+@example("0/0")
+@example("5.")
+@example(".5")
+@example(".")
+@example("/")
+@example("1e5")
+def test_parse_rational_matches_fraction_reference(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(
+        reference_parse_rational, text
+    )
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("007/010", F(7, 10)),
+        ("5.", F(5)),
+        (".5", F(1, 2)),
+        ("0/5", F(0)),
+        ("1/0", ZeroDivisionError),
+        ("+1", F(1)),
+        (" 1", F(1)),
+        ("1_0", F(10)),
+        ("\u0661", F(1)),
+        ("1" * 4301, ValueError),
+        ("1." + "0" * 4300, F(1)),
+        ("1" * MAX_NUMBER_CHARS, ValueError),
+        ("1" * (MAX_NUMBER_CHARS + 1), ValueError),
+        (" " * (MAX_NUMBER_CHARS - 3) + "1/3", F(1, 3)),
+        (" " * (MAX_NUMBER_CHARS - 2) + "1/3", ValueError),
+    ],
+    ids=lambda value: f"{value[:8]!r}x{len(value)}" if isinstance(value, str) else None,
+)
+def test_parse_rational_edge_spellings(text, expected):
+    outcome = parse_outcome(parse_rational, text)
+    assert outcome == parse_outcome(reference_parse_rational, text)
+    if isinstance(expected, F):
+        assert type(outcome) is F and outcome == expected
+    else:
+        assert outcome[0] is expected
 
 
 def test_validate_pair():
