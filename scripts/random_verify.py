@@ -2,8 +2,11 @@
 """Mass cross-check of the builder against exhaustive enumeration.
 
 Generates seeded random instances, builds each index, and compares the
-result segment-for-segment with the brute-force envelope.  Exits nonzero
-on the first mismatch and prints the instance so it can be replayed.
+result segment-for-segment with the brute-force envelope.  Each instance
+is also written as graph-file text and parsed back, as the command line
+reads it: the parsed graph must equal the generated one and build the same
+segments.  Exits nonzero on the first mismatch and prints the instance so
+it can be replayed.
 
     python3 scripts/random_verify.py --instances 5000 --seed 1
 """
@@ -24,7 +27,7 @@ from parapath import (
     enumerate_paths,
     envelope_of_lines,
 )
-from parapath.graphio import format_graph
+from parapath.graphio import format_graph, parse_graph
 
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS_DIR))
@@ -50,6 +53,11 @@ def main(argv: list[str] | None = None) -> int:
         result = build_index_detailed(graph, source, target)
         expected = envelope_of_lines(enumerate_paths(graph, source, target))
         report = compare_envelopes(result.index.segments, expected)
+        parsed = parse_graph(format_graph(graph))
+        if parsed != graph:
+            report = "graph parsed from its own text differs"
+        elif build_index_detailed(parsed, source, target) != result:
+            report = "graph parsed from its own text builds other segments"
         if report is not None:
             print(f"MISMATCH on instance {i} ({source}->{target}): {report}")
             print(format_graph(graph))

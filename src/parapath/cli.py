@@ -47,9 +47,19 @@ def _parse_lambda(text: str) -> Fraction:
     try:
         lam = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise LambdaRangeError(f"cannot parse lambda {text!r}: {exc}") from None
+        raise LambdaRangeError(
+            f"cannot parse lambda {text!r:.40}: {exc!s:.150}"
+        ) from None
     validate_lambda(lam)
     return lam
+
+
+def _int(text: str) -> int:
+    """``int``, refusing with the token cut to 40 characters, as argparse would not."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r:.40}") from None
 
 
 def _twelve_digits(value: Fraction) -> str:
@@ -111,7 +121,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         src, dst = generators.chain_endpoints(args.blocks)
         note = f"gadget-chain blocks={args.blocks} source={src} target={dst}"
     graphio.write_graph(graph, args.out, comments=[note])
-    print(f"wrote {args.out} vertices={graph.vertex_count} edges={len(graph.edges)}")
+    print(f"wrote {args.out} vertices={graph.vertex_count} edges={len(graph.tails)}")
     return EXIT_OK
 
 
@@ -150,8 +160,8 @@ def cmd_sssp(args: argparse.Namespace) -> int:
 
 
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--source", type=int, required=True, help="source vertex id")
-    parser.add_argument("--target", type=int, required=True, help="target vertex id")
+    parser.add_argument("--source", type=_int, required=True, help="source vertex id")
+    parser.add_argument("--target", type=_int, required=True, help="target vertex id")
 
 
 @functools.cache
@@ -189,18 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated instance to a graph file")
     p.add_argument("kind", choices=["random", "gadget-chain"])
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertices", type=int, default=6, help="random: vertex count")
-    p.add_argument("--edges", type=int, default=10, help="random: edge count")
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--vertices", type=_int, default=6, help="random: vertex count")
+    p.add_argument("--edges", type=_int, default=10, help="random: edge count")
     p.add_argument("--weight-max", default="10", help="random: weight upper bound")
-    p.add_argument("--blocks", type=int, default=1, help="gadget-chain: block count")
+    p.add_argument("--blocks", type=_int, default=1, help="gadget-chain: block count")
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser(
         "export-plot", help="sample an envelope file to CSV for plotting"
     )
     p.add_argument("envelope")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_export_plot)
 
@@ -224,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_LAMBDA, str(exc))
     except OracleScaleError as exc:
         return _fail(EXIT_ORACLE_SCALE, str(exc))
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # or a path no file can have
         return _fail(EXIT_INPUT, str(exc))
     except ParapathError as exc:  # anything else from the library is bad input
         return _fail(EXIT_INPUT, str(exc))

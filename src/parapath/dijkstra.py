@@ -7,7 +7,7 @@ vertex label is a (length, slope) pair compared lexicographically; the
 length component of every edge relaxation is strictly positive, so
 settled labels are final even though slope increments may be negative.
 
-The search runs on the graph's integer view: weights ``W = w * D`` over
+The search runs on the graph's int columns: weights ``W = w * D`` over
 their common denominator ``D``.  At ``lam = p/q`` an edge adds
 ``(q - p) * W0 + p * W1`` to a length and ``W1 - W0`` to a slope, which
 are its blended weight times ``q * D`` and its slope times ``D``.  Labels
@@ -43,15 +43,13 @@ def dijkstra_extreme_slope(
 ) -> tuple[Path, CostLine]:
     """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
-    Returns the path and its line, scaled over the graph's integer view
+    Returns the path and its line, scaled over the graph's denominator
     exactly as :func:`~parapath.model.cost_line` gives it.  Output is
     deterministic: equal labels keep the incumbent predecessor, and heap
     ties resolve by vertex id.  The search stops once the target is
     settled.  Raises UnreachableError when no path exists, and as
-    ``validate_lambda``, ``validate_pair`` and ``validate_graph`` do for
-    a bad ``lam``, pair or graph.
+    ``validate_lambda`` and ``validate_pair`` do for a bad ``lam`` or pair.
     """
-    view = graph.integer_view
     # Inline int checks, so a probe pays no call; the validators name a failure.
     n = graph.vertex_count
     p, q = getattr(lam, "numerator", -1), getattr(lam, "denominator", 0)
@@ -59,7 +57,7 @@ def dijkstra_extreme_slope(
         validate_lambda(lam)
         validate_pair(graph, source, target)
     if source == target:
-        return EMPTY_PATH, CostLine.from_scaled(0, 0, view.den)
+        return EMPTY_PATH, CostLine.from_scaled(0, 0, graph.den)
 
     lengths: list[int | None] = [None] * n
     # Slopes enter as ``sign * slope``, so both modes prefer the smaller
@@ -69,7 +67,7 @@ def dijkstra_extreme_slope(
     settled = [False] * n
     sign = -1 if mode == MAX_SLOPE else 1
     a = q - p
-    adjacency = view.adjacency
+    adjacency = graph.adjacency
 
     lengths[source] = 0
     # Heap entries are (length, key, vertex): ties on the label break
@@ -98,7 +96,7 @@ def dijkstra_extreme_slope(
     if not settled[target]:
         raise UnreachableError(f"vertex {target} not reachable from {source}")
 
-    graph_edges = graph.edges
+    tails = graph.tails
     edges: list[int] = []
     v = target
     while v != source:
@@ -106,10 +104,10 @@ def dijkstra_extreme_slope(
         if eid < 0:  # only the source lacks a predecessor
             raise RuntimeError(f"settled vertex {v} has no predecessor edge")
         edges.append(eid)
-        v = graph_edges[eid].tail
+        v = tails[eid]
     edges.reverse()
     slope = sign * keys[target]
-    line = CostLine.from_scaled((lengths[target] - p * slope) // q, slope, view.den)
+    line = CostLine.from_scaled((lengths[target] - p * slope) // q, slope, graph.den)
     return Path(tuple(edges)), line
 
 
@@ -120,9 +118,9 @@ def shortest_path_length(
 
     Kept separate from the lexicographic search so it can serve as an
     independent point check on envelope output: it sums the ``Fraction``
-    weights and takes only the adjacency from the integer view.
+    weights of ``graph.edges`` and takes only the adjacency from the columns.
     """
-    adjacency = graph.integer_view.adjacency
+    adjacency = graph.adjacency
     validate_lambda(lam)
     validate_pair(graph, source, target)
     n = graph.vertex_count

@@ -45,6 +45,7 @@ from .model import (
     Path,
     ZERO,
     cost_line,
+    show_number,
     validate_graph,
 )
 
@@ -98,13 +99,15 @@ def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> 
     los = [seg.lo.as_integer_ratio() for seg in segments]
     his = [seg.hi.as_integer_ratio() for seg in segments]
     if los[0][0] != 0:
-        raise ValueError(f"first segment starts at {segments[0].lo}, not 0")
+        lo = show_number(segments[0].lo)
+        raise ValueError(f"first segment starts at {lo}, not 0")
     if his[-1][0] != his[-1][1]:
-        raise ValueError(f"last segment ends at {segments[-1].hi}, not 1")
+        hi = show_number(segments[-1].hi)
+        raise ValueError(f"last segment ends at {hi}, not 1")
     for i, ((lp, lq), (hp, hq)) in enumerate(zip(los, his)):
         if lp * hq >= hp * lq:
-            seg = segments[i]
-            raise ValueError(f"segment {i} has empty interval [{seg.lo}, {seg.hi}]")
+            ends = ", ".join(map(show_number, (segments[i].lo, segments[i].hi)))
+            raise ValueError(f"segment {i} has empty interval [{ends}]")
     lines = [seg.line.scaled() for seg in segments] if strict else []
     for i in range(len(segments) - 1):
         p, q = his[i]
@@ -119,7 +122,8 @@ def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> 
             raise ValueError(f"slope not decreasing at segment {i + 1}")
         if (q * ma + p * sa) * db != (q * mb + p * sb) * da:
             raise ValueError(
-                f"lines disagree at breakpoint {segments[i].hi} between {i} and {i + 1}"
+                f"lines disagree at breakpoint {show_number(segments[i].hi)} "
+                f"between {i} and {i + 1}"
             )
 
 
@@ -143,7 +147,7 @@ def build_index_detailed(
     happen on a correct build.
     """
     validate_graph(graph)
-    den = graph.integer_view.den
+    den = graph.den
 
     def probe(lam: Fraction, mode: SlopeMode) -> tuple:
         """lam, its numerator and denominator, the search's path, and the

@@ -17,7 +17,7 @@ class WeightDomainError(ParapathError):
 
 
 class WeightScaleError(ParapathError):
-    """The weights' common denominator makes the integer view too large."""
+    """The weights' common denominator makes the scaled weights too large."""
 
 
 class GraphStructureError(ParapathError):

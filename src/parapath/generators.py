@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GeneratorParameterError, NumberSizeError
-from .model import MAX_VERTICES, DualWeightGraph, Edge, as_rational
+from .model import MAX_VERTICES, DualWeightGraph, as_rational, show_number
 
 
 def random_graph(
@@ -31,16 +31,17 @@ def random_graph(
         wmax = as_rational(weight_max)
     except (ValueError, ZeroDivisionError) as exc:
         raise GeneratorParameterError(
-            f"bad weight bound {weight_max!r:.40}: {exc}"
+            f"bad weight bound {weight_max!r:.40}: {exc!s:.150}"
         ) from None
     if not 2 <= vertices <= MAX_VERTICES:
         raise GeneratorParameterError(
-            f"vertex count {vertices} outside 2..{MAX_VERTICES}"
+            f"vertex count {show_number(vertices)} outside 2..{MAX_VERTICES}"
         )
     max_edges = vertices * (vertices - 1)
     if not (1 <= edges <= max_edges):
         raise GeneratorParameterError(
-            f"edge count {edges} outside 1..{max_edges} for {vertices} vertices"
+            f"edge count {show_number(edges)} outside 1..{max_edges} "
+            f"for {vertices} vertices"
         )
     if wmax <= 0:
         raise GeneratorParameterError("weight bound must be positive")
@@ -54,16 +55,12 @@ def random_graph(
     # what sampling that list would, since ``sample``'s draws depend only on
     # the population size, without building all V(V - 1) pairs.
     chosen = [divmod(m, vertices - 1) for m in rng.sample(range(max_edges), edges)]
-    rows = tuple(
-        Edge(
-            tail,
-            r if r < tail else r + 1,
-            Fraction(rng.randint(1, cents), 100),
-            Fraction(rng.randint(1, cents), 100),
-        )
+    rows = [
+        (tail, r if r < tail else r + 1, Fraction(rng.randint(1, cents), 100),
+         Fraction(rng.randint(1, cents), 100))
         for tail, r in chosen
-    )
-    return DualWeightGraph(vertices, rows)
+    ]
+    return DualWeightGraph.build(vertices, rows)
 
 
 def max_chain_blocks() -> int | None:
@@ -98,21 +95,18 @@ def chain_graph(blocks: int) -> DualWeightGraph:
     if cap is not None and blocks > cap:
         raise NumberSizeError(
             f"cannot write a number over {sys.get_int_max_str_digits()} digits: "
-            f"a chain of {blocks} blocks has wider weights (at most {cap} blocks)"
+            f"a chain of {show_number(blocks)} blocks has wider weights "
+            f"(at most {cap} blocks)"
         )
-    edges: list[Edge] = []
+    rows = []
     for i in range(blocks):
         start = 3 * i
         upper, lower, end = start + 1, start + 2, start + 3
-        u0 = Fraction(1)
-        u1 = Fraction(1 + 2 ** (blocks + 1 - i))
-        l0 = Fraction(1 + 2**i)
-        l1 = Fraction(1)
-        edges.append(Edge(start, upper, u0 / 2, u1 / 2))
-        edges.append(Edge(upper, end, u0 / 2, u1 / 2))
-        edges.append(Edge(start, lower, l0 / 2, l1 / 2))
-        edges.append(Edge(lower, end, l0 / 2, l1 / 2))
-    return DualWeightGraph(3 * blocks + 1, tuple(edges))
+        up = Fraction(1, 2), Fraction(1 + 2 ** (blocks + 1 - i), 2)
+        low = Fraction(1 + 2**i, 2), Fraction(1, 2)
+        rows += [(start, upper, *up), (upper, end, *up)]
+        rows += [(start, lower, *low), (lower, end, *low)]
+    return DualWeightGraph.build(3 * blocks + 1, rows)
 
 
 def chain_endpoints(blocks: int) -> tuple[int, int]:

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path as FilePath
 from typing import Iterable
 
@@ -32,9 +33,10 @@ from .model import (
     MAX_VERTICES,
     CostLine,
     DualWeightGraph,
-    Edge,
+    check_scale,
     parse_rational,
     path_vertices,
+    show_number,
 )
 
 ENVELOPE_FORMAT_VERSION = 1
@@ -82,7 +84,9 @@ def _parse_weight(token: str, line_no: int, parsed: dict[str, Fraction]) -> Frac
         try:
             value = parsed[token] = parse_rational(token)
         except (ValueError, ZeroDivisionError) as exc:
-            raise GraphFormatError(f"bad weight {token!r}: {exc}", line_no) from None
+            raise GraphFormatError(
+                f"bad weight {token!r:.40}: {exc!s:.150}", line_no
+            ) from None
     return value
 
 
@@ -90,24 +94,25 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise GraphFormatError(f"bad {what} {token!r}", line_no) from None
+        raise GraphFormatError(f"bad {what} {token!r:.40}", line_no) from None
 
 
 def parse_graph(text: str) -> DualWeightGraph:
     """Parse graph-file text; errors carry the 1-based offending line.
 
-    Each distinct weight token is parsed once, and the edges that spell a
-    weight alike share its (immutable) ``Fraction``.
+    Reads straight into the graph's int columns.  Each distinct weight
+    token is parsed, checked and scaled once, and the common denominator
+    grows as new tokens come in, so :func:`check_scale` refuses it while
+    the file is read.
     """
     vertex_count: int | None = None
-    edge_count: int | None = None
-    edges: list[Edge] = []
+    edge_count, den = 0, 1
+    rows: list[tuple[int, int, str, str]] = []
     weights: dict[str, Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if vertex_count is None:
             if fields[0] != "psp" or len(fields) != 3:
                 raise GraphFormatError(
@@ -122,26 +127,35 @@ def parse_graph(text: str) -> DualWeightGraph:
             continue
         if fields[0] != "e" or len(fields) != 5:
             raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", line_no)
-        if len(edges) >= (edge_count or 0):
+        if len(rows) >= edge_count:
             raise GraphFormatError("more edge lines than the header declares", line_no)
-        tail = _parse_int(fields[1], line_no, "tail")
-        head = _parse_int(fields[2], line_no, "head")
-        w0 = _parse_weight(fields[3], line_no, weights)
-        w1 = _parse_weight(fields[4], line_no, weights)
+        _e, t, h, t0, t1 = fields
+        try:
+            tail, head = int(t), int(h)
+        except ValueError:
+            tail, head = _parse_int(t, line_no, "tail"), _parse_int(h, line_no, "head")
+        w0, w1 = weights.get(t0), weights.get(t1)
+        fresh = w0 is None or w1 is None
+        if fresh:
+            w0, w1 = (_parse_weight(token, line_no, weights) for token in (t0, t1))
         if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
-            raise GraphFormatError(
-                f"vertex id outside 0..{vertex_count - 1}", line_no
-            )
-        if w0.numerator <= 0 or w1.numerator <= 0:
-            raise GraphFormatError("weights must be strictly positive", line_no)
-        edges.append(Edge(tail, head, w0, w1))
+            raise GraphFormatError(f"vertex id outside 0..{vertex_count - 1}", line_no)
+        if fresh:  # only a token's first line can fail these; failing ends the parse
+            if w0.numerator <= 0 or w1.numerator <= 0:
+                raise GraphFormatError("weights must be strictly positive", line_no)
+            den = check_scale(lcm(den, w0.denominator, w1.denominator), edge_count)
+        rows.append((tail, head, t0, t1))
     if vertex_count is None:
         raise GraphFormatError("missing 'psp' header line")
-    if len(edges) != edge_count:
+    if len(rows) != edge_count:
         raise GraphFormatError(
-            f"header declares {edge_count} edges, file has {len(edges)}"
+            f"header declares {show_number(edge_count)} edges, file has {len(rows)}"
         )
-    return DualWeightGraph(vertex_count, tuple(edges))
+    tails, heads, *tokens = zip(*rows) if rows else ((),) * 4
+    scaled = {t: w.numerator * (den // w.denominator) for t, w in weights.items()}
+    w0, w1 = (tuple(map(scaled.__getitem__, ts)) for ts in tokens)
+    del rows, weights, tokens, scaled  # not held while the adjacency is built
+    return DualWeightGraph.from_columns(vertex_count, den, tails, heads, w0, w1)
 
 
 def format_graph(graph: DualWeightGraph, comments: Iterable[str] = ()) -> str:
@@ -301,7 +315,8 @@ def parse_envelope(text: str) -> EnvelopeDocument:
     try:
         version = _json_int(payload["format"], "format")
         if version != ENVELOPE_FORMAT_VERSION:
-            raise EnvelopeFormatError(f"unsupported format version {version}")
+            shown = show_number(version)
+            raise EnvelopeFormatError(f"unsupported format version {shown}")
         source = _json_int(payload["source"], "source")
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
@@ -320,14 +335,15 @@ def parse_envelope(text: str) -> EnvelopeDocument:
     doc = EnvelopeDocument(source, target, segments)
     if declared_k != doc.k:
         raise EnvelopeFormatError(
-            f"document declares k={declared_k} but holds {doc.k} segments"
+            f"document declares k={show_number(declared_k)} but holds {doc.k} segments"
         )
     for i, seg in enumerate(segments):
         walk = seg.vertices
         simple = min(walk, default=-1) >= 0 and len(set(walk)) == len(walk)
         if not simple or (walk[0], walk[-1]) != (source, target):
+            ends = " to ".join(map(show_number, (source, target)))
             raise EnvelopeFormatError(
-                f"segment {i}: walk is not a simple path from {source} to {target}"
+                f"segment {i}: walk is not a simple path from {ends}"
             )
     try:
         check_segments(segments, strict=True)

@@ -3,21 +3,22 @@
 A dual-weight digraph carries two strictly positive weights per edge.
 Blending them with a parameter ``lam`` in [0, 1] yields the interpolated
 weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path is a
-linear function of ``lam``.  Weights are ``fractions.Fraction``s, and
-each graph also keeps them, and its one adjacency, as ints over their
-least common denominator ``D`` (:class:`IntegerView`), on which searches
-and cost lines sum exactly without a gcd per addition; both return lines
-over ``D``.  All types are immutable after construction and safe to
-share between threads.
+linear function of ``lam``.  A graph holds its edges as int columns:
+endpoints, and both weights as ints over their least common denominator
+``D``, plus one adjacency built from them.  Searches and cost lines sum
+those ints exactly, without a gcd per addition, and return lines over
+``D``; the ``Fraction`` edges are derived only when asked for.  All
+types are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, NamedTuple
+from math import lcm, log10
+from typing import Iterable
 
 from .errors import (
     GraphStructureError,
@@ -42,7 +43,7 @@ MAX_DECIMAL_EXPONENT = 1_000
 # header ``psp 1000000000 0`` asks for some 100 GB; at the cap it is 110 MB.
 MAX_VERTICES = 1_000_000
 
-# Cap on the integer view's size, taken as 2 * edges * bits(D).  The common
+# Cap on the scaled weights' size, taken as 2 * edges * bits(D).  The common
 # denominator D can have as many bits as all weight denominators together,
 # and every scaled weight carries it, so without the cap E coprime
 # denominators would cost memory quadratic in E.  At the cap the scaled
@@ -108,30 +109,30 @@ class Edge:
     w1: Fraction
 
 
-class IntegerView(NamedTuple):
-    """A graph's weights as ints over one common denominator ``den``.
-
-    ``edges[e].w0 == Fraction(w0[e], den)``, likewise for ``w1``, and
-    ``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges
-    leaving ``v``, in edge-list order.
-    """
-
-    den: int
-    w0: tuple[int, ...]
-    w1: tuple[int, ...]
-    adjacency: tuple[tuple[tuple[int, int, int, int], ...], ...]
+Ints = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualWeightGraph:
-    """Directed multigraph; parallel edges and self-loops are allowed.
+    """Directed multigraph on int columns; parallel edges and self-loops are allowed.
 
-    ``edges`` is the authoritative ordered edge list; edge ids are
-    positions in it.
+    Edge ``e`` runs ``tails[e] -> heads[e]`` with weights ``w0[e] / den`` and
+    ``w1[e] / den``, ``den`` being the weights' least common denominator, and
+    ``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges leaving
+    ``v`` in edge-id order.  Every constructor ends in :meth:`from_columns`,
+    which checks the graph, so a graph that exists is valid.
     """
 
     vertex_count: int
-    edges: tuple[Edge, ...]
+    den: int
+    tails: Ints
+    heads: Ints
+    w0: Ints
+    w1: Ints
+    adjacency: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(compare=False)
+
+    def __new__(cls, vertex_count: int, edges: Iterable[Edge]) -> "DualWeightGraph":
+        return cls.build(vertex_count, ((e.tail, e.head, e.w0, e.w1) for e in edges))
 
     @classmethod
     def build(
@@ -139,62 +140,96 @@ class DualWeightGraph:
         vertex_count: int,
         rows: Iterable[tuple[int, int, int | str | Fraction, int | str | Fraction]],
     ) -> "DualWeightGraph":
-        """Construct from (tail, head, w0, w1) rows, converting weights exactly."""
-        edges = tuple(
-            Edge(tail, head, as_rational(w0), as_rational(w1))
-            for tail, head, w0, w1 in rows
-        )
-        return cls(vertex_count, edges)
+        """Construct from (tail, head, w0, w1) rows, converting weights exactly.
 
-    @cached_property
-    def integer_view(self) -> IntegerView:
-        """The weights as ints over their least common denominator.
-
-        Built once per graph in O(E) int operations, checking the graph on
-        the way (see :func:`validate_graph`).  Raises WeightScaleError, as
-        soon as the denominator grows that far, when the view would pass
-        ``MAX_SCALED_WEIGHT_BITS``.
+        Their common denominator goes through :func:`check_scale` as it
+        grows, before anything is scaled by it.
         """
-        n = self.vertex_count
+        rows = [(t, h, as_rational(a), as_rational(b)) for t, h, a, b in rows]
+        den = 1
+        for _tail, _head, a, b in rows:
+            den = check_scale(lcm(den, a.denominator, b.denominator), len(rows))
+        tails, heads, *weights = zip(*rows) if rows else ((),) * 4
+        w0, w1 = ([w.numerator * (den // w.denominator) for w in ws] for ws in weights)
+        return cls.from_columns(vertex_count, den, tails, heads, tuple(w0), tuple(w1))
+
+    @classmethod
+    def from_columns(
+        cls, vertex_count: int, den: int, tails: Ints, heads: Ints, w0: Ints, w1: Ints
+    ) -> "DualWeightGraph":
+        """The graph on int columns over ``den``, the weights' least common
+        denominator.
+
+        Raises GraphStructureError for no vertex or an endpoint outside
+        ``0..vertex_count - 1`` and WeightDomainError for a weight that is
+        not positive, naming the first edge at fault, then as
+        :func:`check_scale` does.
+        """
+        n = vertex_count
         if n < 1:
             raise GraphStructureError("graph needs at least one vertex")
-        weights = 2 * len(self.edges)
-        den = 1
-        for eid, edge in enumerate(self.edges):
-            tail, head, w0, w1 = edge.tail, edge.head, edge.w0, edge.w1
+        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+        for eid, (tail, head, a, b) in enumerate(zip(tails, heads, w0, w1)):
             if not (0 <= tail < n and 0 <= head < n):
                 raise GraphStructureError(
                     f"edge {eid}: endpoint ({tail}, {head}) outside 0..{n - 1}"
                 )
-            if w0.numerator <= 0 or w1.numerator <= 0:
+            if a <= 0 or b <= 0:
+                got = ", ".join(show_number(Fraction(w, den)) for w in (a, b))
                 raise WeightDomainError(
-                    f"edge {eid}: weights must be strictly positive, got ({w0}, {w1})"
+                    f"edge {eid}: weights must be strictly positive, got ({got})"
                 )
-            grown = lcm(den, w0.denominator, w1.denominator)
-            if grown != den:
-                den = grown
-                if weights * den.bit_length() > MAX_SCALED_WEIGHT_BITS:
-                    raise WeightScaleError(
-                        f"weights need a common denominator of at least "
-                        f"{den.bit_length()} bits; {len(self.edges)} edges scaled "
-                        f"by it pass the cap of {MAX_SCALED_WEIGHT_BITS} bits"
-                    )
-        w0s = tuple(e.w0.numerator * (den // e.w0.denominator) for e in self.edges)
-        w1s = tuple(e.w1.numerator * (den // e.w1.denominator) for e in self.edges)
-        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-        for eid, edge in enumerate(self.edges):
-            out[edge.tail].append((edge.head, w0s[eid], w1s[eid], eid))
-        return IntegerView(den, w0s, w1s, tuple(map(tuple, out)))
+            out[tail].append((head, a, b, eid))
+        check_scale(den, len(tails))
+        graph = object.__new__(cls)
+        graph.__dict__.update(
+            vertex_count=n, den=den, tails=tails, heads=heads, w0=w0, w1=w1,
+            adjacency=tuple(map(tuple, out)),
+        )
+        return graph
+
+    def __reduce__(self) -> tuple:
+        """Copies and pickles rebuild the graph from its columns."""
+        columns = self.den, self.tails, self.heads, self.w0, self.w1
+        return type(self).from_columns, (self.vertex_count, *columns)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges with ``Fraction`` weights, one shared per distinct value:
+        derived on first use, for the references and the file writer."""
+        shared = {w: Fraction(w, self.den) for w in {*self.w0, *self.w1}}
+        return tuple(
+            Edge(tail, head, shared[a], shared[b])
+            for tail, head, a, b in zip(self.tails, self.heads, self.w0, self.w1)
+        )
+
+
+def check_scale(den: int, edges: int) -> int:
+    """``den``, unless as the common denominator of ``edges`` edges it would
+    make their scaled weights pass ``MAX_SCALED_WEIGHT_BITS``."""
+    if den > 1 and 2 * edges * den.bit_length() > MAX_SCALED_WEIGHT_BITS:
+        raise WeightScaleError(
+            f"weights need a common denominator of at least {den.bit_length()} "
+            f"bits; {show_number(edges)} edges scaled by it pass the cap of "
+            f"{MAX_SCALED_WEIGHT_BITS} bits"
+        )
+    return den
 
 
 def validate_graph(graph: DualWeightGraph) -> None:
-    """Reject a graph with no vertex, an endpoint out of range, a
-    nonpositive weight, or weights too costly to scale to ints.
+    """Reject anything but a graph: a graph's checks ran when it was built."""
+    if not isinstance(graph, DualWeightGraph):
+        raise TypeError(f"expected a DualWeightGraph, not {type(graph).__name__}")
 
-    The checks run once per graph, while its integer view is built; a
-    graph that already has its view passed them.
-    """
-    graph.integer_view  # built, or found built, for its checks
+
+def show_number(value: int | Fraction) -> str:
+    """``str(value)``, or only its size past 128 bits: ``str`` refuses ints
+    past 4300 digits, and an error message stays one short line."""
+    p, q = value.numerator, value.denominator
+    bits = abs(p).bit_length() + (q.bit_length() if q > 1 else 0)
+    if bits <= 128:
+        return str(value)
+    return f"<a number of about {round(bits * log10(2))} digits>"
 
 
 def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
@@ -206,7 +241,9 @@ def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
     n = graph.vertex_count
     for role, vertex in (("source", source), ("target", target)):
         if not 0 <= vertex < n:
-            raise GraphStructureError(f"{role} vertex {vertex} outside 0..{n - 1}")
+            raise GraphStructureError(
+                f"{role} vertex {show_number(vertex)} outside 0..{n - 1}"
+            )
 
 
 def validate_lambda(lam: Fraction) -> None:
@@ -222,7 +259,7 @@ def validate_lambda(lam: Fraction) -> None:
         name = type(lam).__name__
         raise TypeError(f"lambda must be an exact rational, not {name}") from None
     if not 0 <= p <= q:
-        raise LambdaRangeError(f"lambda {lam} outside [0, 1]")
+        raise LambdaRangeError(f"lambda {show_number(lam)} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -240,10 +277,7 @@ def path_vertices(graph: DualWeightGraph, path: Path, source: int) -> tuple[int,
 
     ``source`` names the single vertex of an empty path.
     """
-    verts = [source]
-    for eid in path.edges:
-        verts.append(graph.edges[eid].head)
-    return tuple(verts)
+    return (source, *map(graph.heads.__getitem__, path.edges))
 
 
 class CostLine:
@@ -327,18 +361,17 @@ def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
 
     Raises MalformedPathError unless ``path`` is a contiguous simple path;
     a malformed edge sequence would silently produce a meaningless line
-    otherwise.  Sums the integer view's weights, so the line comes out
+    otherwise.  Sums the graph's int weights, so the line comes out
     scaled by their common denominator.
     """
-    edges = graph.edges
-    count = len(edges)
+    tails, heads = graph.tails, graph.heads
+    count = len(tails)
     seen: set[int] = set()
     prev_head: int | None = None
     for eid in path.edges:
         if not 0 <= eid < count:
             raise MalformedPathError(f"edge id {eid} out of range")
-        edge = edges[eid]
-        tail, head = edge.tail, edge.head
+        tail, head = tails[eid], heads[eid]
         if prev_head is None:
             seen.add(tail)
         elif tail != prev_head:
@@ -349,7 +382,6 @@ def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
             raise MalformedPathError(f"vertex {head} repeated; path not simple")
         seen.add(head)
         prev_head = head
-    view = graph.integer_view
-    c0 = sum(map(view.w0.__getitem__, path.edges))
-    c1 = sum(map(view.w1.__getitem__, path.edges))
-    return CostLine.from_scaled(c0, c1 - c0, view.den)
+    c0 = sum(map(graph.w0.__getitem__, path.edges))
+    c1 = sum(map(graph.w1.__getitem__, path.edges))
+    return CostLine.from_scaled(c0, c1 - c0, graph.den)

@@ -4,9 +4,9 @@ Enumerates every simple source-to-target path outright, then builds the
 lower envelope of their cost lines geometrically: sort by slope, sweep
 with a convex-chain stack, clip to [0, 1].  It shares no search or
 bisection with the builder, so the two cannot agree by accident; only
-the model types, ``check_segments`` and the integer view's adjacency are
-shared.  The oracle sums the ``Fraction`` weights, not the view's ints,
-and building the view checks the graph as the builder's does.
+the model types, ``check_segments`` and the graph's adjacency are
+shared.  The oracle sums the ``Fraction`` weights of ``graph.edges``,
+not the int columns the builder sums.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def enumerate_paths(
     ``MAX_WITNESS_EDGES`` edges stored in witnesses: the path count is
     worst-case factorial, so time and memory are bounded by work instead.
     """
-    adjacency = graph.integer_view.adjacency
+    adjacency = graph.adjacency
     validate_pair(graph, source, target)
     if source == target:
         return ((ZERO_LINE, EMPTY_PATH),)

@@ -4,7 +4,9 @@ import random
 import pytest
 
 import strategies as own
-from parapath import build_index, graphio, query, read_envelope, write_graph
+from parapath import (
+    build_index, chain_graph, graphio, query, read_envelope, write_graph,
+)
 from parapath.cli import build_parser, main
 
 DIAMOND_TEXT = """\
@@ -72,6 +74,26 @@ def test_build_hostile_denominators_is_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: weights need a common")
+
+
+def test_build_never_derives_fraction_edges(tmp_path, monkeypatch):
+    # ``graph.edges`` is for the references and the file writer; every step
+    # of a build reads the int columns.
+    parsed = []
+    parse = graphio.parse_graph
+
+    def recording_parse(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(graphio, "parse_graph", recording_parse)
+    graph_file = tmp_path / "chain.psp"
+    write_graph(chain_graph(5), graph_file)
+    out = tmp_path / "chain.env"
+    argv = ["build", str(graph_file), "--source", "0", "--target", "15", "--out", str(out)]
+    assert main(argv) == 0
+    (graph,) = parsed
+    assert "edges" not in vars(graph)
 
 
 def test_build_unreachable_target(tmp_path):
@@ -322,6 +344,23 @@ def test_number_past_write_limit_is_input_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error: cannot write a number over ")
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "\ud800", "--lambda", "0"],
+        ["build", "\ud800", "--source", "0", "--target", "0", "--out", "x"],
+        ["gen", "random", "--out", "\ud800"],
+    ],
+    ids=["query", "build", "gen"],
+)
+def test_unencodable_path_is_input_error(argv, capsys):
+    # A lone surrogate cannot be encoded as a file name; the argv fuzz test
+    # drew one.
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_missing_graph_file_is_input_error(tmp_path):

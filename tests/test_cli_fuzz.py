@@ -14,7 +14,7 @@ import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -226,3 +226,105 @@ def test_fuzzed_envelope_file_ends_in_documented_exit(files, text, lam):
     csv = root / "out" / "x.csv"
     run_cli(["query", str(env), "--lambda", lam], root)
     run_cli(["export-plot", str(env), "--samples", "5", "--out", str(csv)], root)
+
+
+# -- numbers past Python's int-to-str limit ------------------------------
+
+# Error messages name such a number by its size and cut echoed tokens to
+# 40 characters and parse errors to 150, so each stays one short line.
+MAX_MESSAGE = 250
+
+
+@st.composite
+def long_tokens(draw):
+    """A 4301- to 10,000-character token: too long for ``int``, within the
+    number-length cap, or a number whose value is that wide."""
+    size = draw(st.integers(4301, 10_000))
+    half = size // 2
+    p_digits = min(size - 2, 4300)
+    return draw(st.sampled_from([
+        "9" * size,
+        "9" * half + "." + "9" * (size - half - 1),
+        "1" + "0" * (size - 3) + "/3",
+        "1/" + "3" * (size - 2),
+        "-" + "7" * (size - 1),
+        " " * (size - 1) + "3",
+        "0." + "0" * (size - 3) + "1",
+        "x" * size,
+        # Padded to the size, values that ``int`` and ``Fraction`` still read.
+        " " * (size - 4300) + "9" * 4300,
+        "1" + "0" * (p_digits - 1) + "/" + "3" * (size - 1 - p_digits),
+    ]))
+
+
+def run_bounded(argv, root, codes):
+    code, _out, err = run_cli(argv, root)
+    assert code in codes, (argv[0], code)
+    # argparse prints its usage line before the error line.
+    assert all(len(line) <= MAX_MESSAGE for line in err.splitlines()), err[:300]
+
+
+# The two spellings that ended in a traceback or a 4475-character message.
+HUGE_LAMBDA = "9" * 4300 + "." + "9" * 4300
+WIDE_LAMBDA = "1" + "0" * 4300 + "/3"
+
+
+@given(token=long_tokens())
+@example(token=HUGE_LAMBDA)
+@example(token=WIDE_LAMBDA)
+@settings(max_examples=40, deadline=None)
+def test_long_lambda_ends_in_one_short_line(files, token):
+    root, _ = files
+    run_bounded(["query", str(root / "diamond.env"), "--lambda", token], root, {0, 2, 4})
+    pair = ["--source", "0", "--target", "3"]
+    run_bounded(["sssp", str(root / "diamond.psp"), *pair, "--lambda", token], root,
+                {0, 2, 4})
+
+
+@given(token=long_tokens(), role=st.sampled_from(["--source", "--target"]))
+@settings(max_examples=40, deadline=None)
+def test_long_vertex_id_ends_in_one_short_line(files, token, role):
+    root, _ = files
+    pair = {"--source": "0", "--target": "3", role: token}
+    argv = [str(root / "diamond.psp"), *(x for kv in pair.items() for x in kv)]
+    run_bounded(["build", *argv, "--out", str(root / "out" / "x.env")], root, {0, 2, 3})
+    run_bounded(["verify", *argv], root, {0, 2, 3})
+    run_bounded(["sssp", *argv, "--lambda", "1/2"], root, {0, 2, 3})
+
+
+@given(token=long_tokens(), line=st.integers(0, 4), field=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_long_graph_field_ends_in_one_short_line(files, token, line, field):
+    root, _ = files
+    lines = [line_text.split() for line_text in DIAMOND_TEXT.splitlines()]
+    fields = lines[line]
+    fields[min(field, len(fields) - 1)] = token
+    graph = root / "fuzz.psp"
+    graph.write_text("\n".join(map(" ".join, lines)) + "\n")
+    pair = ["--source", "0", "--target", "3"]
+    out = str(root / "out" / "x.env")
+    run_bounded(["build", str(graph), *pair, "--out", out], root, {0, 2, 3})
+
+
+@given(token=long_tokens(), key=st.sampled_from(
+    ["format", "source", "target", "k", "lo", "hi", "c0", "c1", "vertex"]),
+    quoted=st.booleans())
+@example(token="1" + "0" * 4299 + "/" + "3" * 4300, key="lo", quoted=True)
+@example(token="1" + "0" * 4299 + "/" + "3" * 4300, key="c1", quoted=True)
+@example(token=" " + "9" * 4300, key="format", quoted=False)
+@example(token=" " + "9" * 4300, key="target", quoted=False)
+@settings(max_examples=60, deadline=None)
+def test_long_envelope_field_ends_in_one_short_line(files, token, key, quoted):
+    root, _ = files
+    payload = json.loads(json.dumps(own.DIAMOND_ENVELOPE))
+    if key in ("lo", "hi", "c0", "c1"):
+        payload["segments"][0][key] = "@"
+    elif key == "vertex":
+        payload["segments"][0]["vertices"][1] = "@"
+    else:
+        payload[key] = "@"
+    # Unquoted, the token stands as a raw JSON value, such as a 5000-digit int.
+    text = json.dumps(payload).replace('"@"', json.dumps(token) if quoted else token)
+    env = root / "fuzz.env"
+    env.write_text(text)
+    run_bounded(["query", str(env), "--lambda", "1/4"], root, {0, 2})

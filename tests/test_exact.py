@@ -270,4 +270,4 @@ def test_search_matches_fraction_reference(case):
         # The builder compares lines by numerators alone, which needs every
         # search to return the walked line's scaling over the one ``D``.
         assert line.scaled() == cost_line(graph, path).scaled()
-        assert line.scaled()[2] == graph.integer_view.den
+        assert line.scaled()[2] == graph.den

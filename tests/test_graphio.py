@@ -1,5 +1,8 @@
+import copy
 import importlib.util
 import json
+import math
+import pickle
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -75,6 +78,42 @@ def test_parse_graph_roundtrip():
 @settings(max_examples=60, deadline=None)
 def test_graph_roundtrip_is_field_exact(graph):
     assert parse_graph(format_graph(graph)) == graph
+
+
+mixed_weights = st.one_of(
+    st.integers(1, 3).map(F),
+    st.builds(F, st.integers(1, 40), st.integers(1, 12)),
+    own.weights,
+)
+
+
+@st.composite
+def mixed_graphs(draw):
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = st.builds(Edge, vertex, vertex, mixed_weights, mixed_weights)
+    return DualWeightGraph(n, tuple(draw(st.lists(edges, max_size=12))))
+
+
+@given(mixed_graphs())
+@settings(max_examples=150, deadline=None)
+def test_every_constructor_gives_one_graph(graph):
+    # ``DualWeightGraph(n, edges)``, ``build`` and the parser all end in the
+    # same int columns over the least common denominator.
+    rows = [(e.tail, e.head, e.w0, e.w1) for e in graph.edges]
+    built = DualWeightGraph.build(graph.vertex_count, rows)
+    parsed = parse_graph(format_graph(graph))
+    assert parsed == graph == built and hash(parsed) == hash(built)
+    assert pickle.loads(pickle.dumps(graph)) == graph == copy.deepcopy(graph)
+    weights = [w for e in graph.edges for w in (e.w0, e.w1)]
+    assert graph.den == math.lcm(*(w.denominator for w in weights))
+    adjacency = [[] for _ in range(graph.vertex_count)]
+    for eid, edge in enumerate(graph.edges):
+        assert F(graph.w0[eid], graph.den) == edge.w0
+        assert F(graph.w1[eid], graph.den) == edge.w1
+        assert (graph.tails[eid], graph.heads[eid]) == (edge.tail, edge.head)
+        adjacency[edge.tail].append((edge.head, graph.w0[eid], graph.w1[eid], eid))
+    assert graph.adjacency == tuple(map(tuple, adjacency))
 
 
 def test_nondecimal_weights_survive_roundtrip():

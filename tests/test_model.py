@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ import strategies as own
 from parapath import (
     CostLine,
     DualWeightGraph,
+    Edge,
     GraphStructureError,
     LambdaRangeError,
     MalformedPathError,
@@ -21,6 +23,7 @@ from parapath import (
     path_vertices,
     validate_graph,
 )
+from parapath.graphio import parse_graph
 from parapath.model import (
     MAX_DECIMAL_EXPONENT,
     MAX_NUMBER_CHARS,
@@ -207,35 +210,113 @@ class TestValidateGraph:
         validate_graph(DualWeightGraph.build(2, [(0, 1, "0.01", "10")]))
 
     def test_zero_weight_rejected(self):
-        graph = DualWeightGraph.build(2, [(0, 1, 0, 1)])
         with pytest.raises(WeightDomainError, match="edge 0"):
-            validate_graph(graph)
+            validate_graph(DualWeightGraph.build(2, [(0, 1, 0, 1)]))
 
     def test_out_of_range_head_rejected(self):
-        graph = DualWeightGraph.build(2, [(0, 2, 1, 1)])
         with pytest.raises(GraphStructureError):
-            validate_graph(graph)
+            validate_graph(DualWeightGraph.build(2, [(0, 2, 1, 1)]))
 
     def test_hostile_denominators_refused_early(self):
-        graph = hostile_star()
+        routes = 4000
         with pytest.raises(WeightScaleError) as info:
-            validate_graph(graph)
+            validate_graph(hostile_star(routes))
         # The refusal comes while the denominator is being accumulated, at
         # the cap's size, not after all 8000 weights have been scaled.
         bits = int(info.value.args[0].split(" bits")[0].split()[-1])
-        assert bits * 2 * len(graph.edges) <= 2 * MAX_SCALED_WEIGHT_BITS
+        assert bits * 2 * (2 * routes) <= 2 * MAX_SCALED_WEIGHT_BITS
         with pytest.raises(WeightScaleError):
-            build_index(graph, 0, 1)
+            build_index(hostile_star(routes), 0, 1)
+
+
+def reference_refusal(vertex_count, edges):
+    """What the check over a ``Fraction`` edge list raised, as (class,
+    message), or None: the walk the graph's integer view made before the
+    view became the graph's own columns."""
+    if vertex_count < 1:
+        return GraphStructureError, "graph needs at least one vertex"
+    den, last = 1, vertex_count - 1
+    for eid, edge in enumerate(edges):
+        tail, head, w0, w1 = edge.tail, edge.head, edge.w0, edge.w1
+        if not (0 <= tail <= last and 0 <= head <= last):
+            message = f"edge {eid}: endpoint ({tail}, {head}) outside 0..{last}"
+            return GraphStructureError, message
+        if w0.numerator <= 0 or w1.numerator <= 0:
+            message = f"edge {eid}: weights must be strictly positive, got ({w0}, {w1})"
+            return WeightDomainError, message
+        grown = math.lcm(den, w0.denominator, w1.denominator)
+        if grown != den:
+            den = grown
+            if 2 * len(edges) * den.bit_length() > MAX_SCALED_WEIGHT_BITS:
+                return WeightScaleError, (
+                    f"weights need a common denominator of at least "
+                    f"{den.bit_length()} bits; {len(edges)} edges scaled "
+                    f"by it pass the cap of {MAX_SCALED_WEIGHT_BITS} bits"
+                )
+    return None
+
+
+def construction_outcome(vertex_count, edges):
+    try:
+        DualWeightGraph(vertex_count, edges)
+    except (GraphStructureError, WeightDomainError, WeightScaleError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def maybe_invalid_edge_lists(draw):
+    n = draw(st.integers(0, 4))
+    vertex = st.integers(-2, n + 1)
+    weight = st.builds(F, st.integers(-2, 5), st.integers(1, 6))
+    edges = st.builds(Edge, vertex, vertex, weight, weight)
+    return n, tuple(draw(st.lists(edges, max_size=6)))
+
+
+@given(maybe_invalid_edge_lists())
+@settings(max_examples=400, deadline=None)
+def test_constructor_refuses_what_the_edge_list_check_refused(case):
+    vertex_count, edges = case
+    assert construction_outcome(vertex_count, edges) == reference_refusal(*case)
+
+
+def test_constructor_refuses_hostile_denominators_like_the_edge_list_check():
+    with pytest.raises(WeightScaleError) as info:
+        hostile_star()
+    edges = tuple(
+        Edge(t, h, w, w)
+        for i in range(4000)
+        for t, h, w in ((0, i + 2, F(1, 10**12 + i)), (i + 2, 1, F(1, 10**12 + i)))
+    )
+    assert (WeightScaleError, str(info.value)) == reference_refusal(4002, edges)
+
+
+def hostile_star_text(routes: int = 4000) -> str:
+    """:func:`hostile_star` as graph-file text."""
+    lines = [f"psp {routes + 2} {2 * routes}"]
+    for i in range(routes):
+        w = f"1/{10**12 + i}"
+        lines += [f"e 0 {i + 2} {w} {w}", f"e {i + 2} 1 {w} {w}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_hostile_text_refused_while_read():
+    # The parser grows the denominator token by token and refuses at the
+    # same edge, with the same message, as the constructor does.
+    with pytest.raises(WeightScaleError) as parsed:
+        parse_graph(hostile_star_text())
+    with pytest.raises(WeightScaleError) as built:
+        hostile_star()
+    assert str(parsed.value) == str(built.value)
 
 
 @given(own.graphs())
 @settings(max_examples=60, deadline=None)
 def test_integer_view_scales_every_weight(graph):
-    view = graph.integer_view
     for eid, edge in enumerate(graph.edges):
-        assert F(view.w0[eid], view.den) == edge.w0
-        assert F(view.w1[eid], view.den) == edge.w1
-        assert (edge.head, view.w0[eid], view.w1[eid], eid) in view.adjacency[edge.tail]
+        assert F(graph.w0[eid], graph.den) == edge.w0
+        assert F(graph.w1[eid], graph.den) == edge.w1
+        assert (edge.head, graph.w0[eid], graph.w1[eid], eid) in graph.adjacency[edge.tail]
 
 
 def test_cost_line_equality_ignores_scaling():

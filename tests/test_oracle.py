@@ -94,22 +94,28 @@ def test_vertex_ids_outside_graph_rejected(source, target):
 
 
 @pytest.mark.parametrize(
-    "graph, source, target, error",
+    "vertex_count, edge, source, target, error",
     [
         # Tail -1 would index from the end: an edge 2 -> 1 that is not there.
-        (DualWeightGraph(3, (Edge(-1, 1, F(1), F(1)),)), 2, 1, GraphStructureError),
-        (DualWeightGraph(2, (Edge(0, 1, F(-1), F(1)),)), 0, 1, WeightDomainError),
-        (DualWeightGraph(2, (Edge(5, 1, F(1), F(1)),)), 0, 1, GraphStructureError),
+        (3, Edge(-1, 1, F(1), F(1)), 2, 1, GraphStructureError),
+        (2, Edge(0, 1, F(-1), F(1)), 0, 1, WeightDomainError),
+        (2, Edge(5, 1, F(1), F(1)), 0, 1, GraphStructureError),
     ],
     ids=["negative-tail", "negative-weight", "tail-outside"],
 )
-def test_references_refuse_what_the_builder_refuses(graph, source, target, error):
+def test_references_refuse_what_the_builder_refuses(
+    vertex_count, edge, source, target, error
+):
+    # A graph is checked when it is constructed, so no caller, the builder
+    # or a reference, ever holds one of these.
     with pytest.raises(error):
-        build_index(graph, source, target)
+        build_index(DualWeightGraph(vertex_count, (edge,)), source, target)
     with pytest.raises(error):
-        enumerate_paths(graph, source, target)
+        enumerate_paths(DualWeightGraph(vertex_count, (edge,)), source, target)
     with pytest.raises(error):
-        shortest_path_length(graph, F(1, 2), source, target)
+        shortest_path_length(
+            DualWeightGraph(vertex_count, (edge,)), F(1, 2), source, target
+        )
 
 
 def test_path_longer_than_recursion_limit():
