@@ -5,8 +5,13 @@ Generates seeded random instances, builds each index, and compares the
 result segment-for-segment with the brute-force envelope.  Each instance
 is also written as graph-file text and parsed back, as the command line
 reads it: the parsed graph must equal the generated one and build the same
-segments.  Exits nonzero on the first mismatch and prints the instance so
-it can be replayed.
+segments.  The builder forced to prune its probes must build the same
+result too, both from its usual depth of the bisection on and from the
+root on, for every random instance and for tie-heavy 4x4 and 5x5 grids
+(weights 1..3), one per 100 instances and at least two, which are also
+checked against the brute-force envelope.
+Exits nonzero on the first mismatch and prints the instance so it can be
+replayed.
 
     python3 scripts/random_verify.py --instances 5000 --seed 1
 """
@@ -21,6 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import parapath.envelope
 from parapath import (
     build_index_detailed,
     compare_envelopes,
@@ -32,7 +38,21 @@ from parapath.graphio import format_graph, parse_graph
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS_DIR))
 
-from strategies import random_instance  # noqa: E402
+from strategies import random_grid, random_instance  # noqa: E402
+
+
+def check_pruned(graph, source: int, target: int, result) -> str | None:
+    """Why the builder forced to prune disagrees with ``result``, or None."""
+    usual = parapath.envelope._PRUNE_FROM_DEPTH
+    for depth in (usual, 0):
+        parapath.envelope._PRUNE_FROM_DEPTH = depth
+        try:
+            pruned = build_index_detailed(graph, source, target, _prune=True)
+        finally:
+            parapath.envelope._PRUNE_FROM_DEPTH = usual
+        if pruned != result:
+            return f"the build pruned from depth {depth} differs from the unpruned one"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-vertices", type=int, default=8)
     parser.add_argument("--max-edges", type=int, default=20)
     args = parser.parse_args(argv)
+    grids = max(2, args.instances // 100)
 
     rng = random.Random(args.seed)
     start = time.perf_counter()
@@ -58,6 +79,8 @@ def main(argv: list[str] | None = None) -> int:
             report = "graph parsed from its own text differs"
         elif build_index_detailed(parsed, source, target) != result:
             report = "graph parsed from its own text builds other segments"
+        else:
+            report = check_pruned(graph, source, target, result)
         if report is not None:
             print(f"MISMATCH on instance {i} ({source}->{target}): {report}")
             print(format_graph(graph))
@@ -72,8 +95,18 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(format_graph(graph))
             return 1
+    for i in range(grids):
+        graph, source, target = random_grid(rng, 4 + i % 2)
+        result = build_index_detailed(graph, source, target)
+        expected = envelope_of_lines(enumerate_paths(graph, source, target))
+        report = compare_envelopes(result.index.segments, expected)
+        report = report or check_pruned(graph, source, target, result)
+        if report is not None:
+            print(f"MISMATCH on grid {i} ({source}->{target}): {report}")
+            print(format_graph(graph))
+            return 1
     elapsed = time.perf_counter() - start
-    print(f"verified {args.instances} instances in {elapsed:.1f}s")
+    print(f"verified {args.instances} instances and {grids} grids in {elapsed:.1f}s")
     print("k histogram:", dict(sorted(k_histogram.items())))
     return 0
 

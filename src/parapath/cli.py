@@ -234,7 +234,11 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_LAMBDA, str(exc))
     except OracleScaleError as exc:
         return _fail(EXIT_ORACLE_SCALE, str(exc))
-    except (OSError, UnicodeEncodeError) as exc:  # or a path no file can have
+    except OSError as exc:  # its text would echo the whole path
+        if exc.filename is None:
+            return _fail(EXIT_INPUT, str(exc))
+        return _fail(EXIT_INPUT, f"{exc.strerror}: {str(exc.filename)!r:.40}")
+    except UnicodeEncodeError as exc:  # a path no file can have
         return _fail(EXIT_INPUT, str(exc))
     except ParapathError as exc:  # anything else from the library is bad input
         return _fail(EXIT_INPUT, str(exc))

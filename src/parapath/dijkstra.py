@@ -40,6 +40,8 @@ def dijkstra_extreme_slope(
     source: int,
     target: int,
     mode: SlopeMode,
+    dead: list[bool] | None = None,
+    labels: list[int | None] | None = None,
 ) -> tuple[Path, CostLine]:
     """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
@@ -49,6 +51,14 @@ def dijkstra_extreme_slope(
     ties resolve by vertex id.  The search stops once the target is
     settled.  Raises UnreachableError when no path exists, and as
     ``validate_lambda`` and ``validate_pair`` do for a bad ``lam`` or pair.
+
+    ``dead`` marks vertices the search never enters: it serves as the
+    search's settled mask, so a relaxation pays no extra check, and the
+    search marks the vertices it settles in it.  The source and target
+    must not be marked.  ``labels``, a list of ``vertex_count`` Nones,
+    receives the length labels: exact over the unmarked vertices for a
+    settled vertex, at least the target's for any other reached vertex,
+    and None for an unreached one.
     """
     # Inline int checks, so a probe pays no call; the validators name a failure.
     n = graph.vertex_count
@@ -59,12 +69,12 @@ def dijkstra_extreme_slope(
     if source == target:
         return EMPTY_PATH, CostLine.from_scaled(0, 0, graph.den)
 
-    lengths: list[int | None] = [None] * n
+    lengths = [None] * n if labels is None else labels
     # Slopes enter as ``sign * slope``, so both modes prefer the smaller
     # (length, key) pair and a tie keeps the incumbent.
     keys = [0] * n
     prev_edge = [-1] * n
-    settled = [False] * n
+    settled = [False] * n if dead is None else dead
     sign = -1 if mode == MAX_SLOPE else 1
     a = q - p
     adjacency = graph.adjacency
@@ -109,6 +119,48 @@ def dijkstra_extreme_slope(
     slope = sign * keys[target]
     line = CostLine.from_scaled((lengths[target] - p * slope) // q, slope, graph.den)
     return Path(tuple(edges)), line
+
+
+def reverse_lengths(
+    graph: DualWeightGraph,
+    lam: Fraction,
+    source: int,
+    target: int,
+    dead: list[bool] | None = None,
+) -> list[int | None]:
+    """Plain lengths ``d(v, target)`` at ``lam``, from a search over reversed edges.
+
+    Labels are scaled like :func:`dijkstra_extreme_slope`'s, by ``q * D``
+    at ``lam = p/q``, and ``dead`` marks vertices the search never enters,
+    as it does there, and receives the settled marks.
+    The search stops once ``source`` is settled, so a label is exact over
+    the unmarked vertices for a settled vertex and at least the source's
+    for any other reached vertex; an unreached vertex keeps None.  The
+    caller checks ``lam`` and the pair.
+    """
+    p, q = lam.as_integer_ratio()
+    a = q - p
+    lengths: list[int | None] = [None] * graph.vertex_count
+    settled = [False] * graph.vertex_count if dead is None else dead
+    into = graph.reverse_adjacency
+    lengths[target] = 0
+    heap: list[tuple[int, int]] = [(0, target)]
+    while heap:
+        ell, u = heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if u == source:
+            break
+        for v, w0, w1 in into[u]:
+            if settled[v]:
+                continue
+            new_len = ell + a * w0 + p * w1
+            cur = lengths[v]
+            if cur is None or new_len < cur:
+                lengths[v] = new_len
+                heappush(heap, (new_len, v))
+    return lengths
 
 
 def shortest_path_length(

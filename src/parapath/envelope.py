@@ -28,6 +28,62 @@ lines are int arithmetic with no denominator in it.  A ``Fraction`` is
 built only for each crossing, the next probe's parameter.  The cost line
 of each output segment's witness is then walked once with
 :func:`cost_line`, and must equal the line its search returned.
+
+Interval pruning.  A probe inside ``[lo, hi]`` need only search the
+vertices that can lie on a shortest path somewhere in the interval.  For
+a probe at ``x`` with optimal length ``OPT_x``, the slack of a vertex is
+``sigma_x(v) = d_x(s, v) + d_x(v, t) - OPT_x >= 0``: the forward term
+from the probe's own search, the reverse term from one plain-length
+search from ``t`` over reversed edges and the same vertices.  Let the
+interval's lines ``l_lo`` and ``l_hi`` cross at ``r``, put
+``U = min(l_lo, l_hi)`` and ``G = U(r) - chord_OPT(r)``.  A vertex is
+live when ``sigma_lo(v) = 0``, ``sigma_hi(v) = 0`` or
+``(hi - r)/(hi - lo) * sigma_lo(v) + (r - lo)/(hi - lo) * sigma_hi(v) <= G``.
+With ``r = num / gap``, ``X = q_lo * (r - lo) * gap`` and
+``Y = q_hi * (hi - r) * gap`` are ints, and over the probes' scaled
+slacks the last test reads ``Y * sigma_lo + X * sigma_hi <= X * Y``.
+
+*The test keeps every vertex of every length-optimal path in the
+interval.*  Let ``P`` be optimal at some ``lam`` in ``[lo, hi]`` and
+``v`` on it, and assume (induction, below) that ``P`` lies in the vertex
+set each endpoint's search ran over.  Distances within a vertex set are
+minima of lines, so concave, and within either endpoint's set they are
+at most those within the two sets' intersection, which holds ``P``.  So
+the chords through the endpoints' values lie below the costs of ``P``'s
+parts before and after ``v``, and their sum ``B_v`` has
+``B_v(lam) <= cost_P(lam) = OPT(lam) <= U(lam)``.  A label that a search
+left unsettled is replaced by ``OPT``, a lower bound (the forward search
+stops at ``t``, the reverse one at ``s``), which only lowers ``B_v``.
+``B_v - U`` is convex with its one kink at ``r``, so it is at most 0
+somewhere in ``[lo, hi]`` only if it is at ``lo``, ``r`` or ``hi``, where
+it equals ``sigma_lo(v)``, the weighted sum minus ``G``, and
+``sigma_hi(v)``.  The root probes search every vertex, and the probe at
+``r`` searches the live set of ``[lo, hi]`` or every vertex, so an
+optimal path anywhere in ``[lo, r]`` or ``[r, hi]`` lies in both of that
+child's endpoint sets: the induction holds.  The sets therefore nest,
+and a child's candidates are the set of its newer endpoint.
+
+*The restricted search returns the same path and line.*  The unpruned
+search's witness is length-optimal at ``r``, and so is every tied
+predecessor of a vertex on it: a vertex whose label plus the edge gives
+the vertex's final label lies on a shortest path to it, which extends to
+``t``.  All of these are live, and so is every vertex of every shortest
+path to them, so their labels are exact in the restricted search.
+Vertices with exact labels settle in ``(length, key, id)`` order in both
+searches, adjacency order is unchanged, and a dead vertex never ties a
+live vertex's final label (it would be a tied predecessor).  So each
+witness vertex keeps the same first predecessor to reach its final
+label, and the walk back from ``t`` is the same.
+
+The probes inside the root interval and its two halves search every
+vertex, and an endpoint's reverse search runs only when a deeper
+interval first needs its slack.  A build with ``k <= 3`` probes no
+deeper (the first crossing lies on the middle segment, whose ends are
+the two further probes, and all four quarters are base cases), so it
+settles exactly what it would unpruned.  A pruned probe searches its
+live set twice and every live set holds its ends' paths, so pruning is
+on only when ``2 * (|P0| + |P1| + 2) < vertex_count``, for the edge
+counts of the two root paths.
 """
 
 from __future__ import annotations
@@ -37,7 +93,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .dijkstra import MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope
+from .dijkstra import (
+    MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope, reverse_lengths,
+)
 from .model import (
     CostLine,
     DualWeightGraph,
@@ -132,8 +190,76 @@ def check_index_invariants(index: ShortestPathIndex) -> None:
     check_segments(index.segments, strict=True)
 
 
+# Intervals shallower than this, the root and its two halves, probe every
+# vertex: the reverse searches over the whole graph that pruning them takes
+# would cost more than their probes save.  Tests lower it to reach the
+# pruned path on small builds.
+_PRUNE_FROM_DEPTH = 2
+
+
+def _dead(n: int, live: Sequence[int]) -> list[bool] | None:
+    """A fresh mask of the vertices outside ``live``, or None if there are none."""
+    if len(live) == n:
+        return None
+    dead = [True] * n
+    for v in live:
+        dead[v] = False
+    return dead
+
+
+class _Bounds:
+    """A probe's slack over the vertices its search ran over, in the
+    probe's length units, for the live tests of the intervals it ends.
+
+    Holds the search's labels until first asked: the reverse search that
+    completes the slack runs then, since a probe between two base-case
+    intervals never needs it.  ``depth`` is the probe's in the bisection
+    tree: 0 at the root ends, and one more than its interval's, which is
+    the larger of its ends' depths.
+    """
+
+    __slots__ = ("lam", "live", "labels", "opt", "depth", "_slack")
+
+    def __init__(
+        self, lam: Fraction, live: Sequence[int], labels: list, opt: int | None,
+        depth: int,
+    ) -> None:
+        self.lam, self.live, self.opt, self.depth = lam, live, opt, depth
+        self._slack = None
+        # A pruned probe keeps only its live set's labels.
+        self.labels = labels if len(live) == len(labels) else [labels[v] for v in live]
+
+    def slack(self, graph: DualWeightGraph, source: int, target: int) -> dict[int, int]:
+        """``{v: sigma(v)}``, each label a search left unsettled lowered to
+        ``OPT``, which it is at least."""
+        if self._slack is None:
+            opt, live = self.opt, self.live
+            back = reverse_lengths(
+                graph, self.lam, source, target, _dead(graph.vertex_count, live)
+            )
+            self._slack = {
+                v: (f if f is not None and f < opt else opt)
+                + (b if (b := back[v]) is not None and b < opt else opt) - opt
+                for v, f in zip(live, self.labels)
+            }
+            self.labels = None
+        return self._slack
+
+
+def _live(low: dict[int, int], high: dict[int, int], x: int, y: int) -> list[int]:
+    """The live set of an interval from its ends' slacks, ``X`` and ``Y``.
+
+    The newer end's vertex set is the smaller, and lies in the older's.
+    """
+    xy = x * y
+    return [
+        v for v in (low if len(low) <= len(high) else high)
+        if not (a := low[v]) or not (b := high[v]) or y * a + x * b <= xy
+    ]
+
+
 def build_index_detailed(
-    graph: DualWeightGraph, source: int, target: int
+    graph: DualWeightGraph, source: int, target: int, *, _prune: bool | None = None
 ) -> BuildResult:
     """Build the full shortest-path map over [0, 1], reporting search count.
 
@@ -144,24 +270,38 @@ def build_index_detailed(
     the recursion depth) can be large relative to interpreter stack limits.
     Raises RuntimeError if the bisection invariant breaks or a witness's
     walked line differs from the one its search returned: neither can
-    happen on a correct build.
+    happen on a correct build.  ``_prune`` overrides the pruning gate.
     """
     validate_graph(graph)
-    den = graph.den
+    den, n = graph.den, graph.vertex_count
 
-    def probe(lam: Fraction, mode: SlopeMode) -> tuple:
+    def probe(lam: Fraction, mode: SlopeMode, dead=None, labels=None) -> tuple:
         """lam, its numerator and denominator, the search's path, and the
         numerators (m, s) of the path's line, worth (m + lam*s) / den."""
-        path, line = dijkstra_extreme_slope(graph, lam, source, target, mode)
+        # Positional, as a call with keywords costs more.
+        path, line = dijkstra_extreme_slope(
+            graph, lam, source, target, mode, dead, labels
+        )
         m, s, _ = line.scaled()
         p, q = lam.as_integer_ratio()
         return lam, p, q, path, m, s
 
     # The sweep keeps the left end of the current interval in locals and
     # the right ends still ahead on a stack, nearest on top; each is a probe.
-    lo, pl, ql, p_lo, ma, sa = probe(ZERO, MIN_SLOPE)
-    stack = [probe(ONE, MAX_SLOPE)]
+    # The root probes keep their labels in lists the search would make anyway.
+    labels_lo, labels_hi = [None] * n, [None] * n
+    lo, pl, ql, p_lo, ma, sa = probe(ZERO, MIN_SLOPE, None, labels_lo)
+    stack = [probe(ONE, MAX_SLOPE, None, labels_hi)]
     calls = 2
+    prune = _prune
+    if prune is None:
+        prune = 2 * (len(p_lo.edges) + len(stack[0][3].edges) + 2) < n
+    if prune:
+        # Each probe's _Bounds, beside it: the left end's, and a stack
+        # in step with the probe stack.
+        everything = range(n)
+        b_lo = _Bounds(ZERO, everything, labels_lo, labels_lo[target], 0)
+        bounds = [_Bounds(ONE, everything, labels_hi, labels_hi[target], 0)]
     segments: list[EnvelopeSegment] = []
     last = None  # the last segment's (m, s)
     while stack:
@@ -184,20 +324,35 @@ def build_index_detailed(
                 segments.append(EnvelopeSegment(lo, hi, p_lo, line))
                 last = ma, sa
             lo, pl, ql, p_lo, ma, sa = stack.pop()
+            if prune:
+                b_lo = bounds.pop()
             continue
         # The lines cross at r = num / gap.  By the endpoint invariant the
         # left slope is the larger and r lies strictly inside [lo, hi],
-        # which keeps both halves nonempty.
+        # which keeps both halves nonempty: x and y are positive.
         gap = sa - sb
         num = mb - ma
-        if not (gap > 0 and pl * gap < num * ql and num * qh < ph * gap):
+        x, y = num * ql - pl * gap, ph * gap - num * qh
+        if not (gap > 0 and x > 0 and y > 0):
             raise RuntimeError(
                 f"bisection invariant broken on [{lo}, {hi}]: lines "
                 f"{(ma, sa)} and {(mb, sb)} over {den} do not cross inside it"
             )
         # The probe at r becomes the right end of [lo, r] and, once that is
         # done, the left end of [r, hi].
-        stack.append(probe(Fraction(num, gap), MIN_SLOPE))
+        r = Fraction(num, gap)
+        if not prune:
+            stack.append(probe(r, MIN_SLOPE))
+        else:
+            depth = max(b_lo.depth, bounds[-1].depth)
+            if depth >= _PRUNE_FROM_DEPTH:
+                slack_lo = b_lo.slack(graph, source, target)
+                live = _live(slack_lo, bounds[-1].slack(graph, source, target), x, y)
+            else:
+                live = everything
+            labels = [None] * n
+            stack.append(probe(r, MIN_SLOPE, _dead(n, live), labels))
+            bounds.append(_Bounds(r, live, labels, labels[target], depth + 1))
         calls += 1
 
     index = ShortestPathIndex(source, target, tuple(segments))

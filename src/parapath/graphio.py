@@ -103,13 +103,16 @@ def parse_graph(text: str) -> DualWeightGraph:
     Reads straight into the graph's int columns.  Each distinct weight
     token is parsed, checked and scaled once, and the common denominator
     grows as new tokens come in, so :func:`check_scale` refuses it while
-    the file is read.
+    the file is read.  It counts the edges the header declares, but no
+    more than the lines left can hold, so a header that overstates its
+    edge count meets the count check instead.
     """
     vertex_count: int | None = None
-    edge_count, den = 0, 1
+    edge_count, most, den = 0, 0, 1
     rows: list[tuple[int, int, str, str]] = []
     weights: dict[str, Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
@@ -124,6 +127,7 @@ def parse_graph(text: str) -> DualWeightGraph:
                 raise GraphFormatError(
                     f"header counts out of range (vertices 1..{MAX_VERTICES})", line_no
                 )
+            most = min(edge_count, len(lines) - line_no)
             continue
         if fields[0] != "e" or len(fields) != 5:
             raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", line_no)
@@ -143,7 +147,7 @@ def parse_graph(text: str) -> DualWeightGraph:
         if fresh:  # only a token's first line can fail these; failing ends the parse
             if w0.numerator <= 0 or w1.numerator <= 0:
                 raise GraphFormatError("weights must be strictly positive", line_no)
-            den = check_scale(lcm(den, w0.denominator, w1.denominator), edge_count)
+            den = check_scale(lcm(den, w0.denominator, w1.denominator), most)
         rows.append((tail, head, t0, t1))
     if vertex_count is None:
         raise GraphFormatError("missing 'psp' header line")
@@ -173,7 +177,9 @@ def _read_text(path: str | FilePath, error: type[Exception]) -> str:
     try:
         return FilePath(path).read_text()
     except UnicodeDecodeError as exc:
-        raise error(f"{path} is not text: {exc.reason} at byte {exc.start}") from None
+        raise error(
+            f"{str(path)!r:.40} is not text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def read_graph(path: str | FilePath) -> DualWeightGraph:

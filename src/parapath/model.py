@@ -194,6 +194,16 @@ class DualWeightGraph:
         return type(self).from_columns, (self.vertex_count, *columns)
 
     @cached_property
+    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """``reverse_adjacency[v]`` lists ``(tail, w0, w1)`` for the edges
+        entering ``v`` in edge-id order: built on first use, for searches
+        toward a target."""
+        into: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
+        for tail, head, a, b in zip(self.tails, self.heads, self.w0, self.w1):
+            into[head].append((tail, a, b))
+        return tuple(map(tuple, into))
+
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """The edges with ``Fraction`` weights, one shared per distinct value:
         derived on first use, for the references and the file writer."""

@@ -1,10 +1,27 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from parapath import DualWeightGraph
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def bench_instances():
+    """The benchmark's instance generator, loaded from ``perfbench/``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_instances", ROOT / "perfbench" / "instances.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -135,6 +135,26 @@ def random_instance(
             return graph, source, target
 
 
+def random_grid(
+    rng: random.Random, side: int, max_weight: int = 3
+) -> tuple[DualWeightGraph, int, int]:
+    """Two-way ``side`` x ``side`` grid with its corner-to-corner pair.
+
+    Each street gets weights ``randint(1, max_weight)``, the same both
+    ways, and edge ids are shuffled: the default gives many tied paths.
+    """
+    rows = []
+    for r in range(side):
+        for c in range(side):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < side and c2 < side:
+                    a, b = r * side + c, r2 * side + c2
+                    w0, w1 = rng.randint(1, max_weight), rng.randint(1, max_weight)
+                    rows += [(a, b, w0, w1), (b, a, w0, w1)]
+    rng.shuffle(rows)
+    return DualWeightGraph.build(side * side, rows), 0, side * side - 1
+
+
 def random_lambda(rng: random.Random, max_denominator: int = 997) -> Fraction:
     den = rng.randint(1, max_denominator)
     return Fraction(rng.randint(0, den), den)

@@ -204,10 +204,11 @@ lambda_texts = st.one_of(number_tokens, st.sampled_from(["1/4", "1/2", "3/4"]))
 def test_fuzzed_graph_file_ends_in_documented_exit(files, text, lam):
     root, _ = files
     graph = root / "fuzz.psp"
-    if isinstance(text, bytes):
-        graph.write_bytes(text)
-    else:
-        graph.write_text(text)
+    # A drawn token can hold a lone surrogate, which goes into the file as
+    # the bytes that encode it rather than failing the write.
+    if not isinstance(text, bytes):
+        text = text.encode("utf-8", "surrogatepass")
+    graph.write_bytes(text)
     pair = ["--source", "0", "--target", "3"]
     run_cli(["build", str(graph), *pair, "--out", str(root / "out" / "x.env")], root)
     run_cli(["verify", str(graph), *pair], root)
@@ -219,10 +220,9 @@ def test_fuzzed_graph_file_ends_in_documented_exit(files, text, lam):
 def test_fuzzed_envelope_file_ends_in_documented_exit(files, text, lam):
     root, _ = files
     env = root / "fuzz.env"
-    if isinstance(text, bytes):
-        env.write_bytes(text)
-    else:
-        env.write_text(text)
+    if not isinstance(text, bytes):
+        text = text.encode("utf-8", "surrogatepass")
+    env.write_bytes(text)
     csv = root / "out" / "x.csv"
     run_cli(["query", str(env), "--lambda", lam], root)
     run_cli(["export-plot", str(env), "--samples", "5", "--out", str(csv)], root)
@@ -328,3 +328,30 @@ def test_long_envelope_field_ends_in_one_short_line(files, token, key, quoted):
     env = root / "fuzz.env"
     env.write_text(text)
     run_bounded(["query", str(env), "--lambda", "1/4"], root, {0, 2})
+
+
+# -- file names ----------------------------------------------------------
+
+# Error messages cut an echoed path to 40 characters, as they cut tokens.
+MAX_PATH_MESSAGE = 200
+
+
+@pytest.mark.parametrize("name", ["x" * 5000, "d/" * 2499 + "x"])
+def test_long_path_ends_in_one_short_line(files, name):
+    root, _ = files
+    path = str(root / name)
+    assert len(path) > 5000
+    pair = ["--source", "0", "--target", "3"]
+    # Its own copy: the fuzzed calls above may write over diamond.psp.
+    good = root / "long-path-diamond.psp"
+    good.write_text(DIAMOND_TEXT)
+    for argv in (
+        ["build", path, *pair, "--out", str(root / "out" / "x.env")],
+        ["build", str(good), *pair, "--out", path],
+        ["query", path, "--lambda", "1/2"],
+        ["verify", path, *pair],
+    ):
+        code, _out, err = run_cli(argv, root)
+        assert code == 2, argv[:2]
+        assert len(err.splitlines()) == 1, err[:300]
+        assert err.startswith("error: ") and len(err.rstrip("\n")) <= MAX_PATH_MESSAGE, err[:300]

@@ -1,11 +1,8 @@
 import copy
-import importlib.util
 import json
 import math
 import pickle
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +35,6 @@ from parapath.graphio import (
 )
 from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES
 
-ROOT = Path(__file__).resolve().parent.parent
 
 DIAMOND_TEXT = """\
 # two routes crossing at 1/2
@@ -159,6 +155,14 @@ def test_missing_header_and_missing_edges_rejected():
         parse_graph("psp 2 2\ne 0 1 1 1\n")
 
 
+def test_overstated_edge_count_is_a_count_error():
+    # Scaled by the declared count, the one weight's denominator would
+    # pass the scale cap; the file holds one edge, so the count is wrong.
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("psp 2 100000000\ne 0 1 0.5 1\n")
+    assert str(info.value) == "header declares 100000000 edges, file has 1"
+
+
 def test_comments_and_blank_lines_ignored():
     text = "\n# lead\n\npsp 2 1\n# middle\ne 0 1 1 2\n\n# end\n"
     graph = parse_graph(text)
@@ -237,18 +241,6 @@ def test_undecodable_files_are_format_errors(tmp_path):
         read_graph(binary)
     with pytest.raises(EnvelopeFormatError, match="not text"):
         read_envelope(binary)
-
-
-@pytest.fixture(scope="module")
-def bench_instances():
-    """The benchmark's instance generator, loaded from ``perfbench/``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_instances", ROOT / "perfbench" / "instances.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def reference_parse_graph(text: str) -> DualWeightGraph:
