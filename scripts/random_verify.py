@@ -5,11 +5,13 @@ Generates seeded random instances, builds each index, and compares the
 result segment-for-segment with the brute-force envelope.  Each instance
 is also written as graph-file text and parsed back, as the command line
 reads it: the parsed graph must equal the generated one and build the same
-segments.  The builder forced to prune its probes must build the same
-result too, both from its usual depth of the bisection on and from the
-root on, for every random instance and for tie-heavy 4x4 and 5x5 grids
-(weights 1..3), one per 100 instances and at least two, which are also
-checked against the brute-force envelope.
+segments.  Its index is written as an envelope file and read back too:
+the loaded segments must keep the built ones' intervals and lines, and
+hold each witness's vertex walk.  The builder forced to prune its probes
+must build the same result too, both from its usual depth of the
+bisection on and from the root on, for every random instance and for
+tie-heavy 4x4 and 5x5 grids (weights 1..3), one per 100 instances and at
+least two, which are also checked against the brute-force envelope.
 Exits nonzero on the first mismatch and prints the instance so it can be
 replayed.
 
@@ -33,7 +35,14 @@ from parapath import (
     enumerate_paths,
     envelope_of_lines,
 )
-from parapath.graphio import format_graph, parse_graph
+from parapath.graphio import (
+    document_from_index,
+    format_envelope,
+    format_graph,
+    parse_envelope,
+    parse_graph,
+)
+from parapath.model import path_vertices
 
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS_DIR))
@@ -55,6 +64,29 @@ def check_pruned(graph, source: int, target: int, result) -> str | None:
     return None
 
 
+def check_parsed(graph, source: int, target: int, result) -> str | None:
+    """Why the graph read back from its own text differs or builds another
+    result, or None."""
+    parsed = parse_graph(format_graph(graph))
+    if parsed != graph:
+        return "graph parsed from its own text differs"
+    if build_index_detailed(parsed, source, target) != result:
+        return "graph parsed from its own text builds other segments"
+    return None
+
+
+def check_envelope_file(graph, index) -> str | None:
+    """Why ``index`` read back from its envelope file differs, or None."""
+    loaded = parse_envelope(format_envelope(document_from_index(index, graph)))
+    built = [(seg.lo, seg.hi, seg.line) for seg in index.segments]
+    if [(seg.lo, seg.hi, seg.line) for seg in loaded.segments] != built:
+        return "the envelope file holds other intervals or lines"
+    walks = [path_vertices(graph, seg.path, index.source) for seg in index.segments]
+    if [seg.vertices for seg in loaded.segments] != walks:
+        return "the envelope file holds other walks"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=2000)
@@ -73,14 +105,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         result = build_index_detailed(graph, source, target)
         expected = envelope_of_lines(enumerate_paths(graph, source, target))
-        report = compare_envelopes(result.index.segments, expected)
-        parsed = parse_graph(format_graph(graph))
-        if parsed != graph:
-            report = "graph parsed from its own text differs"
-        elif build_index_detailed(parsed, source, target) != result:
-            report = "graph parsed from its own text builds other segments"
-        else:
-            report = check_pruned(graph, source, target, result)
+        report = (
+            compare_envelopes(result.index.segments, expected)
+            or check_parsed(graph, source, target, result)
+            or check_envelope_file(graph, result.index)
+            or check_pruned(graph, source, target, result)
+        )
         if report is not None:
             print(f"MISMATCH on instance {i} ({source}->{target}): {report}")
             print(format_graph(graph))

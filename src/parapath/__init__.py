@@ -37,8 +37,6 @@ from .errors import (
 )
 from .generators import chain_endpoints, chain_graph, random_graph
 from .graphio import (
-    EnvelopeDocument,
-    SegmentRecord,
     document_from_index,
     read_envelope,
     read_graph,
@@ -71,7 +69,6 @@ __all__ = [
     "CostLine",
     "DualWeightGraph",
     "Edge",
-    "EnvelopeDocument",
     "EnvelopeFormatError",
     "EnvelopeSegment",
     "GeneratorParameterError",
@@ -86,7 +83,6 @@ __all__ = [
     "ParapathError",
     "Path",
     "QueryResult",
-    "SegmentRecord",
     "ShortestPathIndex",
     "UnreachableError",
     "WeightDomainError",

@@ -24,7 +24,7 @@ from .errors import (
     UnreachableError,
 )
 from .model import parse_rational, path_vertices, validate_graph, validate_lambda
-from .query import locate_segment
+from .query import locate_segment, query
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,22 +75,19 @@ def _load_graph(path: str) -> "graphio.DualWeightGraph":
 def cmd_build(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     result = envelope.build_index_detailed(graph, args.source, args.target)
-    doc = graphio.document_from_index(result.index, graph)
-    graphio.write_envelope(doc, args.out)
+    graphio.write_envelope(graphio.document_from_index(result.index, graph), args.out)
     k = result.index.k
     print(f"k={k} breakpoints={k - 1} dijkstra_calls={result.dijkstra_calls}")
     return EXIT_OK
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    doc = graphio.read_envelope(args.envelope)
-    lam = _parse_lambda(args.lam)
-    pos, _comparisons = locate_segment(doc.upper_bounds, lam)
-    seg = doc.segments[pos]
-    cost = seg.line.value(lam)
+    index = graphio.read_envelope(args.envelope)
+    hit = query(index, _parse_lambda(args.lam))
+    seg = index.segments[hit.segment_index]
     verts = ",".join(str(v) for v in seg.vertices)
     print(
-        f"cost={graphio.format_fraction(cost)} path={verts} "
+        f"cost={graphio.format_fraction(hit.cost)} path={verts} "
         f"segment=[{graphio.format_fraction(seg.lo)},{graphio.format_fraction(seg.hi)}]"
     )
     return EXIT_OK
@@ -128,17 +125,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_export_plot(args: argparse.Namespace) -> int:
     if not 2 <= args.samples <= MAX_PLOT_SAMPLES:
         return _fail(EXIT_INPUT, f"--samples must be in 2..{MAX_PLOT_SAMPLES}")
-    doc = graphio.read_envelope(args.envelope)
+    index = graphio.read_envelope(args.envelope)
     grid = {Fraction(j, args.samples - 1) for j in range(args.samples)}
-    interior = {seg.hi for seg in doc.segments[:-1]}
+    interior = {seg.hi for seg in index.segments[:-1]}
     rows: list[str] = ["lambda,cost,segment_index"]
     for lam in sorted(grid | interior):
-        pos, _ = locate_segment(doc.upper_bounds, lam)
+        pos, _ = locate_segment(index.upper_bounds, lam)
         positions = [pos]
         if lam in interior:
             positions.append(pos + 1)  # breakpoint belongs to both neighbors
         for p in positions:
-            cost = doc.segments[p].line.value(lam)
+            cost = index.segments[p].line.value(lam)
             rows.append(f"{_twelve_digits(lam)},{_twelve_digits(cost)},{p}")
     FilePath(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.out} rows={len(rows) - 1}")

@@ -108,14 +108,42 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class EnvelopeSegment:
-    """Maximal parameter interval on which one path is optimal."""
+    """Maximal parameter interval on which one path is optimal.
+
+    ``path`` is the witness's edge ids, or None for a segment read from an
+    envelope file: a vertex walk cannot tell parallel edges apart.
+    ``vertices`` is the witness's vertex walk, which an envelope file holds
+    and :func:`~parapath.graphio.document_from_index` fills in; the builder
+    leaves it None.
+    """
 
     lo: Fraction
     hi: Fraction
-    path: Path
+    path: Path | None
     line: CostLine
+    vertices: tuple[int, ...] | None = None
+
+    def __init__(self, lo, hi, path, line, vertices=None) -> None:
+        # The generated one looks ``object.__setattr__`` up per field, which
+        # cost each built segment ~0.2 us more for the fifth (criterion 8).
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "path", path)
+        _setattr(self, "line", line)
+        _setattr(self, "vertices", vertices)
+
+    @property
+    def c0(self) -> Fraction:
+        return self.line.c0
+
+    @property
+    def c1(self) -> Fraction:
+        return self.line.c1
 
 
 @dataclass(frozen=True)
@@ -145,11 +173,9 @@ class BuildResult:
 def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> None:
     """Validate the segment-array invariants, raising ValueError on failure.
 
-    Reads ``lo``, ``hi`` and ``line``, so it serves envelope-file records
-    as well as index segments.  Non-strict mode checks only the interval
-    structure; it is used when comparing against possibly-wrong envelopes.
-    Strict mode adds exact line agreement at breakpoints and strictly
-    decreasing slopes.
+    Non-strict mode checks only the interval structure; it is used when
+    comparing against possibly-wrong envelopes.  Strict mode adds exact
+    line agreement at breakpoints and strictly decreasing slopes.
     """
     if not segments:
         raise ValueError("segment array is empty")

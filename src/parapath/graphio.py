@@ -12,6 +12,11 @@ identical rational, so write/read round-trips are field-exact.
 
 Envelope documents are JSON with every rational rendered as the string
 ``numerator/denominator`` in lowest terms, plus a format version field.
+Each segment is stored as its interval, its line's values at 0 and 1,
+and its witness's vertex walk.  A document is written from, and read
+back as, a :class:`ShortestPathIndex`; a read one answers
+:func:`~parapath.query.query` like a built one, but its segments have no
+edge-id ``path``, because a vertex walk cannot tell parallel edges apart.
 """
 
 from __future__ import annotations
@@ -19,14 +24,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from pathlib import Path as FilePath
 from typing import Iterable
 
-from .envelope import ShortestPathIndex, check_segments
+from .envelope import EnvelopeSegment, ShortestPathIndex, check_segments
 from .errors import EnvelopeFormatError, GraphFormatError, NumberSizeError
 from .model import (
     MAX_NUMBER_CHARS,
@@ -192,52 +195,18 @@ def write_graph(
     FilePath(path).write_text(format_graph(graph, comments))
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One envelope segment as stored on disk: interval, line, vertex walk."""
-
-    lo: Fraction
-    hi: Fraction
-    c0: Fraction
-    c1: Fraction
-    vertices: tuple[int, ...]
-
-    @property
-    def line(self) -> CostLine:
-        return CostLine(self.c0, self.c1)
-
-
-@dataclass(frozen=True)
-class EnvelopeDocument:
-    """In-memory mirror of an envelope file; queryable without the graph."""
-
-    source: int
-    target: int
-    segments: tuple[SegmentRecord, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.segments)
-
-    @cached_property
-    def upper_bounds(self) -> tuple[Fraction, ...]:
-        return tuple(seg.hi for seg in self.segments)
-
-
 def document_from_index(
     index: ShortestPathIndex, graph: DualWeightGraph
-) -> EnvelopeDocument:
-    records = tuple(
-        SegmentRecord(
-            seg.lo,
-            seg.hi,
-            seg.line.c0,
-            seg.line.c1,
+) -> ShortestPathIndex:
+    """``index`` with each segment's vertex walk filled in, ready to write."""
+    segments = tuple(
+        EnvelopeSegment(
+            seg.lo, seg.hi, seg.path, seg.line,
             path_vertices(graph, seg.path, source=index.source),
         )
         for seg in index.segments
     )
-    return EnvelopeDocument(index.source, index.target, records)
+    return ShortestPathIndex(index.source, index.target, segments)
 
 
 def _json_array(items: list[str], depth: int) -> str:
@@ -249,13 +218,14 @@ def _json_array(items: list[str], depth: int) -> str:
     return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
 
 
-def format_envelope(doc: EnvelopeDocument) -> str:
-    """The document as ``json.dumps(payload, indent=2)`` writes it, plus a newline.
+def format_envelope(index: ShortestPathIndex) -> str:
+    """The index as ``json.dumps(payload, indent=2)`` writes it, plus a newline.
 
-    The fixed layout is written directly: any ``indent`` sends ``json.dumps``
-    to its pure-Python encoder, several times slower.  Every rational goes
-    through :func:`format_fraction`, so one past the digit limit raises
-    NumberSizeError.
+    Each segment must carry its walk, as :func:`document_from_index` gives
+    it.  The fixed layout is written directly: any ``indent`` sends
+    ``json.dumps`` to its pure-Python encoder, several times slower.  Every
+    rational goes through :func:`format_fraction`, so one past the digit
+    limit raises NumberSizeError.
     """
     segments = [
         f'{{\n      "lo": "{format_fraction(seg.lo)}",'
@@ -263,11 +233,11 @@ def format_envelope(doc: EnvelopeDocument) -> str:
         f'\n      "c0": "{format_fraction(seg.c0)}",'
         f'\n      "c1": "{format_fraction(seg.c1)}",'
         f'\n      "vertices": {_json_array(list(map(str, seg.vertices)), 3)}\n    }}'
-        for seg in doc.segments
+        for seg in index.segments
     ]
     return (
-        f'{{\n  "format": {ENVELOPE_FORMAT_VERSION},\n  "source": {doc.source},'
-        f'\n  "target": {doc.target},\n  "k": {doc.k},'
+        f'{{\n  "format": {ENVELOPE_FORMAT_VERSION},\n  "source": {index.source},'
+        f'\n  "target": {index.target},\n  "k": {index.k},'
         f'\n  "segments": {_json_array(segments, 1)}\n}}\n'
     )
 
@@ -302,8 +272,9 @@ def _parse_canonical(text: str) -> Fraction:
     return value
 
 
-def parse_envelope(text: str) -> EnvelopeDocument:
-    """Load an envelope document, refusing anything the writer cannot emit.
+def parse_envelope(text: str) -> ShortestPathIndex:
+    """Load an envelope document as an index, refusing anything the writer
+    cannot emit.
 
     Beyond the JSON structure, rationals must be canonical ``p/q``, the
     segments must pass the strict segment check (tiling of [0, 1], strictly
@@ -327,21 +298,22 @@ def parse_envelope(text: str) -> EnvelopeDocument:
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
         segments = tuple(
-            SegmentRecord(
+            EnvelopeSegment(
                 _parse_canonical(seg["lo"]),
                 _parse_canonical(seg["hi"]),
-                _parse_canonical(seg["c0"]),
-                _parse_canonical(seg["c1"]),
+                None,
+                CostLine(_parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])),
                 _json_ints(seg["vertices"]),
             )
             for seg in payload["segments"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
-    doc = EnvelopeDocument(source, target, segments)
-    if declared_k != doc.k:
+    index = ShortestPathIndex(source, target, segments)
+    if declared_k != len(segments):
         raise EnvelopeFormatError(
-            f"document declares k={show_number(declared_k)} but holds {doc.k} segments"
+            f"document declares k={show_number(declared_k)} "
+            f"but holds {len(segments)} segments"
         )
     for i, seg in enumerate(segments):
         walk = seg.vertices
@@ -355,12 +327,12 @@ def parse_envelope(text: str) -> EnvelopeDocument:
         check_segments(segments, strict=True)
     except ValueError as exc:
         raise EnvelopeFormatError(str(exc)) from None
-    return doc
+    return index
 
 
-def read_envelope(path: str | FilePath) -> EnvelopeDocument:
+def read_envelope(path: str | FilePath) -> ShortestPathIndex:
     return parse_envelope(_read_text(path, EnvelopeFormatError))
 
 
-def write_envelope(doc: EnvelopeDocument, path: str | FilePath) -> None:
-    FilePath(path).write_text(format_envelope(doc))
+def write_envelope(index: ShortestPathIndex, path: str | FilePath) -> None:
+    FilePath(path).write_text(format_envelope(index))

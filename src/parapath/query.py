@@ -1,4 +1,4 @@
-"""Point queries against a built shortest-path index.
+"""Point queries against a shortest-path index, built or read from a file.
 
 Lookup is a binary search over segment right endpoints, instrumented so
 tests can pin the comparison count to the logarithmic bound.  At a
@@ -20,8 +20,12 @@ from .envelope import ShortestPathIndex
 
 @dataclass(frozen=True)
 class QueryResult:
+    """The answer at one ``lam``.  ``path`` is the witness's edge ids, None
+    for an index read from an envelope file, whose segments hold vertex
+    walks instead: ``index.segments[segment_index].vertices``."""
+
     segment_index: int
-    path: Path
+    path: Path | None
     line: CostLine
     cost: Fraction
     comparisons: int

@@ -28,7 +28,6 @@ from parapath import (
     intersect_lines,
 )
 from parapath.envelope import EnvelopeSegment, check_segments
-from parapath.graphio import SegmentRecord
 from parapath.query import locate_segment
 
 BIG = 2**125
@@ -68,7 +67,8 @@ def test_value_matches_fraction_formula(line, lam):
 @given(cost_lines, unit_rationals)
 @settings(max_examples=200, deadline=None)
 def test_cost_at_matches_fraction_formula(line, lam):
-    record = SegmentRecord(F(0), F(1), line.c0, line.c1, (0, 1))
+    # A segment as an envelope file loads it: its line rebuilt from c0, c1.
+    record = EnvelopeSegment(F(0), F(1), None, CostLine(line.c0, line.c1), (0, 1))
     assert record.line.value(lam) == reference_value(line, lam)
 
 
@@ -153,20 +153,14 @@ def breakpoint_pairs(draw):
     return a, CostLine(c0, c0 + slope), h
 
 
-@given(breakpoint_pairs(), st.booleans())
+@given(breakpoint_pairs())
 @settings(max_examples=400, deadline=None)
-def test_strict_check_verdict_matches_fraction_formula(case, records):
+def test_strict_check_verdict_matches_fraction_formula(case):
     a, b, h = case
-    if records:
-        segments = (
-            SegmentRecord(F(0), h, a.c0, a.c1, (0, 1)),
-            SegmentRecord(h, F(1), b.c0, b.c1, (0, 1)),
-        )
-    else:
-        segments = (
-            EnvelopeSegment(F(0), h, Path(()), a),
-            EnvelopeSegment(h, F(1), Path(()), b),
-        )
+    segments = (
+        EnvelopeSegment(F(0), h, Path(()), a),
+        EnvelopeSegment(h, F(1), Path(()), b),
+    )
     want = reference_verdict(a, b, h)
     if want is None:
         check_segments(segments, strict=True)

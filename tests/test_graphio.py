@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,20 +11,23 @@ from hypothesis import strategies as st
 
 import strategies as own
 from parapath import (
+    CostLine,
     DualWeightGraph,
     Edge,
     EnvelopeFormatError,
+    EnvelopeSegment,
     GraphFormatError,
+    ShortestPathIndex,
+    breakpoints,
     build_index,
     chain_endpoints,
     chain_graph,
     document_from_index,
+    query,
     random_graph,
 )
 from parapath.errors import NumberSizeError
 from parapath.graphio import (
-    EnvelopeDocument,
-    SegmentRecord,
     format_envelope,
     format_fraction,
     format_graph,
@@ -33,7 +37,7 @@ from parapath.graphio import (
     read_envelope,
     read_graph,
 )
-from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES
+from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES, path_vertices
 
 
 DIAMOND_TEXT = """\
@@ -169,13 +173,50 @@ def test_comments_and_blank_lines_ignored():
     assert len(graph.edges) == 1
 
 
+def file_fields(index):
+    """What an envelope file keeps of each segment: interval, line and walk."""
+    return [(seg.lo, seg.hi, seg.line, seg.vertices) for seg in index.segments]
+
+
 def test_envelope_document_roundtrip(diamond):
     index = build_index(diamond, 0, 3)
     doc = document_from_index(index, diamond)
     text = format_envelope(doc)
-    assert parse_envelope(text) == doc
+    loaded = parse_envelope(text)
+    assert (loaded.source, loaded.target) == (doc.source, doc.target)
+    assert file_fields(loaded) == file_fields(doc)
+    assert all(seg.path is None for seg in loaded.segments)
     # Serialization is deterministic byte for byte.
-    assert format_envelope(parse_envelope(text)) == text
+    assert format_envelope(loaded) == text
+
+
+def roundtrip_cases():
+    cases = [(chain_graph(b), *chain_endpoints(b)) for b in range(1, 9)]
+    rng = random.Random(13)
+    cases += [own.random_instance(rng) for _ in range(30)]
+    cases += [own.random_instance(rng, max_weight=3, weight_scale=1) for _ in range(30)]
+    return cases
+
+
+def test_loaded_index_matches_built_one():
+    for graph, source, target in roundtrip_cases():
+        index = build_index(graph, source, target)
+        doc = document_from_index(index, graph)
+        assert [seg.path for seg in doc.segments] == [s.path for s in index.segments]
+        assert [seg.vertices for seg in doc.segments] == [
+            path_vertices(graph, seg.path, source) for seg in index.segments
+        ]
+        loaded = parse_envelope(format_envelope(doc))
+        assert (loaded.source, loaded.target) == (source, target)
+        assert file_fields(loaded) == file_fields(doc)
+        assert all(seg.path is None for seg in loaded.segments)
+        mids = [(seg.lo + seg.hi) / 2 for seg in index.segments]
+        for lam in [F(0), F(1), *breakpoints(index), *mids]:
+            built, read = query(index, lam), query(loaded, lam)
+            assert read.path is None
+            assert (read.segment_index, read.cost, read.line, read.comparisons) == (
+                built.segment_index, built.cost, built.line, built.comparisons
+            )
 
 
 def test_envelope_rationals_are_ratio_strings(diamond):
@@ -215,10 +256,19 @@ def test_empty_path_document_uses_single_vertex(single_edge):
     assert doc.segments[0].vertices == (1,)
 
 
+def file_index(source, target, *rows):
+    """An index as a file holds it, from ``(lo, hi, c0, c1, vertices)`` rows."""
+    return ShortestPathIndex(source, target, tuple(
+        EnvelopeSegment(lo, hi, None, CostLine(c0, c1), vertices)
+        for lo, hi, c0, c1, vertices in rows
+    ))
+
+
 def test_segment_record_cost():
-    record = SegmentRecord(F(0), F(1), F(1), F(3), (0, 1))
+    doc = file_index(0, 1, (F(0), F(1), F(1), F(3), (0, 1)))
+    record = doc.segments[0]
+    assert (record.c0, record.c1) == (F(1), F(3))
     assert record.line.value(F(1, 4)) == F(3, 2)
-    doc = EnvelopeDocument(0, 1, (record,))
     assert doc.upper_bounds == (F(1),)
 
 
@@ -257,7 +307,7 @@ def reference_parse_graph(text: str) -> DualWeightGraph:
     )
 
 
-def json_reference_envelope(doc: EnvelopeDocument) -> str:
+def json_reference_envelope(doc: ShortestPathIndex) -> str:
     """The envelope layout as ``json.dumps`` writes it; ``format_envelope``
     must produce the same bytes."""
     payload = {
@@ -313,16 +363,16 @@ ratios = st.builds(
 )
 vertex_ids = st.integers(min_value=0, max_value=10**6)
 documents = st.builds(
-    EnvelopeDocument,
+    ShortestPathIndex,
     vertex_ids,
     vertex_ids,
     st.lists(
         st.builds(
-            SegmentRecord,
+            EnvelopeSegment,
             ratios,
             ratios,
-            ratios,
-            ratios,
+            st.none(),
+            st.builds(CostLine, ratios, ratios),
             st.lists(vertex_ids, max_size=5).map(tuple),
         ),
         max_size=4,
@@ -331,10 +381,10 @@ documents = st.builds(
 
 
 @given(documents)
-@example(EnvelopeDocument(2, 2, (SegmentRecord(F(0), F(1), F(0), F(0), (2,)),)))
-@example(EnvelopeDocument(0, 1, (SegmentRecord(F(0), F(1), F(1), F(3), ()),)))
-@example(EnvelopeDocument(0, 1, ()))
-@example(EnvelopeDocument(0, 1, (SegmentRecord(F(0), F(1), F(10**4299), F(1), (0, 1)),)))
+@example(file_index(2, 2, (F(0), F(1), F(0), F(0), (2,))))
+@example(file_index(0, 1, (F(0), F(1), F(1), F(3), ())))
+@example(file_index(0, 1))
+@example(file_index(0, 1, (F(0), F(1), F(10**4299), F(1), (0, 1))))
 @settings(max_examples=150, deadline=None)
 def test_format_envelope_matches_json_reference(doc):
     try:
@@ -349,7 +399,7 @@ def test_format_envelope_matches_json_reference(doc):
 def test_format_envelope_refuses_numbers_past_the_digit_limit():
     # Not a Hypothesis example: Hypothesis prints examples, and such a
     # Fraction has no repr.
-    doc = EnvelopeDocument(0, 1, (SegmentRecord(F(0), F(1), F(10**4300), F(1), (0, 1)),))
+    doc = file_index(0, 1, (F(0), F(1), F(10**4300), F(1), (0, 1)))
     for writer in (json_reference_envelope, format_envelope):
         with pytest.raises(NumberSizeError):
             writer(doc)
