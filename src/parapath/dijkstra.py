@@ -24,8 +24,7 @@ from typing import Literal
 
 from .errors import UnreachableError
 from .model import (
-    CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, validate_lambda,
-    validate_pair,
+    CostLine, DualWeightGraph, ONE, Path, ZERO, validate_lambda, validate_pair,
 )
 
 SlopeMode = Literal["min-slope", "max-slope"]
@@ -45,10 +44,10 @@ def dijkstra_extreme_slope(
 ) -> tuple[Path, CostLine]:
     """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
-    Returns the path and its line, scaled over the graph's denominator
-    exactly as :func:`~parapath.model.cost_line` gives it.  Output is
-    deterministic: equal labels keep the incumbent predecessor, and heap
-    ties resolve by vertex id.  The search stops once the target is
+    Returns the path's edge ids and its line, scaled over the graph's
+    denominator exactly as :func:`~parapath.model.cost_line` gives it.
+    Output is deterministic: equal labels keep the incumbent predecessor,
+    and heap ties resolve by vertex id.  The search stops once the target is
     settled.  Raises UnreachableError when no path exists, and as
     ``validate_lambda`` and ``validate_pair`` do for a bad ``lam`` or pair.
 
@@ -67,7 +66,7 @@ def dijkstra_extreme_slope(
         validate_lambda(lam)
         validate_pair(graph, source, target)
     if source == target:
-        return EMPTY_PATH, CostLine.from_scaled(0, 0, graph.den)
+        return (), CostLine.from_scaled(0, 0, graph.den)
 
     lengths = [None] * n if labels is None else labels
     # Slopes enter as ``sign * slope``, so both modes prefer the smaller
@@ -118,7 +117,7 @@ def dijkstra_extreme_slope(
     edges.reverse()
     slope = sign * keys[target]
     line = CostLine.from_scaled((lengths[target] - p * slope) // q, slope, graph.den)
-    return Path(tuple(edges)), line
+    return tuple(edges), line
 
 
 def reverse_lengths(

@@ -108,18 +108,15 @@ from .model import (
 )
 
 
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EnvelopeSegment:
     """Maximal parameter interval on which one path is optimal.
 
-    ``path`` is the witness's edge ids, or None for a segment read from an
-    envelope file: a vertex walk cannot tell parallel edges apart.
-    ``vertices`` is the witness's vertex walk, which an envelope file holds
-    and :func:`~parapath.graphio.document_from_index` fills in; the builder
-    leaves it None.
+    ``path`` is the witness's edge ids, a plain tuple, or None for a
+    segment read from an envelope file: a vertex walk cannot tell parallel
+    edges apart.  ``vertices`` is the witness's vertex walk, which an
+    envelope file holds and :func:`~parapath.graphio.document_from_index`
+    fills in; the builder leaves it None.
     """
 
     lo: Fraction
@@ -127,15 +124,6 @@ class EnvelopeSegment:
     path: Path | None
     line: CostLine
     vertices: tuple[int, ...] | None = None
-
-    def __init__(self, lo, hi, path, line, vertices=None) -> None:
-        # The generated one looks ``object.__setattr__`` up per field, which
-        # cost each built segment ~0.2 us more for the fifth (criterion 8).
-        _setattr(self, "lo", lo)
-        _setattr(self, "hi", hi)
-        _setattr(self, "path", path)
-        _setattr(self, "line", line)
-        _setattr(self, "vertices", vertices)
 
     @property
     def c0(self) -> Fraction:
@@ -233,6 +221,7 @@ def _dead(n: int, live: Sequence[int]) -> list[bool] | None:
     return dead
 
 
+@dataclass(slots=True)
 class _Bounds:
     """A probe's slack over the vertices its search ran over, in the
     probe's length units, for the live tests of the intervals it ends.
@@ -244,29 +233,25 @@ class _Bounds:
     the larger of its ends' depths.
     """
 
-    __slots__ = ("lam", "live", "labels", "opt", "depth", "_slack")
-
-    def __init__(
-        self, lam: Fraction, live: Sequence[int], labels: list, opt: int | None,
-        depth: int,
-    ) -> None:
-        self.lam, self.live, self.opt, self.depth = lam, live, opt, depth
-        self._slack = None
-        # A pruned probe keeps only its live set's labels.
-        self.labels = labels if len(live) == len(labels) else [labels[v] for v in live]
+    lam: Fraction
+    live: Sequence[int]
+    labels: list | None
+    depth: int
+    _slack: dict[int, int] | None = None
 
     def slack(self, graph: DualWeightGraph, source: int, target: int) -> dict[int, int]:
         """``{v: sigma(v)}``, each label a search left unsettled lowered to
-        ``OPT``, which it is at least."""
+        ``OPT``, the target's label, which it is at least."""
         if self._slack is None:
-            opt, live = self.opt, self.live
+            labels, live = self.labels, self.live
+            opt = labels[target]
             back = reverse_lengths(
                 graph, self.lam, source, target, _dead(graph.vertex_count, live)
             )
             self._slack = {
-                v: (f if f is not None and f < opt else opt)
+                v: (f if (f := labels[v]) is not None and f < opt else opt)
                 + (b if (b := back[v]) is not None and b < opt else opt) - opt
-                for v, f in zip(live, self.labels)
+                for v in live
             }
             self.labels = None
         return self._slack
@@ -301,57 +286,52 @@ def build_index_detailed(
     validate_graph(graph)
     den, n = graph.den, graph.vertex_count
 
-    def probe(lam: Fraction, mode: SlopeMode, dead=None, labels=None) -> tuple:
-        """lam, its numerator and denominator, the search's path, and the
-        numerators (m, s) of the path's line, worth (m + lam*s) / den."""
+    def probe(lam: Fraction, mode: SlopeMode, live, depth: int) -> tuple:
+        """lam, its numerator and denominator, the search's path, the
+        numerators (m, s) of its line, worth (m + lam*s) / den, and its
+        _Bounds over ``live`` (None: search every vertex, keep no bounds)."""
+        labels = dead = bounds = None
+        if live is not None:
+            labels, dead = [None] * n, _dead(n, live)
+            bounds = _Bounds(lam, live, labels, depth)
         # Positional, as a call with keywords costs more.
         path, line = dijkstra_extreme_slope(
             graph, lam, source, target, mode, dead, labels
         )
         m, s, _ = line.scaled()
         p, q = lam.as_integer_ratio()
-        return lam, p, q, path, m, s
+        return lam, p, q, path, m, s, bounds
 
     # The sweep keeps the left end of the current interval in locals and
     # the right ends still ahead on a stack, nearest on top; each is a probe.
-    # The root probes keep their labels in lists the search would make anyway.
-    labels_lo, labels_hi = [None] * n, [None] * n
-    lo, pl, ql, p_lo, ma, sa = probe(ZERO, MIN_SLOPE, None, labels_lo)
-    stack = [probe(ONE, MAX_SLOPE, None, labels_hi)]
+    # The root probes always keep bounds, as the gate needs their paths.
+    everything = range(n)
+    lo, pl, ql, p_lo, ma, sa, b_lo = probe(ZERO, MIN_SLOPE, everything, 0)
+    stack = [probe(ONE, MAX_SLOPE, everything, 0)]
     calls = 2
     prune = _prune
     if prune is None:
-        prune = 2 * (len(p_lo.edges) + len(stack[0][3].edges) + 2) < n
-    if prune:
-        # Each probe's _Bounds, beside it: the left end's, and a stack
-        # in step with the probe stack.
-        everything = range(n)
-        b_lo = _Bounds(ZERO, everything, labels_lo, labels_lo[target], 0)
-        bounds = [_Bounds(ONE, everything, labels_hi, labels_hi[target], 0)]
+        prune = 2 * (len(p_lo) + len(stack[0][3]) + 2) < n
     segments: list[EnvelopeSegment] = []
-    last = None  # the last segment's (m, s)
+    last = None  # the (m, s) of the pending segment, built once its end is known
     while stack:
-        hi, ph, qh, _, mb, sb = stack[-1]
+        hi, ph, qh, _, mb, sb, b_hi = stack[-1]
         if qh * ma + ph * sa == qh * mb + ph * sb:
             # The left line is optimal at both ends, hence on all of [lo, hi].
-            if (ma, sa) == last:
-                # A probe interior to one optimal stretch splits it in two;
-                # fuse the halves and keep the leftmost witness path.
-                seg = segments[-1]
-                segments[-1] = EnvelopeSegment(seg.lo, hi, seg.path, seg.line)
-            else:
+            # A probe interior to one optimal stretch splits it in two; the
+            # halves fuse, keeping the leftmost witness path.
+            if (ma, sa) != last:
+                if last is not None:  # the pending segment ends here
+                    segments.append(EnvelopeSegment(start, lo, witness, line))
                 # One walk per output segment, which must give the search's line.
                 line = cost_line(graph, p_lo)
                 if line.scaled() != (ma, sa, den):
                     raise RuntimeError(
-                        f"witness {p_lo.edges} has line {line}, but its search "
+                        f"witness {p_lo} has line {line}, but its search "
                         f"gave {CostLine.from_scaled(ma, sa, den)}"
                     )
-                segments.append(EnvelopeSegment(lo, hi, p_lo, line))
-                last = ma, sa
-            lo, pl, ql, p_lo, ma, sa = stack.pop()
-            if prune:
-                b_lo = bounds.pop()
+                start, witness, last = lo, p_lo, (ma, sa)
+            lo, pl, ql, p_lo, ma, sa, b_lo = stack.pop()
             continue
         # The lines cross at r = num / gap.  By the endpoint invariant the
         # left slope is the larger and r lies strictly inside [lo, hi],
@@ -366,21 +346,17 @@ def build_index_detailed(
             )
         # The probe at r becomes the right end of [lo, r] and, once that is
         # done, the left end of [r, hi].
-        r = Fraction(num, gap)
-        if not prune:
-            stack.append(probe(r, MIN_SLOPE))
-        else:
-            depth = max(b_lo.depth, bounds[-1].depth)
-            if depth >= _PRUNE_FROM_DEPTH:
+        live = depth = None
+        if prune:
+            depth = max(b_lo.depth, b_hi.depth) + 1
+            live = everything
+            if depth > _PRUNE_FROM_DEPTH:
                 slack_lo = b_lo.slack(graph, source, target)
-                live = _live(slack_lo, bounds[-1].slack(graph, source, target), x, y)
-            else:
-                live = everything
-            labels = [None] * n
-            stack.append(probe(r, MIN_SLOPE, _dead(n, live), labels))
-            bounds.append(_Bounds(r, live, labels, labels[target], depth + 1))
+                live = _live(slack_lo, b_hi.slack(graph, source, target), x, y)
+        stack.append(probe(Fraction(num, gap), MIN_SLOPE, live, depth))
         calls += 1
 
+    segments.append(EnvelopeSegment(start, ONE, witness, line))
     index = ShortestPathIndex(source, target, tuple(segments))
     check_index_invariants(index)
     return BuildResult(index, calls)

@@ -222,11 +222,13 @@ def format_envelope(index: ShortestPathIndex) -> str:
     """The index as ``json.dumps(payload, indent=2)`` writes it, plus a newline.
 
     Each segment must carry its walk, as :func:`document_from_index` gives
-    it.  The fixed layout is written directly: any ``indent`` sends
-    ``json.dumps`` to its pure-Python encoder, several times slower.  Every
-    rational goes through :func:`format_fraction`, so one past the digit
-    limit raises NumberSizeError.
+    it, or ValueError is raised.  The fixed layout is written directly: any
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, several
+    times slower.  Every rational goes through :func:`format_fraction`, so
+    one past the digit limit raises NumberSizeError.
     """
+    if any(seg.vertices is None for seg in index.segments):
+        raise ValueError("segments carry no vertex walk; write document_from_index()")
     segments = [
         f'{{\n      "lo": "{format_fraction(seg.lo)}",'
         f'\n      "hi": "{format_fraction(seg.hi)}",'

@@ -2,14 +2,14 @@
 
 A dual-weight digraph carries two strictly positive weights per edge.
 Blending them with a parameter ``lam`` in [0, 1] yields the interpolated
-weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path is a
-linear function of ``lam``.  A graph holds its edges as int columns:
-endpoints, and both weights as ints over their least common denominator
-``D``, plus one adjacency built from them.  Searches and cost lines sum
-those ints exactly, without a gcd per addition, and return lines over
-``D``; the ``Fraction`` edges are derived only when asked for.  All
-types are immutable after construction and safe to share between
-threads.
+weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path, the
+tuple of its edge ids, is a linear function of ``lam``.  A graph holds its
+edges as int columns: endpoints, and both weights as ints over their least
+common denominator ``D``, plus one adjacency built from them.  Searches
+and cost lines sum those ints exactly, without a gcd per addition, and
+return lines over ``D``; the ``Fraction`` edges are derived only when
+asked for.  All types are immutable after construction and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -79,7 +79,11 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:  # past Python's int-from-str digit limit
         pass
     _mantissa, marker, exponent = text.lower().partition("e")
-    if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+    try:
+        wide = marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:  # not an exponent, or past the digit limit: Fraction refuses it
+        wide = False
+    if wide:
         raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     return Fraction(text)
 
@@ -272,14 +276,8 @@ def validate_lambda(lam: Fraction) -> None:
         raise LambdaRangeError(f"lambda {show_number(lam)} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class Path:
-    """A path stored as an ordered tuple of edge ids; empty means source==target."""
-
-    edges: tuple[int, ...]
-
-
-EMPTY_PATH = Path(())
+# A path's edge ids in order, empty when source == target; a name for annotations.
+Path = tuple[int, ...]
 
 
 def path_vertices(graph: DualWeightGraph, path: Path, source: int) -> tuple[int, ...]:
@@ -287,7 +285,7 @@ def path_vertices(graph: DualWeightGraph, path: Path, source: int) -> tuple[int,
 
     ``source`` names the single vertex of an empty path.
     """
-    return (source, *map(graph.heads.__getitem__, path.edges))
+    return (source, *map(graph.heads.__getitem__, path))
 
 
 class CostLine:
@@ -378,7 +376,7 @@ def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
     count = len(tails)
     seen: set[int] = set()
     prev_head: int | None = None
-    for eid in path.edges:
+    for eid in path:
         if not 0 <= eid < count:
             raise MalformedPathError(f"edge id {eid} out of range")
         tail, head = tails[eid], heads[eid]
@@ -392,6 +390,6 @@ def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
             raise MalformedPathError(f"vertex {head} repeated; path not simple")
         seen.add(head)
         prev_head = head
-    c0 = sum(map(graph.w0.__getitem__, path.edges))
-    c1 = sum(map(graph.w1.__getitem__, path.edges))
+    c0 = sum(map(graph.w0.__getitem__, path))
+    c1 = sum(map(graph.w1.__getitem__, path))
     return CostLine.from_scaled(c0, c1 - c0, graph.den)

@@ -17,7 +17,7 @@ from typing import Sequence
 from .envelope import EnvelopeSegment, check_segments
 from .errors import OracleScaleError, ParallelLinesError
 from .model import (
-    CostLine, DualWeightGraph, EMPTY_PATH, ONE, Path, ZERO, ZERO_LINE, validate_pair
+    CostLine, DualWeightGraph, ONE, Path, ZERO, ZERO_LINE, validate_pair
 )
 
 MAX_ENUMERATION_STEPS = 1_000_000
@@ -40,7 +40,7 @@ def enumerate_paths(
     adjacency = graph.adjacency
     validate_pair(graph, source, target)
     if source == target:
-        return ((ZERO_LINE, EMPTY_PATH),)
+        return ((ZERO_LINE, ()),)
 
     found: dict[tuple[Fraction, Fraction], Path] = {}
     on_path = [False] * graph.vertex_count
@@ -71,7 +71,7 @@ def enumerate_paths(
             # Extending past the target can never stay simple.
             if (e0, e1) not in found:
                 witness_edges += len(edge_stack) + 1
-                found[e0, e1] = Path((*edge_stack, eid))
+                found[e0, e1] = (*edge_stack, eid)
             continue
         on_path[head] = True
         edge_stack.append(eid)

@@ -20,9 +20,9 @@ from .envelope import ShortestPathIndex
 
 @dataclass(frozen=True)
 class QueryResult:
-    """The answer at one ``lam``.  ``path`` is the witness's edge ids, None
-    for an index read from an envelope file, whose segments hold vertex
-    walks instead: ``index.segments[segment_index].vertices``."""
+    """The answer at one ``lam``.  ``path`` is the witness's edge-id tuple,
+    None for an index read from an envelope file, whose segments hold
+    vertex walks instead: ``index.segments[segment_index].vertices``."""
 
     segment_index: int
     path: Path | None

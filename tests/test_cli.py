@@ -119,6 +119,26 @@ def test_query_lambda_out_of_range(diamond_envelope):
     assert main(["query", str(diamond_envelope), "--lambda", "1e-1001"]) == 4
 
 
+@pytest.mark.parametrize("token", ["True", "one", "2e5x"])
+def test_word_with_an_e_is_refused_as_fraction_refuses_it(
+    token, diamond_envelope, tmp_path, capsys
+):
+    capsys.readouterr()
+    assert main(["query", str(diamond_envelope), "--lambda", token]) == 4
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: cannot parse lambda {token!r}: "
+        f"Invalid literal for Fraction: {token!r}\n"
+    )
+    graph = tmp_path / "word.psp"
+    graph.write_text(f"psp 2 1\ne 0 1 1 {token}\n")
+    out = str(tmp_path / "word.env")
+    argv = ["build", str(graph), "--source", "0", "--target", "1", "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"bad weight {token!r}: Invalid literal for Fraction: {token!r}" in err
+
+
 def test_query_malformed_envelope(tmp_path):
     bad = tmp_path / "bad.env"
     bad.write_text("{}")

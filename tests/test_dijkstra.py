@@ -45,19 +45,19 @@ def test_source_equals_target_gives_empty_path(tied_diamond):
 
 def test_min_slope_breaks_tie_downward(tied_diamond):
     path, line = dijkstra_extreme_slope(tied_diamond, F(0), 0, 3, MIN_SLOPE)
-    assert path.edges == (2, 3)
+    assert path == (2, 3)
     assert (line.value(F(0)), line.slope) == (F(2), F(-1))
 
 
 def test_max_slope_breaks_tie_upward(tied_diamond):
     path, line = dijkstra_extreme_slope(tied_diamond, F(0), 0, 3, MAX_SLOPE)
-    assert path.edges == (0, 1)
+    assert path == (0, 1)
     assert (line.value(F(0)), line.slope) == (F(2), F(2))
 
 
 def test_single_edge_midpoint(single_edge):
     path, line = dijkstra_extreme_slope(single_edge, F(1, 2), 0, 1, MIN_SLOPE)
-    assert path.edges == (0,)
+    assert path == (0,)
     assert (line.value(F(1, 2)), line.slope) == (F(2), F(2))
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import parapath.envelope
 import strategies as own
 from parapath import (
+    MIN_SLOPE,
     CostLine,
     DualWeightGraph,
     ParallelLinesError,
@@ -18,9 +19,11 @@ from parapath import (
     chain_graph,
     check_index_invariants,
     compare_envelopes,
+    dijkstra_extreme_slope,
     enumerate_paths,
     envelope_of_lines,
     intersect_lines,
+    query,
     shortest_path_length,
 )
 from parapath.envelope import EnvelopeSegment, ShortestPathIndex
@@ -120,7 +123,7 @@ def test_merge_keeps_leftmost_witness_path():
     graph = DualWeightGraph.build(2, [(0, 1, 2, 1), (0, 1, 2, 1)])
     index = build_index(graph, 0, 1)
     assert index.k == 1
-    assert index.segments[0].path.edges == (0,)
+    assert index.segments[0].path == (0,)
 
 
 def test_split_stretch_keeps_leftmost_witness():
@@ -144,7 +147,27 @@ def test_split_stretch_keeps_leftmost_witness():
     index = build_index(graph, 0, 5)
     assert index.k == 3
     assert index.upper_bounds[:-1] == (F(1, 4), F(3, 4))
-    assert index.segments[1].path.edges == (0, 1)
+    assert index.segments[1].path == (0, 1)
+
+
+def test_paths_are_plain_edge_id_tuples():
+    def is_edge_ids(path):
+        return type(path) is tuple and all(type(eid) is int for eid in path)
+
+    blocks = 3
+    graph, (source, target) = chain_graph(blocks), chain_endpoints(blocks)
+    assert Path((0, 1)) == (0, 1) and type(Path((0, 1))) is tuple
+    for lam in (F(0), F(1, 3), F(1)):
+        path, _line = dijkstra_extreme_slope(graph, lam, source, target, MIN_SLOPE)
+        assert is_edge_ids(path) and path
+    assert dijkstra_extreme_slope(graph, F(0), source, source, MIN_SLOPE)[0] == ()
+    index = build_index(graph, source, target)
+    assert index.k == blocks + 1
+    assert all(is_edge_ids(seg.path) for seg in index.segments)
+    witnesses = enumerate_paths(graph, source, target)
+    assert witnesses and all(is_edge_ids(path) for _line, path in witnesses)
+    for lam in (F(0), F(1, 2), F(1)):
+        assert is_edge_ids(query(index, lam).path)
 
 
 def test_invariant_checker_rejects_bad_tilings(diamond):

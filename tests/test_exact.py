@@ -260,7 +260,7 @@ def test_search_matches_fraction_reference(case):
                 dijkstra_extreme_slope(graph, lam, source, target, mode)
             continue
         path, line = dijkstra_extreme_slope(graph, lam, source, target, mode)
-        assert (path.edges, line.value(lam), line.slope) == want
+        assert (path, line.value(lam), line.slope) == want
         # The builder compares lines by numerators alone, which needs every
         # search to return the walked line's scaling over the one ``D``.
         assert line.scaled() == cost_line(graph, path).scaled()

@@ -36,6 +36,7 @@ from parapath.graphio import (
     parse_graph,
     read_envelope,
     read_graph,
+    write_envelope,
 )
 from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES, path_vertices
 
@@ -188,6 +189,15 @@ def test_envelope_document_roundtrip(diamond):
     assert all(seg.path is None for seg in loaded.segments)
     # Serialization is deterministic byte for byte.
     assert format_envelope(loaded) == text
+
+
+def test_writing_a_built_index_names_document_from_index(diamond, tmp_path):
+    index = build_index(diamond, 0, 3)
+    out = tmp_path / "diamond.env"
+    for write in (format_envelope, lambda index: write_envelope(index, out)):
+        with pytest.raises(ValueError, match=r"^[^\n]*document_from_index[^\n]*$"):
+            write(index)
+    assert not out.exists()
 
 
 def roundtrip_cases():

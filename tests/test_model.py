@@ -75,13 +75,30 @@ class TestRationalConversion:
                 as_rational(text)
 
 
+@pytest.mark.parametrize("text", ["True", "one", "2e5x", "e", "1e", "1e+"])
+def test_letter_e_outside_an_exponent_reads_as_fraction_does(text):
+    # The exponent cap once ran int() on whatever followed the first "e".
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+        parse_rational(text)
+
+
+def test_exponent_past_the_digit_limit_is_refused():
+    with pytest.raises(ValueError, match="digits"):
+        parse_rational("1e" + "9" * 4301)
+
+
 def reference_parse_rational(text: str) -> F:
     """``parse_rational`` without its int fast path: the caps, then ``Fraction``."""
     if len(text) > MAX_NUMBER_CHARS:
         raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
     _mantissa, marker, exponent = text.lower().partition("e")
-    if marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
-        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    if marker:
+        try:
+            exp = int(exponent)
+        except ValueError:  # no exponent: Fraction refuses the token
+            exp = 0
+        if abs(exp) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     return F(text)
 
 

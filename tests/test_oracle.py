@@ -44,7 +44,7 @@ def test_identical_lines_deduplicated():
     lines = enumerate_paths(graph, 0, 2)
     assert entry_lines(lines) == [CostLine(F(2), F(2))]
     # Witness is the first path found in DFS edge order.
-    assert lines[0][1].edges == (0, 1)
+    assert lines[0][1] == (0, 1)
 
 
 def test_no_paths_gives_empty_set():

@@ -47,7 +47,7 @@ def test_diamond_queries(diamond):
     index = build_index(diamond, 0, 3)
     hit = query(index, F(1, 4))
     assert hit.segment_index == 0
-    assert hit.path.edges == (0, 1)
+    assert hit.path == (0, 1)
     assert hit.cost == F(3, 2)
     # Exactly at the breakpoint both lines give 2; leftmost segment wins.
     at_break = query(index, F(1, 2))
