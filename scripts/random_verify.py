@@ -7,7 +7,10 @@ is also written as graph-file text and parsed back, as the command line
 reads it: the parsed graph must equal the generated one and build the same
 segments.  Its index is written as an envelope file and read back too:
 the loaded segments must keep the built ones' intervals and lines, and
-hold each witness's vertex walk.  The builder forced to prune its probes
+hold each witness's vertex walk.  ``query()`` on the built index and on
+the one read back must answer the brute-force envelope's minimum cost at
+0, at 1, at each breakpoint (from the leftmost segment there) and at each
+segment midpoint.  The builder forced to prune its probes
 must build the same result too, both from its usual depth of the
 bisection on and from the root on, for every random instance and for
 tie-heavy 4x4 and 5x5 grids (weights 1..3), one per 100 instances and at
@@ -34,6 +37,7 @@ from parapath import (
     compare_envelopes,
     enumerate_paths,
     envelope_of_lines,
+    query,
 )
 from parapath.graphio import (
     document_from_index,
@@ -75,15 +79,34 @@ def check_parsed(graph, source: int, target: int, result) -> str | None:
     return None
 
 
-def check_envelope_file(graph, index) -> str | None:
-    """Why ``index`` read back from its envelope file differs, or None."""
-    loaded = parse_envelope(format_envelope(document_from_index(index, graph)))
+def check_envelope_file(graph, index, loaded) -> str | None:
+    """Why ``loaded``, ``index`` read back from its envelope file, differs,
+    or None."""
     built = [(seg.lo, seg.hi, seg.line) for seg in index.segments]
     if [(seg.lo, seg.hi, seg.line) for seg in loaded.segments] != built:
         return "the envelope file holds other intervals or lines"
     walks = [path_vertices(graph, seg.path, index.source) for seg in index.segments]
     if [seg.vertices for seg in loaded.segments] != walks:
         return "the envelope file holds other walks"
+    return None
+
+
+def check_queries(index, loaded, expected) -> str | None:
+    """Why ``query()`` on the built or the loaded index misses the oracle
+    envelope ``expected``, or None: at 0, 1, each breakpoint and each
+    segment midpoint the answer must be the envelope's minimum cost, from
+    the leftmost segment that holds the parameter."""
+    lams = [seg.lo for seg in expected] + [expected[-1].hi]
+    lams += [(seg.lo + seg.hi) / 2 for seg in expected]
+    for lam in lams:
+        cost = min(seg.line.value(lam) for seg in expected)
+        leftmost = next(i for i, seg in enumerate(expected) if lam <= seg.hi)
+        for name, idx in (("built", index), ("loaded", loaded)):
+            hit = query(idx, lam)
+            if (hit.cost, hit.segment_index) != (cost, leftmost):
+                return (f"query on the {name} index at {lam} answers cost "
+                        f"{hit.cost} from segment {hit.segment_index}, "
+                        f"not {cost} from {leftmost}")
     return None
 
 
@@ -105,10 +128,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         result = build_index_detailed(graph, source, target)
         expected = envelope_of_lines(enumerate_paths(graph, source, target))
+        index = result.index
+        loaded = parse_envelope(format_envelope(document_from_index(index, graph)))
         report = (
-            compare_envelopes(result.index.segments, expected)
+            compare_envelopes(index.segments, expected)
             or check_parsed(graph, source, target, result)
-            or check_envelope_file(graph, result.index)
+            or check_envelope_file(graph, index, loaded)
+            or check_queries(index, loaded, expected)
             or check_pruned(graph, source, target, result)
         )
         if report is not None:

@@ -128,9 +128,10 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     index = graphio.read_envelope(args.envelope)
     grid = {Fraction(j, args.samples - 1) for j in range(args.samples)}
     interior = {seg.hi for seg in index.segments[:-1]}
+    nums, dens, _ = index.query_columns
     rows: list[str] = ["lambda,cost,segment_index"]
     for lam in sorted(grid | interior):
-        pos, _ = locate_segment(index.upper_bounds, lam)
+        pos, _ = locate_segment(nums, dens, lam)
         positions = [pos]
         if lam in interior:
             positions.append(pos + 1)  # breakpoint belongs to both neighbors

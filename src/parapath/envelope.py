@@ -147,9 +147,15 @@ class ShortestPathIndex:
         return len(self.segments)
 
     @cached_property
-    def upper_bounds(self) -> tuple[Fraction, ...]:
-        """Segment right endpoints; the binary-search keys for queries."""
-        return tuple(seg.hi for seg in self.segments)
+    def query_columns(
+        self,
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        """What a point query reads, in ints: the right endpoints'
+        numerators, their denominators, and each segment's scaled line
+        ``(m, s, d)``.  Built on the first lookup, so neither a build nor
+        a file load pays for it."""
+        nums, dens = zip(*[seg.hi.as_integer_ratio() for seg in self.segments])
+        return nums, dens, tuple([seg.line.scaled() for seg in self.segments])
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,30 @@
 """Point queries against a shortest-path index, built or read from a file.
 
-Lookup is a binary search over segment right endpoints, instrumented so
-tests can pin the comparison count to the logarithmic bound.  At a
-breakpoint the two adjacent lines agree exactly; the leftmost containing
-segment is returned to keep outputs deterministic.  Comparisons
-cross-multiply numerators and denominators, which Python does in C,
-instead of going through ``Fraction``'s operators.
+A query runs in ints: the index caches its segments' right-endpoint
+numerators and denominators and their scaled lines ``(m, s, d)``
+(:attr:`~parapath.envelope.ShortestPathIndex.query_columns`, built on the
+first lookup).  Lookup is a binary search over those endpoints,
+instrumented so tests can pin the comparison count to the logarithmic
+bound; each comparison cross-multiplies two ints, which Python does in C.
+At a breakpoint the two adjacent lines agree exactly; the leftmost
+containing segment is returned to keep outputs deterministic.  The one
+``Fraction`` a query builds is its cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import CostLine, Path, validate_lambda
 from .envelope import ShortestPathIndex
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    """The answer at one ``lam``.  ``path`` is the witness's edge-id tuple,
-    None for an index read from an envelope file, whose segments hold
-    vertex walks instead: ``index.segments[segment_index].vertices``."""
+class QueryResult(NamedTuple):
+    """The answer at one ``lam``, an immutable named tuple.  ``path`` is
+    the witness's edge-id tuple, None for an index read from an envelope
+    file, whose segments hold vertex walks instead:
+    ``index.segments[segment_index].vertices``."""
 
     segment_index: int
     path: Path | None
@@ -32,21 +34,23 @@ class QueryResult:
 
 
 def locate_segment(
-    upper_bounds: Sequence[Fraction], lam: Fraction
+    nums: Sequence[int], dens: Sequence[int], lam: Fraction
 ) -> tuple[int, int]:
     """Index of the leftmost segment whose interval contains ``lam``.
 
-    ``upper_bounds`` are the strictly increasing segment right
-    endpoints, the last being 1.  Returns (index, comparison count).
+    The segment right endpoints, strictly increasing and the last being
+    1, are ``nums[i] / dens[i]`` with ``dens[i] > 0``, as
+    ``ShortestPathIndex.query_columns`` holds them.  Each comparison is
+    ``p * dens[i] <= nums[i] * q`` for ``lam = p/q``.  Returns (index,
+    comparison count).
     """
     p, q = lam.numerator, lam.denominator
-    lo, hi = 0, len(upper_bounds) - 1
+    lo, hi = 0, len(nums) - 1
     comparisons = 0
     while lo < hi:
         mid = (lo + hi) // 2
         comparisons += 1
-        bound = upper_bounds[mid]
-        if p * bound.denominator <= bound.numerator * q:
+        if p * dens[mid] <= nums[mid] * q:
             hi = mid
         else:
             lo = mid + 1
@@ -60,11 +64,15 @@ def query(index: ShortestPathIndex, lam: Fraction) -> QueryResult:
     that is not an exact rational in [0, 1].
     """
     validate_lambda(lam)
-    pos, comparisons = locate_segment(index.upper_bounds, lam)
+    nums, dens, lines = index.query_columns
+    pos, comparisons = locate_segment(nums, dens, lam)
+    m, s, d = lines[pos]
+    p, q = lam.numerator, lam.denominator
     seg = index.segments[pos]
-    return QueryResult(pos, seg.path, seg.line, seg.line.value(lam), comparisons)
+    cost = Fraction(q * m + p * s, q * d)
+    return QueryResult(pos, seg.path, seg.line, cost, comparisons)
 
 
 def breakpoints(index: ShortestPathIndex) -> tuple[Fraction, ...]:
     """The interior segment boundaries, strictly increasing, each in (0, 1)."""
-    return index.upper_bounds[:-1]
+    return tuple(seg.hi for seg in index.segments[:-1])

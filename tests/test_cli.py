@@ -1,11 +1,14 @@
+import decimal
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
 import strategies as own
 from parapath import (
-    build_index, chain_graph, graphio, query, read_envelope, write_graph,
+    build_index, chain_endpoints, chain_graph, graphio, query, read_envelope,
+    write_graph,
 )
 from parapath.cli import build_parser, main
 
@@ -248,6 +251,30 @@ def test_export_plot_duplicates_breakpoints(diamond_envelope, tmp_path, capsys):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "lambda,cost,segment_index"
     assert rows[1:] == ["0,1,0", "0.5,2,0", "0.5,2,1", "1,1,1"]
+
+
+def test_export_plot_matches_a_fraction_scan(tmp_path, capsys):
+    """Rows at 11 grid points and every breakpoint, each segment found by a
+    ``Fraction`` linear scan: a breakpoint's row comes once per segment."""
+    graph, (source, target) = chain_graph(7), chain_endpoints(7)
+    psp, env, out = tmp_path / "c.psp", tmp_path / "c.env", tmp_path / "plot.csv"
+    write_graph(graph, psp)
+    pair = ["--source", str(source), "--target", str(target)]
+    assert main(["build", str(psp), *pair, "--out", str(env)]) == 0
+    assert main(["export-plot", str(env), "--samples", "11", "--out", str(out)]) == 0
+    segments = read_envelope(env).segments
+
+    def twelve(value):
+        return str(decimal.Context(prec=12).divide(value.numerator, value.denominator))
+
+    rows = ["lambda,cost,segment_index"]
+    lams = {F(j, 10) for j in range(11)} | {seg.hi for seg in segments[:-1]}
+    for lam in sorted(lams):
+        for i, seg in enumerate(segments):
+            if seg.lo <= lam <= seg.hi:
+                rows.append(f"{twelve(lam)},{twelve(seg.line.value(lam))},{i}")
+    assert len(rows) == 1 + len(lams) + len(segments) - 1
+    assert out.read_text() == "\n".join(rows) + "\n"
 
 
 def test_export_plot_single_segment(tmp_path, capsys):

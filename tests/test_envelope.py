@@ -13,6 +13,7 @@ from parapath import (
     ParallelLinesError,
     Path,
     UnreachableError,
+    breakpoints,
     build_index,
     build_index_detailed,
     chain_endpoints,
@@ -146,7 +147,7 @@ def test_split_stretch_keeps_leftmost_witness():
     )
     index = build_index(graph, 0, 5)
     assert index.k == 3
-    assert index.upper_bounds[:-1] == (F(1, 4), F(3, 4))
+    assert breakpoints(index) == (F(1, 4), F(3, 4))
     assert index.segments[1].path == (0, 1)
 
 

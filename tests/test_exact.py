@@ -122,7 +122,9 @@ def bounds_and_lambda(draw):
 @settings(max_examples=300, deadline=None)
 def test_locate_segment_matches_linear_scan(case):
     bounds, lam = case
-    index, comparisons = locate_segment(bounds, lam)
+    nums = [b.numerator for b in bounds]
+    dens = [b.denominator for b in bounds]
+    index, comparisons = locate_segment(nums, dens, lam)
     assert index == next(i for i, b in enumerate(bounds) if lam <= b)
     assert (index, comparisons) == reference_locate(bounds, lam)
 

@@ -279,7 +279,7 @@ def test_segment_record_cost():
     record = doc.segments[0]
     assert (record.c0, record.c1) == (F(1), F(3))
     assert record.line.value(F(1, 4)) == F(3, 2)
-    assert doc.upper_bounds == (F(1),)
+    assert breakpoints(doc) == ()
 
 
 @pytest.mark.parametrize("name", sorted(own.TAMPERED_ENVELOPES))

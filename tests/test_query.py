@@ -11,13 +11,17 @@ from parapath import (
     CostLine,
     LambdaRangeError,
     Path,
+    QueryResult,
     breakpoints,
     build_index,
+    chain_endpoints,
     chain_graph,
     check_index_invariants,
+    document_from_index,
     query,
 )
 from parapath.envelope import EnvelopeSegment, ShortestPathIndex
+from parapath.graphio import format_envelope, parse_envelope
 from parapath.query import locate_segment
 
 
@@ -98,7 +102,7 @@ def test_breakpoint_resolves_to_leftmost_segment():
     index = synthetic_index(8)
     for i, bp in enumerate(breakpoints(index)):
         assert query(index, bp).segment_index == i
-        assert locate_segment(index.upper_bounds, bp) == (i, 3)
+        assert locate_segment(*index.query_columns[:2], bp) == (i, 3)
 
 
 @given(own.graphs_with_pair(max_vertices=6, max_edges=12), own.lambdas)
@@ -133,3 +137,48 @@ def test_cost_function_is_concave(instance):
         return
     c1, c2, c3 = (query(index, lam).cost for lam in lams)
     assert c2 >= ((l3 - l2) * c1 + (l2 - l1) * c3) / (l3 - l1)
+
+
+def chain7_indexes() -> tuple[ShortestPathIndex, ShortestPathIndex]:
+    """``chain_graph(7)``'s index as built and as read back from its file."""
+    graph, (source, target) = chain_graph(7), chain_endpoints(7)
+    built = build_index(graph, source, target)
+    return built, parse_envelope(format_envelope(document_from_index(built, graph)))
+
+
+def test_point_queries_compare_no_fractions(monkeypatch):
+    """Lookup and cost run on the index's int columns: with every
+    ``Fraction`` comparison raising, a built and a loaded index (each
+    building its columns on this first lookup) still answer at 0, 1, each
+    breakpoint and just either side of it as a linear scan does."""
+    built, loaded = chain7_indexes()
+    tiny = F(1, 2**80)
+    lams = [F(0), F(1)] + [b + e for b in breakpoints(built) for e in (-tiny, 0, tiny)]
+    expected = []
+    for lam in lams:
+        i = next(i for i, seg in enumerate(built.segments) if lam <= seg.hi)
+        expected.append((i, built.segments[i].line, built.segments[i].line.value(lam)))
+
+    def refuse(*args):
+        raise AssertionError("a point query compared Fractions")
+
+    with monkeypatch.context() as patch:
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            patch.setattr(F, name, refuse)
+        answers = [[query(index, lam) for lam in lams] for index in (built, loaded)]
+    for hits in answers:
+        assert [(hit.segment_index, hit.line, hit.cost) for hit in hits] == expected
+
+
+def test_query_result_is_an_immutable_named_tuple():
+    assert QueryResult._fields == (
+        "segment_index", "path", "line", "cost", "comparisons"
+    )
+    built, loaded = chain7_indexes()
+    mids = [(seg.lo + seg.hi) / 2 for seg in built.segments]
+    for lam in [F(0), F(1), *breakpoints(built), *mids]:
+        hit = query(built, lam)
+        with pytest.raises(AttributeError):
+            hit.cost = F(0)
+        assert hit.path is not None
+        assert query(loaded, lam) == hit._replace(path=None)
