@@ -51,7 +51,7 @@ from parapath.model import path_vertices
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS_DIR))
 
-from strategies import random_grid, random_instance  # noqa: E402
+from random_cases import random_grid, random_instance  # noqa: E402
 
 
 def check_pruned(graph, source: int, target: int, result) -> str | None:

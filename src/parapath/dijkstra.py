@@ -1,26 +1,54 @@
-"""Single-pair Dijkstra variants on the interpolated graph.
+"""Single-pair Dijkstra searches on the interpolated graph, run by one heap loop.
 
 ``dijkstra_extreme_slope`` finds a shortest source-to-target path under
 the blended weights at a fixed parameter and, among all tied shortest
-paths, returns one whose cost line has minimal (or maximal) slope.  Each
-vertex label is a (length, slope) pair compared lexicographically; the
-length component of every edge relaxation is strictly positive, so
-settled labels are final even though slope increments may be negative.
+paths, returns one whose cost line has minimal (or maximal) slope.
+``reverse_lengths`` gives plain lengths to a target over reversed edges,
+for the builder's pruning.  Both are one plain Dijkstra over int labels,
+:func:`_dijkstra`, in which an edge adds ``a * W0 + b * W1`` for a pair
+``(a, b)`` fixed per search.
 
-The search runs on the graph's int columns: weights ``W = w * D`` over
+The searches run on the graph's int columns: weights ``W = w * D`` over
 their common denominator ``D``.  At ``lam = p/q`` an edge adds
 ``(q - p) * W0 + p * W1`` to a length and ``W1 - W0`` to a slope, which
-are its blended weight times ``q * D`` and its slope times ``D``.  Labels
-are therefore ints scaled by two positive constants, and they compare
-exactly as the rationals they stand for.  The target's label ``(L, S)``
-gives its path's line over ``D``: slope ``S``, value ``(L - p*S) / q`` at 0.
+are its blended weight times ``q * D`` and its slope times ``D``, so
+lengths and slopes are ints scaled by two positive constants and compare
+exactly as the rationals they stand for.  ``reverse_lengths`` takes the
+length alone: ``a = q - p`` and ``b = p``.
+
+Label layout.  The slope-extremal search orders vertices by the pair
+``(length, sign * slope)``, with ``sign`` 1 for the minimal slope and -1
+for the maximal one, and holds the pair as one int::
+
+    label = (length << shift) + sign * slope + bound
+
+``bound`` is the graph's ``slope_bound``, ``(V - 1) * Wmax`` for ``V``
+vertices and ``Wmax`` the largest scaled weight, and ``shift`` is the
+bit length of ``2 * bound`` (:func:`label_shift`).  A label is the cost
+of a simple path, as it extends a settled vertex's tree path by an
+unsettled vertex, so it has at most ``V - 1`` edges, each changing the
+slope by less than ``Wmax``.  The low part
+``sign * slope + bound`` therefore lies in ``[0, 2 * bound]``, below
+``2**shift``, and never carries into the length: labels order exactly as
+their pairs do, and equal labels are equal pairs.  The source's label is
+``bound``, the pair (0, 0).  An edge adds
+``(((q - p) * W0 + p * W1) << shift) + sign * (W1 - W0)``, which is
+``a * W0 + b * W1`` with ``a = ((q - p) << shift) - sign`` and
+``b = (p << shift) + sign``.  That step is strictly positive: both
+weights are at least 1, so the length part is at least ``q << shift``,
+more than ``2 * bound``, which is at least ``2 * Wmax`` (a search needs
+``V >= 2``), while the slope part is less than ``Wmax`` in absolute
+value.  A label is thus final when its vertex is popped.  The target's
+label ``L`` gives length ``L >> shift`` and slope
+``S = sign * ((L mod 2**shift) - bound)``, and its path's line over ``D``
+has slope ``S`` and value ``(length - p*S) / q`` at 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Literal
+from typing import Literal, Sequence
 
 from .errors import UnreachableError
 from .model import (
@@ -31,6 +59,53 @@ SlopeMode = Literal["min-slope", "max-slope"]
 
 MIN_SLOPE: SlopeMode = "min-slope"
 MAX_SLOPE: SlopeMode = "max-slope"
+
+
+def _dijkstra(
+    adjacency: Sequence[Sequence[tuple[int, int, int, int]]], a: int, b: int,
+    origin: int, start: int, stop: int, settled: list[bool], labels: list[int | None],
+) -> list[int]:
+    """Plain Dijkstra from ``origin``, labelled ``start``, in which an entry
+    ``(v, w0, w1, eid)`` of ``adjacency[u]`` adds ``a * w0 + b * w1``, which
+    must be positive.  Returns, for each vertex, the id of the edge whose
+    relaxation set its label, or -1.
+
+    The search stops once ``stop`` is settled.  ``settled`` marks the
+    vertices it never enters and receives its settled marks, so a
+    relaxation pays no extra check.  ``labels``, all None, receives the
+    labels: exact over the unmarked vertices for a settled vertex, at
+    least the stop vertex's for any other reached vertex, and None for an
+    unreached one.  Equal labels keep the incumbent predecessor, and heap
+    ties resolve by vertex id, so the output is deterministic.
+    """
+    prev_edge = [-1] * len(labels)
+    labels[origin] = start
+    heap = [(start, origin)]
+    while heap:
+        ell, u = heappop(heap)
+        # Each push lowers its vertex's label, so a vertex's first pop holds
+        # its current label and every later pop finds it settled.
+        if settled[u]:
+            continue
+        settled[u] = True
+        if u == stop:
+            break
+        for v, w0, w1, eid in adjacency[u]:
+            if settled[v]:
+                continue
+            new = ell + a * w0 + b * w1
+            cur = labels[v]
+            if cur is None or new < cur:
+                labels[v] = new
+                prev_edge[v] = eid
+                heappush(heap, (new, v))
+    return prev_edge
+
+
+def label_shift(graph: DualWeightGraph) -> int:
+    """How far a slope-extremal label shifts its length: the bit length of
+    ``2 * graph.slope_bound``.  ``label >> label_shift(graph)`` is the length."""
+    return (2 * graph.slope_bound).bit_length()
 
 
 def dijkstra_extreme_slope(
@@ -48,60 +123,38 @@ def dijkstra_extreme_slope(
     denominator exactly as :func:`~parapath.model.cost_line` gives it.
     Output is deterministic: equal labels keep the incumbent predecessor,
     and heap ties resolve by vertex id.  The search stops once the target is
-    settled.  Raises UnreachableError when no path exists, and as
+    settled.  Raises UnreachableError when no path exists, ValueError for a
+    ``mode`` other than ``MIN_SLOPE`` or ``MAX_SLOPE``, and as
     ``validate_lambda`` and ``validate_pair`` do for a bad ``lam`` or pair.
 
     ``dead`` marks vertices the search never enters: it serves as the
-    search's settled mask, so a relaxation pays no extra check, and the
-    search marks the vertices it settles in it.  The source and target
-    must not be marked.  ``labels``, a list of ``vertex_count`` Nones,
-    receives the length labels: exact over the unmarked vertices for a
-    settled vertex, at least the target's for any other reached vertex,
-    and None for an unreached one.
+    search's settled mask, and the search marks the vertices it settles in
+    it.  The source and target must not be marked.  ``labels``, a list of
+    ``vertex_count`` Nones, receives the labels laid out as the module
+    docstring says, whose lengths are ``label >> label_shift(graph)``:
+    exact over the unmarked vertices for a settled vertex, at least the
+    target's for any other reached vertex, and None for an unreached one.
     """
-    # Inline int checks, so a probe pays no call; the validators name a failure.
+    # Inline int checks, so a probe calls no validator; they name a failure.
     n = graph.vertex_count
-    p, q = getattr(lam, "numerator", -1), getattr(lam, "denominator", 0)
+    p, q = lam.as_integer_ratio() if type(lam) is Fraction else (-1, 0)
     if not (0 <= p <= q and 0 <= source < n and 0 <= target < n):
         validate_lambda(lam)
         validate_pair(graph, source, target)
+        p, q = lam.numerator, lam.denominator
+    sign = 1 if mode == MIN_SLOPE else -1 if mode == MAX_SLOPE else 0
+    if not sign:
+        raise ValueError(f"unknown slope mode {mode!r:.40}")
     if source == target:
         return (), CostLine.from_scaled(0, 0, graph.den)
 
-    lengths = [None] * n if labels is None else labels
-    # Slopes enter as ``sign * slope``, so both modes prefer the smaller
-    # (length, key) pair and a tie keeps the incumbent.
-    keys = [0] * n
-    prev_edge = [-1] * n
+    bound, shift = graph.slope_bound, label_shift(graph)
+    labels = [None] * n if labels is None else labels
     settled = [False] * n if dead is None else dead
-    sign = -1 if mode == MAX_SLOPE else 1
-    a = q - p
-    adjacency = graph.adjacency
-
-    lengths[source] = 0
-    # Heap entries are (length, key, vertex): ties on the label break
-    # toward the smaller vertex id, which pins down the output.
-    heap: list[tuple[int, int, int]] = [(0, 0, source)]
-    while heap:
-        ell, key, u = heappop(heap)
-        # Each push lowers its vertex's label, so a vertex's first pop holds
-        # its current label and every later pop finds it settled.
-        if settled[u]:
-            continue
-        settled[u] = True
-        if u == target:
-            break
-        for v, w0, w1, eid in adjacency[u]:
-            if settled[v]:
-                continue
-            new_len = ell + a * w0 + p * w1
-            new_key = key + sign * (w1 - w0)
-            cur = lengths[v]
-            if cur is None or new_len < cur or (new_len == cur and new_key < keys[v]):
-                lengths[v] = new_len
-                keys[v] = new_key
-                prev_edge[v] = eid
-                heappush(heap, (new_len, new_key, v))
+    prev_edge = _dijkstra(
+        graph.adjacency, ((q - p) << shift) - sign, (p << shift) + sign,
+        source, bound, target, settled, labels,
+    )
     if not settled[target]:
         raise UnreachableError(f"vertex {target} not reachable from {source}")
 
@@ -115,8 +168,10 @@ def dijkstra_extreme_slope(
         edges.append(eid)
         v = tails[eid]
     edges.reverse()
-    slope = sign * keys[target]
-    line = CostLine.from_scaled((lengths[target] - p * slope) // q, slope, graph.den)
+    label = labels[target]
+    length = label >> shift
+    slope = sign * (label - (length << shift) - bound)
+    line = CostLine.from_scaled((length - p * slope) // q, slope, graph.den)
     return tuple(edges), line
 
 
@@ -129,36 +184,19 @@ def reverse_lengths(
 ) -> list[int | None]:
     """Plain lengths ``d(v, target)`` at ``lam``, from a search over reversed edges.
 
-    Labels are scaled like :func:`dijkstra_extreme_slope`'s, by ``q * D``
-    at ``lam = p/q``, and ``dead`` marks vertices the search never enters,
-    as it does there, and receives the settled marks.
-    The search stops once ``source`` is settled, so a label is exact over
-    the unmarked vertices for a settled vertex and at least the source's
-    for any other reached vertex; an unreached vertex keeps None.  The
-    caller checks ``lam`` and the pair.
+    Lengths are scaled by ``q * D`` at ``lam = p/q``, as the slope-extremal
+    labels' are, and ``dead`` marks vertices the search never enters, as it
+    does there, and receives the settled marks.  The search stops once
+    ``source`` is settled, so a length is exact over the unmarked vertices
+    for a settled vertex and at least the source's for any other reached
+    vertex; an unreached vertex keeps None.  The caller checks ``lam`` and
+    the pair.
     """
     p, q = lam.as_integer_ratio()
-    a = q - p
-    lengths: list[int | None] = [None] * graph.vertex_count
-    settled = [False] * graph.vertex_count if dead is None else dead
-    into = graph.reverse_adjacency
-    lengths[target] = 0
-    heap: list[tuple[int, int]] = [(0, target)]
-    while heap:
-        ell, u = heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        if u == source:
-            break
-        for v, w0, w1 in into[u]:
-            if settled[v]:
-                continue
-            new_len = ell + a * w0 + p * w1
-            cur = lengths[v]
-            if cur is None or new_len < cur:
-                lengths[v] = new_len
-                heappush(heap, (new_len, v))
+    n = graph.vertex_count
+    lengths: list[int | None] = [None] * n
+    settled = [False] * n if dead is None else dead
+    _dijkstra(graph.reverse_adjacency, q - p, p, target, 0, source, settled, lengths)
     return lengths
 
 

@@ -69,7 +69,7 @@ predecessor of a vertex on it: a vertex whose label plus the edge gives
 the vertex's final label lies on a shortest path to it, which extends to
 ``t``.  All of these are live, and so is every vertex of every shortest
 path to them, so their labels are exact in the restricted search.
-Vertices with exact labels settle in ``(length, key, id)`` order in both
+Vertices with exact labels settle in ``(label, id)`` order in both
 searches, adjacency order is unchanged, and a dead vertex never ties a
 live vertex's final label (it would be a tied predecessor).  So each
 witness vertex keeps the same first predecessor to reach its final
@@ -94,7 +94,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .dijkstra import (
-    MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope, reverse_lengths,
+    MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope, label_shift,
+    reverse_lengths,
 )
 from .model import (
     CostLine,
@@ -250,12 +251,13 @@ class _Bounds:
         ``OPT``, the target's label, which it is at least."""
         if self._slack is None:
             labels, live = self.labels, self.live
-            opt = labels[target]
+            shift = label_shift(graph)
+            opt = labels[target] >> shift
             back = reverse_lengths(
                 graph, self.lam, source, target, _dead(graph.vertex_count, live)
             )
             self._slack = {
-                v: (f if (f := labels[v]) is not None and f < opt else opt)
+                v: (opt if (f := labels[v]) is None or (f := f >> shift) > opt else f)
                 + (b if (b := back[v]) is not None and b < opt else opt) - opt
                 for v in live
             }
@@ -292,11 +294,12 @@ def build_index_detailed(
     validate_graph(graph)
     den, n = graph.den, graph.vertex_count
 
-    def probe(lam: Fraction, mode: SlopeMode, live, depth: int) -> tuple:
+    def probe(lam: Fraction, mode: SlopeMode, live, depth, labels=None) -> tuple:
         """lam, its numerator and denominator, the search's path, the
         numerators (m, s) of its line, worth (m + lam*s) / den, and its
-        _Bounds over ``live`` (None: search every vertex, keep no bounds)."""
-        labels = dead = bounds = None
+        _Bounds over ``live`` (None: search every vertex, keep no bounds,
+        and leave the search's labels in ``labels`` if given)."""
+        dead = bounds = None
         if live is not None:
             labels, dead = [None] * n, _dead(n, live)
             bounds = _Bounds(lam, live, labels, depth)
@@ -310,14 +313,19 @@ def build_index_detailed(
 
     # The sweep keeps the left end of the current interval in locals and
     # the right ends still ahead on a stack, nearest on top; each is a probe.
-    # The root probes always keep bounds, as the gate needs their paths.
+    # The root probes keep their labels, and get bounds once the gate,
+    # which needs their paths, turns pruning on.
     everything = range(n)
-    lo, pl, ql, p_lo, ma, sa, b_lo = probe(ZERO, MIN_SLOPE, everything, 0)
-    stack = [probe(ONE, MAX_SLOPE, everything, 0)]
+    roots = [None] * n, [None] * n
+    lo, pl, ql, p_lo, ma, sa, b_lo = probe(ZERO, MIN_SLOPE, None, 0, roots[0])
+    stack = [probe(ONE, MAX_SLOPE, None, 0, roots[1])]
     calls = 2
     prune = _prune
     if prune is None:
         prune = 2 * (len(p_lo) + len(stack[0][3]) + 2) < n
+    if prune:
+        b_lo = _Bounds(ZERO, everything, roots[0], 0)
+        stack[0] = (*stack[0][:-1], _Bounds(ONE, everything, roots[1], 0))
     segments: list[EnvelopeSegment] = []
     last = None  # the (m, s) of the pending segment, built once its end is known
     while stack:

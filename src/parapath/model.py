@@ -198,14 +198,26 @@ class DualWeightGraph:
         return type(self).from_columns, (self.vertex_count, *columns)
 
     @cached_property
-    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """``reverse_adjacency[v]`` lists ``(tail, w0, w1)`` for the edges
-        entering ``v`` in edge-id order: built on first use, for searches
-        toward a target."""
-        into: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
-        for tail, head, a, b in zip(self.tails, self.heads, self.w0, self.w1):
-            into[head].append((tail, a, b))
+    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """``reverse_adjacency[v]`` lists ``(tail, w0, w1, edge id)`` for the
+        edges entering ``v`` in edge-id order, the shape of ``adjacency``:
+        built on first use, for searches toward a target."""
+        into: list[list[tuple]] = [[] for _ in range(self.vertex_count)]
+        entries = zip(self.tails, self.w0, self.w1, range(len(self.tails)))
+        for head, entry in zip(self.heads, entries):
+            into[head].append(entry)
         return tuple(map(tuple, into))
+
+    @cached_property
+    def slope_bound(self) -> int:
+        """``(vertex_count - 1) * Wmax``, for ``Wmax`` the largest scaled
+        weight: at least the scaled slope's absolute value on any simple
+        path, which has at most ``vertex_count - 1`` edges, each changing
+        the slope by ``w1 - w0``, less than ``Wmax`` in absolute value.
+        A breakpoint's reduced denominator divides a difference of two
+        such slopes, so it is at most twice the bound."""
+        wmax = max(max(self.w0, default=0), max(self.w1, default=0))
+        return (self.vertex_count - 1) * wmax
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:

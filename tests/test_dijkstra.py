@@ -15,6 +15,8 @@ from parapath import (
     MIN_SLOPE,
     Path,
     UnreachableError,
+    chain_endpoints,
+    chain_graph,
     cost_line,
     dijkstra_extreme_slope,
     enumerate_paths,
@@ -92,6 +94,18 @@ def test_search_checks_its_inputs(lam, source, target, error):
             dijkstra_extreme_slope(graph, lam, source, target, mode)
     with pytest.raises(error):
         shortest_path_length(graph, lam, source, target)
+
+
+def test_search_refuses_an_unknown_mode():
+    # Unchecked, "max" ran the min-slope search: on chain_graph(3) at 1/2
+    # it returned the min-slope path (2, 3, 6, 7, 10, 11).
+    graph = chain_graph(3)
+    source, target = chain_endpoints(3)
+    for mode, shown in (("max", "'max'"), ("x" * 500, "'" + "x" * 39)):
+        for pair in ((source, target), (source, source)):
+            with pytest.raises(ValueError) as caught:
+                dijkstra_extreme_slope(graph, F(1, 2), *pair, mode)
+            assert str(caught.value) == f"unknown slope mode {shown}"
 
 
 def _enumerated_extremes(graph, source, target, lam):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parapath.envelope
 import strategies as own
@@ -223,3 +224,29 @@ def test_every_segment_is_pointwise_sound(instance):
             assert seg.line.value(lam) == shortest_path_length(
                 graph, lam, source, target
             )
+
+
+@given(st.one_of(
+    own.graphs_with_pair(max_vertices=8, max_edges=20),
+    st.integers(0, 2**32 - 1).map(lambda seed: own.random_instance(
+        random.Random(seed), max_vertices=10, max_edges=30, weight_scale=7
+    )),
+))
+@settings(max_examples=150, deadline=None)
+def test_breakpoint_denominators_stay_under_twice_the_slope_bound(instance):
+    # A breakpoint is a difference of two lines' values over the difference
+    # of their scaled slopes, each less than ``slope_bound`` in absolute
+    # value, so its reduced denominator is at most twice the bound.
+    graph, source, target = instance
+    for seg in build_index(graph, source, target).segments[:-1]:
+        assert seg.hi.denominator <= 2 * graph.slope_bound
+
+
+def test_chain_breakpoints_stay_under_twice_the_slope_bound():
+    for blocks in (1, 2, 3, 7, 15, 31, 63):
+        graph = chain_graph(blocks)
+        index = build_index(graph, *chain_endpoints(blocks))
+        largest = max(seg.hi.denominator for seg in index.segments)
+        assert largest <= 2 * graph.slope_bound
+    # chain_graph(63), the benchmark's chain: 65-bit breakpoints, a 73-bit bound.
+    assert (largest.bit_length(), (2 * graph.slope_bound).bit_length()) == (65, 73)

@@ -10,7 +10,7 @@ import heapq
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
@@ -267,3 +267,39 @@ def test_search_matches_fraction_reference(case):
         # search to return the walked line's scaling over the one ``D``.
         assert line.scaled() == cost_line(graph, path).scaled()
         assert line.scaled()[2] == graph.den
+
+
+@st.composite
+def steep_ties(draw):
+    """Rows of a chain of ``m`` layers of parallel edges with ``w0 = 1`` and
+    ``w1`` of at least half the largest weight plus 1, so all its paths tie
+    in length at 0 and each has a slope of at least half the graph's
+    ``slope_bound``, ``m`` times the largest weight."""
+    m = draw(st.integers(1, 6))
+    top = draw(st.integers(2, 60))
+    rows = []
+    for i in range(m):
+        steep = st.integers((top + 1) // 2 + 1, top)
+        rises = draw(st.lists(steep, min_size=1, max_size=3))
+        rows += [(i, i + 1, 1, w1) for w1 in rises]
+    return m, rows
+
+
+@given(steep_ties(), unit_rationals)
+@example((3, [(0, 1, 1, 10), (1, 2, 1, 10), (2, 3, 1, 10)]), F(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_search_keeps_steep_tied_slopes_exact(case, lam):
+    # The search packs a slope into the low bits of its label, below the
+    # length, and slopes this close to the bound use nearly all of them: a
+    # label laid out one bit short reads a wrong length or slope here.  At
+    # 0 the paths tie; mirrored, with w0 and w1 swapped, they tie at 1.
+    m, rows = case
+    mirrored = [(t, h, w1, w0) for t, h, w0, w1 in rows]
+    for weights, tie in ((rows, F(0)), (mirrored, F(1))):
+        graph = DualWeightGraph.build(m + 1, weights)
+        for at in (tie, lam):
+            for mode in (MIN_SLOPE, MAX_SLOPE):
+                want = reference_extreme_slope(graph, at, 0, m, mode)
+                path, line = dijkstra_extreme_slope(graph, at, 0, m, mode)
+                assert (path, line.value(at), line.slope) == want
+                assert 2 * abs(line.scaled()[1]) >= graph.slope_bound
