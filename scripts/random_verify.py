@@ -6,11 +6,12 @@ result segment-for-segment with the brute-force envelope.  Each instance
 is also written as graph-file text and parsed back, as the command line
 reads it: the parsed graph must equal the generated one and build the same
 segments.  Its index is written as an envelope file and read back too:
-the loaded segments must keep the built ones' intervals and lines, and
-hold each witness's vertex walk.  ``query()`` on the built index and on
-the one read back must answer the brute-force envelope's minimum cost at
-0, at 1, at each breakpoint (from the leftmost segment there) and at each
-segment midpoint.  The builder forced to prune its probes
+the loaded segments must keep the built ones' intervals and lines and
+hold each witness's vertex walk, and the loaded index's query columns must
+hold the built one's endpoint ints and lines.  ``query()`` on the built
+index and on the one read back must answer the brute-force envelope's
+minimum cost at 0, at 1, at each breakpoint (from the leftmost segment
+there) and at each segment midpoint.  The builder forced to prune its probes
 must build the same result too, both from its usual depth of the
 bisection on and from the root on, for every random instance and for
 tie-heavy 4x4 and 5x5 grids (weights 1..3), one per 100 instances and at
@@ -33,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import parapath.envelope
 from parapath import (
+    CostLine,
     build_index_detailed,
     compare_envelopes,
     enumerate_paths,
@@ -88,6 +90,15 @@ def check_envelope_file(graph, index, loaded) -> str | None:
     walks = [path_vertices(graph, seg.path, index.source) for seg in index.segments]
     if [seg.vertices for seg in loaded.segments] != walks:
         return "the envelope file holds other walks"
+    # The endpoints must agree in ints.  A built line is scaled by the
+    # graph's common denominator and a loaded one by its endpoint values'
+    # own, so the lines must agree as values.
+    ours, theirs = (
+        (nums, dens, [CostLine.from_scaled(*line) for line in lines])
+        for nums, dens, lines in (index.query_columns, loaded.query_columns)
+    )
+    if theirs != ours:
+        return "the loaded index holds other query columns"
     return None
 
 

@@ -108,6 +108,8 @@ from .model import (
     validate_graph,
 )
 
+Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]
+
 
 @dataclass(frozen=True)
 class EnvelopeSegment:
@@ -148,15 +150,10 @@ class ShortestPathIndex:
         return len(self.segments)
 
     @cached_property
-    def query_columns(
-        self,
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-        """What a point query reads, in ints: the right endpoints'
-        numerators, their denominators, and each segment's scaled line
-        ``(m, s, d)``.  Built on the first lookup, so neither a build nor
-        a file load pays for it."""
-        nums, dens = zip(*[seg.hi.as_integer_ratio() for seg in self.segments])
-        return nums, dens, tuple([seg.line.scaled() for seg in self.segments])
+    def query_columns(self) -> Columns:
+        """What a query reads: the strict :func:`check_segments`' endpoint ints and
+        lines, kept by a build or a file load, else computed on the first query."""
+        return check_segments(self.segments)
 
 
 @dataclass(frozen=True)
@@ -165,12 +162,15 @@ class BuildResult:
     dijkstra_calls: int
 
 
-def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> None:
+def check_segments(
+    segments: Sequence[EnvelopeSegment], strict: bool = True
+) -> Columns | None:
     """Validate the segment-array invariants, raising ValueError on failure.
 
     Non-strict mode checks only the interval structure; it is used when
     comparing against possibly-wrong envelopes.  Strict mode adds exact
-    line agreement at breakpoints and strictly decreasing slopes.
+    line agreement at breakpoints and strictly decreasing slopes, and
+    returns the ints it read as :attr:`ShortestPathIndex.query_columns`.
     """
     if not segments:
         raise ValueError("segment array is empty")
@@ -187,7 +187,7 @@ def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> 
         if lp * hq >= hp * lq:
             ends = ", ".join(map(show_number, (segments[i].lo, segments[i].hi)))
             raise ValueError(f"segment {i} has empty interval [{ends}]")
-    lines = [seg.line.scaled() for seg in segments] if strict else []
+    lines = tuple([seg.line.scaled() for seg in segments]) if strict else ()
     for i in range(len(segments) - 1):
         p, q = his[i]
         if his[i] != los[i + 1]:
@@ -204,11 +204,13 @@ def check_segments(segments: Sequence[EnvelopeSegment], strict: bool = True) -> 
                 f"lines disagree at breakpoint {show_number(segments[i].hi)} "
                 f"between {i} and {i + 1}"
             )
+    return (*zip(*his), lines) if strict else None
 
 
 def check_index_invariants(index: ShortestPathIndex) -> None:
-    """Strict invariant check over a whole index."""
-    check_segments(index.segments, strict=True)
+    """Strict invariant check over a whole index, kept as its query_columns:
+    stored directly, as under Python 3.11 the property's first read takes a lock."""
+    vars(index)["query_columns"] = check_segments(index.segments)
 
 
 # Intervals shallower than this, the root and its two halves, probe every

@@ -25,11 +25,11 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path as FilePath
 from typing import Iterable
 
-from .envelope import EnvelopeSegment, ShortestPathIndex, check_segments
+from .envelope import EnvelopeSegment, ShortestPathIndex, check_index_invariants
 from .errors import EnvelopeFormatError, GraphFormatError, NumberSizeError
 from .model import (
     MAX_NUMBER_CHARS,
@@ -262,16 +262,23 @@ def _json_ints(values: list) -> tuple[int, ...]:
 _CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _parse_canonical(text: str) -> Fraction:
-    """The writer's one spelling: unsigned ``p/q`` in lowest terms, q >= 1."""
+def _parse_canonical(text: str) -> tuple[int, int]:
+    """``(p, q)`` of the writer's one spelling: unsigned ``p/q``, lowest terms."""
     match = len(text) <= MAX_NUMBER_CHARS and _CANONICAL.fullmatch(text)
     if not match:
         raise ValueError(f"not a canonical p/q: {text!r:.40}")
-    q = int(match[2])
-    value = Fraction(int(match[1]), q)
-    if value.denominator != q:
+    p, q = int(match[1]), int(match[2])
+    if gcd(p, q) != 1:
         raise ValueError(f"{text!r:.40} is not in lowest terms")
-    return value
+    return p, q
+
+
+def _parse_segment(seg: dict) -> EnvelopeSegment:
+    """One segment record, its line scaled as ``CostLine(c0, c1)`` scales it."""
+    lo, hi = (Fraction(*_parse_canonical(seg[key])) for key in ("lo", "hi"))
+    (a, b), (c, d) = _parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])
+    line = CostLine.from_scaled(a * d, c * b - a * d, b * d)
+    return EnvelopeSegment(lo, hi, None, line, _json_ints(seg["vertices"]))
 
 
 def parse_envelope(text: str) -> ShortestPathIndex:
@@ -281,9 +288,9 @@ def parse_envelope(text: str) -> ShortestPathIndex:
     Beyond the JSON structure, rationals must be canonical ``p/q``, the
     segments must pass the strict segment check (tiling of [0, 1], strictly
     decreasing slopes, lines agreeing at breakpoints) and every vertex walk
-    must be a simple path from source to target:
-    queries answer from the file alone, so a tampered file would
-    otherwise answer wrongly.
+    must be a simple path from source to target: queries answer from the
+    file alone, so a tampered file would otherwise answer wrongly.  The
+    index keeps the strict check's ints as its ``query_columns``.
     """
     try:
         payload = json.loads(text)
@@ -299,16 +306,7 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         source = _json_int(payload["source"], "source")
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
-        segments = tuple(
-            EnvelopeSegment(
-                _parse_canonical(seg["lo"]),
-                _parse_canonical(seg["hi"]),
-                None,
-                CostLine(_parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])),
-                _json_ints(seg["vertices"]),
-            )
-            for seg in payload["segments"]
-        )
+        segments = tuple(map(_parse_segment, payload["segments"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)
@@ -326,7 +324,7 @@ def parse_envelope(text: str) -> ShortestPathIndex:
                 f"segment {i}: walk is not a simple path from {ends}"
             )
     try:
-        check_segments(segments, strict=True)
+        check_index_invariants(index)
     except ValueError as exc:
         raise EnvelopeFormatError(str(exc)) from None
     return index

@@ -1,14 +1,14 @@
 """Point queries against a shortest-path index, built or read from a file.
 
-A query runs in ints: the index caches its segments' right-endpoint
+A query runs in ints: the index holds its segments' right-endpoint
 numerators and denominators and their scaled lines ``(m, s, d)``
-(:attr:`~parapath.envelope.ShortestPathIndex.query_columns`, built on the
-first lookup).  Lookup is a binary search over those endpoints,
-instrumented so tests can pin the comparison count to the logarithmic
-bound; each comparison cross-multiplies two ints, which Python does in C.
-At a breakpoint the two adjacent lines agree exactly; the leftmost
-containing segment is returned to keep outputs deterministic.  The one
-``Fraction`` a query builds is its cost.
+(:attr:`~parapath.envelope.ShortestPathIndex.query_columns`, kept from the
+strict check that ends its build or load).  Lookup is a binary search over
+those endpoints, instrumented so tests can pin the comparison count to the
+logarithmic bound; each comparison cross-multiplies two ints, which Python
+does in C.  At a breakpoint the two adjacent lines agree exactly; the
+leftmost containing segment is returned to keep outputs deterministic.  The
+one ``Fraction`` a query builds is its cost.
 """
 
 from __future__ import annotations

@@ -137,6 +137,8 @@ TAMPERED_ENVELOPES = {
     "lo-leading-zero": _tampered(seg0_lo="00/1"),
     "hi-not-lowest-terms": _tampered(seg0_hi="2/4", seg1_lo="2/4"),
     "c0-integer": _tampered(seg0_c0="1"),
+    "c0-not-lowest-terms": _tampered(seg0_c0="2/2"),
+    "c1-not-lowest-terms": _tampered(seg0_c1="6/2"),
     "c1-non-ascii-digits": _tampered(seg1_c1="\u0661/\u0661"),
     "all-at-once": _tampered(
         source=0.9, target="3", seg0_vertices=[0, 1.7, True], seg1_c0="4/1"

@@ -173,30 +173,19 @@ def test_paths_are_plain_edge_id_tuples():
 
 
 def test_invariant_checker_rejects_bad_tilings(diamond):
+    """A hand-made index that fails the strict check answers no query either:
+    its first lookup runs the same check."""
     index = build_index(diamond, 0, 3)
     seg0, seg1 = index.segments
-    with pytest.raises(ValueError, match="gap"):
-        check_index_invariants(
-            ShortestPathIndex(
-                0,
-                3,
-                (
-                    EnvelopeSegment(seg0.lo, F(1, 3), seg0.path, seg0.line),
-                    seg1,
-                ),
-            )
-        )
-    with pytest.raises(ValueError, match="share a line"):
-        check_index_invariants(
-            ShortestPathIndex(
-                0,
-                3,
-                (
-                    seg0,
-                    EnvelopeSegment(seg1.lo, seg1.hi, seg1.path, seg0.line),
-                ),
-            )
-        )
+    gap = (EnvelopeSegment(seg0.lo, F(1, 3), seg0.path, seg0.line), seg1)
+    shared = (seg0, EnvelopeSegment(seg1.lo, seg1.hi, seg1.path, seg0.line))
+    for segments, match in ((gap, "gap"), (shared, "share a line")):
+        bad = ShortestPathIndex(0, 3, segments)
+        with pytest.raises(ValueError, match=match):
+            check_index_invariants(bad)
+        with pytest.raises(ValueError, match=match):
+            query(bad, F(1, 4))
+        assert "query_columns" not in vars(bad)
 
 
 @given(own.graphs_with_pair(max_vertices=7, max_edges=16))

@@ -146,10 +146,22 @@ def chain7_indexes() -> tuple[ShortestPathIndex, ShortestPathIndex]:
     return built, parse_envelope(format_envelope(document_from_index(built, graph)))
 
 
+def test_built_and_loaded_indexes_hold_their_query_columns(three_route):
+    """The build and the load each end in the strict check, which leaves
+    its ints as the index's columns before any query."""
+    built = build_index(three_route, 0, 4)
+    loaded = parse_envelope(format_envelope(document_from_index(built, three_route)))
+    for index in (*chain7_indexes(), built, loaded):
+        assert "query_columns" in vars(index)
+        nums, dens = zip(*[seg.hi.as_integer_ratio() for seg in index.segments])
+        lines = tuple(seg.line.scaled() for seg in index.segments)
+        assert vars(index)["query_columns"] == (nums, dens, lines)
+
+
 def test_point_queries_compare_no_fractions(monkeypatch):
     """Lookup and cost run on the index's int columns: with every
     ``Fraction`` comparison raising, a built and a loaded index (each
-    building its columns on this first lookup) still answer at 0, 1, each
+    holding the columns its build or load kept) still answer at 0, 1, each
     breakpoint and just either side of it as a linear scan does."""
     built, loaded = chain7_indexes()
     tiny = F(1, 2**80)
