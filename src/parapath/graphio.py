@@ -162,17 +162,14 @@ def parse_graph(text: str) -> DualWeightGraph:
     scaled = {t: w.numerator * (den // w.denominator) for t, w in weights.items()}
     w0, w1 = (tuple(map(scaled.__getitem__, ts)) for ts in tokens)
     del rows, weights, tokens, scaled  # not held while the adjacency is built
-    return DualWeightGraph.from_columns(vertex_count, den, tails, heads, w0, w1)
+    return DualWeightGraph(vertex_count, den, tails, heads, w0, w1)
 
 
 def format_graph(graph: DualWeightGraph, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"psp {graph.vertex_count} {len(graph.edges)}")
-    for edge in graph.edges:
-        lines.append(
-            f"e {edge.tail} {edge.head} "
-            f"{format_weight(edge.w0)} {format_weight(edge.w1)}"
-        )
+    for tail, head, w0, w1 in graph.edges:
+        lines.append(f"e {tail} {head} {format_weight(w0)} {format_weight(w1)}")
     return "\n".join(lines) + "\n"
 
 

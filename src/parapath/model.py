@@ -5,11 +5,11 @@ Blending them with a parameter ``lam`` in [0, 1] yields the interpolated
 weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path, the
 tuple of its edge ids, is a linear function of ``lam``.  A graph holds its
 edges as int columns: endpoints, and both weights as ints over their least
-common denominator ``D``, plus one adjacency built from them.  Searches
-and cost lines sum those ints exactly, without a gcd per addition, and
-return lines over ``D``; the ``Fraction`` edges are derived only when
-asked for.  All types are immutable after construction and safe to share
-between threads.
+common denominator ``D``, plus one adjacency; the constructor checks the
+columns, and ``build`` converts ``Edge`` rows into them.  Searches and cost
+lines sum those ints exactly, without a gcd per addition, and return lines
+over ``D``; the ``Fraction`` edges are derived only when asked for.  All
+types are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, log10
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     GraphStructureError,
@@ -103,9 +103,8 @@ def as_rational(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Directed edge with its two endpoint weights."""
+class Edge(NamedTuple):
+    """Directed edge with its two endpoint weights: a ``build`` row."""
 
     tail: int
     head: int
@@ -114,17 +113,35 @@ class Edge:
 
 
 Ints = tuple[int, ...]
+Adjacency = tuple[tuple[tuple[int, int, int, int], ...], ...]
+Row = tuple[int, int, int | str | Fraction, int | str | Fraction]
 
 
-@dataclass(frozen=True, init=False)
+class derived(cached_property):
+    """A ``cached_property`` kept with ``object.__setattr__``: CPython 3.11 and
+    3.12 read every attribute about 3x slower once ``__dict__`` is written."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.attrname, value)
+        return value
+
+
+@dataclass(frozen=True)
 class DualWeightGraph:
     """Directed multigraph on int columns; parallel edges and self-loops are allowed.
 
     Edge ``e`` runs ``tails[e] -> heads[e]`` with weights ``w0[e] / den`` and
     ``w1[e] / den``, ``den`` being the weights' least common denominator, and
     ``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges leaving
-    ``v`` in edge-id order.  Every constructor ends in :meth:`from_columns`,
-    which checks the graph, so a graph that exists is valid.
+    ``v`` in edge-id order.  The constructor checks the columns, so a graph
+    that exists is valid.  It raises GraphStructureError for no vertex,
+    WeightDomainError for a ``den`` below 1, GraphStructureError for columns
+    of unequal length, then, at the first edge at fault, GraphStructureError
+    for an endpoint outside ``0..vertex_count - 1`` and WeightDomainError for
+    a weight that is not positive, then as :func:`check_scale` does.
     """
 
     vertex_count: int
@@ -133,47 +150,21 @@ class DualWeightGraph:
     heads: Ints
     w0: Ints
     w1: Ints
-    adjacency: tuple[tuple[tuple[int, int, int, int], ...], ...] = field(compare=False)
+    adjacency: Adjacency = field(init=False, compare=False, repr=False)
 
-    def __new__(cls, vertex_count: int, edges: Iterable[Edge]) -> "DualWeightGraph":
-        return cls.build(vertex_count, ((e.tail, e.head, e.w0, e.w1) for e in edges))
-
-    @classmethod
-    def build(
-        cls,
-        vertex_count: int,
-        rows: Iterable[tuple[int, int, int | str | Fraction, int | str | Fraction]],
-    ) -> "DualWeightGraph":
-        """Construct from (tail, head, w0, w1) rows, converting weights exactly.
-
-        Their common denominator goes through :func:`check_scale` as it
-        grows, before anything is scaled by it.
-        """
-        rows = [(t, h, as_rational(a), as_rational(b)) for t, h, a, b in rows]
-        den = 1
-        for _tail, _head, a, b in rows:
-            den = check_scale(lcm(den, a.denominator, b.denominator), len(rows))
-        tails, heads, *weights = zip(*rows) if rows else ((),) * 4
-        w0, w1 = ([w.numerator * (den // w.denominator) for w in ws] for ws in weights)
-        return cls.from_columns(vertex_count, den, tails, heads, tuple(w0), tuple(w1))
-
-    @classmethod
-    def from_columns(
-        cls, vertex_count: int, den: int, tails: Ints, heads: Ints, w0: Ints, w1: Ints
-    ) -> "DualWeightGraph":
-        """The graph on int columns over ``den``, the weights' least common
-        denominator.
-
-        Raises GraphStructureError for no vertex or an endpoint outside
-        ``0..vertex_count - 1`` and WeightDomainError for a weight that is
-        not positive, naming the first edge at fault, then as
-        :func:`check_scale` does.
-        """
-        n = vertex_count
+    def __post_init__(self) -> None:
+        n, den = self.vertex_count, self.den
+        columns = self.tails, self.heads, self.w0, self.w1
         if n < 1:
             raise GraphStructureError("graph needs at least one vertex")
+        if den < 1:
+            raise WeightDomainError(f"weight denominator {show_number(den)} is below 1")
+        lengths = tuple(map(len, columns))
+        if len(set(lengths)) > 1:
+            shown = ", ".join(map(show_number, lengths))
+            raise GraphStructureError(f"edge columns of unequal length ({shown})")
         out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-        for eid, (tail, head, a, b) in enumerate(zip(tails, heads, w0, w1)):
+        for eid, (tail, head, a, b) in enumerate(zip(*columns)):
             if not (0 <= tail < n and 0 <= head < n):
                 raise GraphStructureError(
                     f"edge {eid}: endpoint ({tail}, {head}) outside 0..{n - 1}"
@@ -184,21 +175,24 @@ class DualWeightGraph:
                     f"edge {eid}: weights must be strictly positive, got ({got})"
                 )
             out[tail].append((head, a, b, eid))
-        check_scale(den, len(tails))
-        graph = object.__new__(cls)
-        graph.__dict__.update(
-            vertex_count=n, den=den, tails=tails, heads=heads, w0=w0, w1=w1,
-            adjacency=tuple(map(tuple, out)),
-        )
-        return graph
+        check_scale(den, lengths[0])
+        object.__setattr__(self, "adjacency", tuple(map(tuple, out)))
 
-    def __reduce__(self) -> tuple:
-        """Copies and pickles rebuild the graph from its columns."""
-        columns = self.den, self.tails, self.heads, self.w0, self.w1
-        return type(self).from_columns, (self.vertex_count, *columns)
+    @classmethod
+    def build(cls, vertex_count: int, rows: Iterable[Row]) -> "DualWeightGraph":
+        """Construct from (tail, head, w0, w1) rows such as ``Edge``s, converting
+        weights exactly; their common denominator goes through
+        :func:`check_scale` as it grows, before anything is scaled by it."""
+        rows = [(t, h, as_rational(a), as_rational(b)) for t, h, a, b in rows]
+        den = 1
+        for _tail, _head, a, b in rows:
+            den = check_scale(lcm(den, a.denominator, b.denominator), len(rows))
+        tails, heads, *weights = zip(*rows) if rows else ((),) * 4
+        w0, w1 = ([w.numerator * (den // w.denominator) for w in ws] for ws in weights)
+        return cls(vertex_count, den, tails, heads, tuple(w0), tuple(w1))
 
-    @cached_property
-    def reverse_adjacency(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    @derived
+    def reverse_adjacency(self) -> Adjacency:
         """``reverse_adjacency[v]`` lists ``(tail, w0, w1, edge id)`` for the
         edges entering ``v`` in edge-id order, the shape of ``adjacency``:
         built on first use, for searches toward a target."""
@@ -208,7 +202,7 @@ class DualWeightGraph:
             into[head].append(entry)
         return tuple(map(tuple, into))
 
-    @cached_property
+    @derived
     def slope_bound(self) -> int:
         """``(vertex_count - 1) * Wmax``, for ``Wmax`` the largest scaled
         weight: at least the scaled slope's absolute value on any simple
@@ -219,15 +213,13 @@ class DualWeightGraph:
         wmax = max(max(self.w0, default=0), max(self.w1, default=0))
         return (self.vertex_count - 1) * wmax
 
-    @cached_property
+    @derived
     def edges(self) -> tuple[Edge, ...]:
         """The edges with ``Fraction`` weights, one shared per distinct value:
         derived on first use, for the references and the file writer."""
-        shared = {w: Fraction(w, self.den) for w in {*self.w0, *self.w1}}
-        return tuple(
-            Edge(tail, head, shared[a], shared[b])
-            for tail, head, a, b in zip(self.tails, self.heads, self.w0, self.w1)
-        )
+        shared = {w: Fraction(w, self.den) for w in {*self.w0, *self.w1}}.__getitem__
+        w0, w1 = map(shared, self.w0), map(shared, self.w1)
+        return tuple(map(Edge, self.tails, self.heads, w0, w1))
 
 
 def check_scale(den: int, edges: int) -> int:

@@ -71,7 +71,7 @@ def random_instance(
             )
         if not edges:
             continue
-        graph = DualWeightGraph(n, tuple(edges))
+        graph = DualWeightGraph.build(n, tuple(edges))
         pairs = reachable_pairs(graph)
         if pairs:
             source, target = rng.choice(pairs)

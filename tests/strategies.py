@@ -39,7 +39,7 @@ def graphs(draw, max_vertices: int = 6, max_edges: int = 14) -> DualWeightGraph:
         tail = draw(st.integers(min_value=0, max_value=n - 1))
         head = draw(st.integers(min_value=0, max_value=n - 1))
         edges.append(Edge(tail, head, draw(weights), draw(weights)))
-    return DualWeightGraph(n, tuple(edges))
+    return DualWeightGraph.build(n, tuple(edges))
 
 
 @st.composite
@@ -49,7 +49,7 @@ def graphs_with_pair(draw, max_vertices: int = 6, max_edges: int = 14):
     pairs = reachable_pairs(graph)
     if not pairs:
         # Guarantee at least one connected pair instead of rejecting.
-        graph = DualWeightGraph(
+        graph = DualWeightGraph.build(
             graph.vertex_count,
             graph.edges + (Edge(0, graph.vertex_count - 1, Fraction(1), Fraction(1)),),
         )
@@ -76,7 +76,7 @@ def chain_with_path(draw, max_links: int = 5):
         tail = draw(st.integers(min_value=0, max_value=n - 1))
         head = draw(st.integers(min_value=0, max_value=n - 1))
         edges.append(Edge(tail, head, draw(weights), draw(weights)))
-    return DualWeightGraph(n, tuple(edges)), tuple(range(links))
+    return DualWeightGraph.build(n, tuple(edges)), tuple(range(links))
 
 
 # The diamond's envelope file: lines (1, 3) and (3, 1) crossing at 1/2.

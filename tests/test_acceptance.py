@@ -136,7 +136,7 @@ def _dominant_line_instance(rng: random.Random) -> tuple[DualWeightGraph, int, i
         Edge(source, mid, F(rng.randint(1, 4), 1000), F(rng.randint(1, 4), 1000)),
         Edge(mid, target, F(rng.randint(1, 4), 1000), F(rng.randint(1, 4), 1000)),
     )
-    return DualWeightGraph(mid + 1, graph.edges + express), source, target
+    return DualWeightGraph.build(mid + 1, graph.edges + express), source, target
 
 
 def test_criterion_3_stable_winner_collapses_to_one_segment():

@@ -188,7 +188,7 @@ def test_runtime_tracks_edges_times_log_vertices():
         graph = random_graph(n, m, seed=42)
         # No edge reaches the extra vertex n, so a search for it settles
         # every vertex reachable from the source before it gives up.
-        padded = DualWeightGraph(n + 1, graph.edges)
+        padded = DualWeightGraph.build(n + 1, graph.edges)
         best = min(_timed_full_settle(padded, 0, n) for _ in range(3))
         per_unit.append(best / (m * math.log2(n)))
     ratio = max(per_unit) / min(per_unit)

@@ -248,7 +248,7 @@ def search_cases(draw):
         for _ in range(draw(st.integers(1, 18)))
     )
     source, target = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    return DualWeightGraph(n, edges), source, target, draw(unit_rationals)
+    return DualWeightGraph.build(n, edges), source, target, draw(unit_rationals)
 
 
 @given(search_cases())

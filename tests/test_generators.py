@@ -32,7 +32,7 @@ def list_of_pairs_random_graph(vertices, edges, seed):
         Edge(i, j, F(rng.randint(1, 1000), 100), F(rng.randint(1, 1000), 100))
         for i, j in chosen
     )
-    return DualWeightGraph(vertices, rows)
+    return DualWeightGraph.build(vertices, rows)
 
 
 class TestRandomGraph:

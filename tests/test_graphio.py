@@ -93,19 +93,20 @@ def mixed_graphs(draw):
     n = draw(st.integers(1, 6))
     vertex = st.integers(0, n - 1)
     edges = st.builds(Edge, vertex, vertex, mixed_weights, mixed_weights)
-    return DualWeightGraph(n, tuple(draw(st.lists(edges, max_size=12))))
+    return DualWeightGraph.build(n, tuple(draw(st.lists(edges, max_size=12))))
 
 
 @given(mixed_graphs())
 @settings(max_examples=150, deadline=None)
 def test_every_constructor_gives_one_graph(graph):
-    # ``DualWeightGraph(n, edges)``, ``build`` and the parser all end in the
-    # same int columns over the least common denominator.
-    rows = [(e.tail, e.head, e.w0, e.w1) for e in graph.edges]
-    built = DualWeightGraph.build(graph.vertex_count, rows)
+    # ``build`` and the parser both end in the same int columns over the
+    # least common denominator, and an ``Edge`` is a ``build`` row.
+    built = DualWeightGraph.build(graph.vertex_count, graph.edges)
     parsed = parse_graph(format_graph(graph))
     assert parsed == graph == built and hash(parsed) == hash(built)
-    assert pickle.loads(pickle.dumps(graph)) == graph == copy.deepcopy(graph)
+    # ``adjacency`` is left out of ``==``, so a copy's is compared by hand.
+    for copied in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert copied == graph and copied.adjacency == graph.adjacency
     weights = [w for e in graph.edges for w in (e.w0, e.w1)]
     assert graph.den == math.lcm(*(w.denominator for w in weights))
     adjacency = [[] for _ in range(graph.vertex_count)]
@@ -311,7 +312,7 @@ def reference_parse_graph(text: str) -> DualWeightGraph:
         if line.strip() and not line.lstrip().startswith("#")
     ]
     (_psp, vertices, _count), *edges = rows
-    return DualWeightGraph(
+    return DualWeightGraph.build(
         int(vertices),
         tuple(Edge(int(t), int(h), F(w0), F(w1)) for _e, t, h, w0, w1 in edges),
     )
@@ -419,7 +420,7 @@ def test_built_envelopes_match_json_reference(bench_instances):
     cases = [(chain_graph(b), *chain_endpoints(b)) for b in range(1, 64)]
     for seed in range(1, 11):
         inst = bench_instances.grid_instance(seed)
-        graph = DualWeightGraph(inst.vertex_count, tuple(Edge(*r) for r in inst.rows))
+        graph = DualWeightGraph.build(inst.vertex_count, inst.rows)
         cases.append((graph, inst.source, inst.target))
     for graph, source, target in cases:
         doc = document_from_index(build_index(graph, source, target), graph)

@@ -275,7 +275,7 @@ def reference_refusal(vertex_count, edges):
 
 def construction_outcome(vertex_count, edges):
     try:
-        DualWeightGraph(vertex_count, edges)
+        DualWeightGraph.build(vertex_count, edges)
     except (GraphStructureError, WeightDomainError, WeightScaleError) as exc:
         return type(exc), str(exc)
     return None
@@ -306,6 +306,33 @@ def test_constructor_refuses_hostile_denominators_like_the_edge_list_check():
         for t, h, w in ((0, i + 2, F(1, 10**12 + i)), (i + 2, 1, F(1, 10**12 + i)))
     )
     assert (WeightScaleError, str(info.value)) == reference_refusal(4002, edges)
+
+
+@pytest.mark.parametrize(
+    "columns, error, message",
+    [
+        ((2, -3, (0,), (1,), (1,), (2,)), WeightDomainError,
+         "weight denominator -3 is below 1"),
+        ((2, 0, (0,), (1,), (1,), (1,)), WeightDomainError,
+         "weight denominator 0 is below 1"),
+        ((2, -(10**200), (), (), (), ()), WeightDomainError,
+         "weight denominator <a number of about 200 digits> is below 1"),
+        ((2, 1, (0, 1), (1, 0), (1,), (1, 1)), GraphStructureError,
+         "edge columns of unequal length (2, 2, 1, 2)"),
+        # The vertex count is checked first, then ``den``, then the lengths,
+        # and only then each edge.
+        ((0, 0, (0,), (), (), ()), GraphStructureError,
+         "graph needs at least one vertex"),
+        ((2, 0, (0,), (), (), ()), WeightDomainError,
+         "weight denominator 0 is below 1"),
+        ((2, 1, (5,), (1,), (0,), ()), GraphStructureError,
+         "edge columns of unequal length (1, 1, 1, 0)"),
+    ],
+)
+def test_constructor_refuses_columns_that_are_not_one_edge_set(columns, error, message):
+    with pytest.raises(error) as info:
+        DualWeightGraph(*columns)
+    assert str(info.value) == message
 
 
 def hostile_star_text(routes: int = 4000) -> str:

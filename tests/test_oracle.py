@@ -109,12 +109,12 @@ def test_references_refuse_what_the_builder_refuses(
     # A graph is checked when it is constructed, so no caller, the builder
     # or a reference, ever holds one of these.
     with pytest.raises(error):
-        build_index(DualWeightGraph(vertex_count, (edge,)), source, target)
+        build_index(DualWeightGraph.build(vertex_count, (edge,)), source, target)
     with pytest.raises(error):
-        enumerate_paths(DualWeightGraph(vertex_count, (edge,)), source, target)
+        enumerate_paths(DualWeightGraph.build(vertex_count, (edge,)), source, target)
     with pytest.raises(error):
         shortest_path_length(
-            DualWeightGraph(vertex_count, (edge,)), F(1, 2), source, target
+            DualWeightGraph.build(vertex_count, (edge,)), F(1, 2), source, target
         )
 
 

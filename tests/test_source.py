@@ -3,10 +3,21 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import parapath
-from parapath import chain_endpoints, chain_graph, write_graph
+from parapath import (
+    build_index,
+    chain_endpoints,
+    chain_graph,
+    query,
+    read_envelope,
+    read_graph,
+    shortest_path_length,
+    write_graph,
+)
 from parapath.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +77,41 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     assert problems == []
     calls = re.search(r"dijkstra_calls=(\d+)", capsys.readouterr().out)
     assert searches[build_op] == int(calls.group(1))
+
+
+def test_benchmark_reads_of_the_library_resolve(tmp_path, monkeypatch, capsys):
+    # Outside the tracer the benchmark reads ``Edge`` fields (``instances``),
+    # segment and line fields (``checks``), ``QueryResult`` fields and the
+    # build's stdout.  ``run.py`` stays unimported: it drops ``parapath``
+    # from ``sys.modules``.
+    perfbench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    bench = {}
+    for name in ("instances", "checks"):
+        spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+        bench[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, bench[name])  # dataclasses look it up
+        spec.loader.exec_module(bench[name])
+    instances, checks = bench["instances"], bench["checks"]
+    inst = instances.chain_instance(chain_graph)
+    graph_file, env_file = tmp_path / "chain.psp", tmp_path / "chain.env"
+    graph_file.write_text(instances.format_psp(inst))
+    assert main(["build", str(graph_file), "--source", str(inst.source),
+                 "--target", str(inst.target), "--out", str(env_file)]) == 0
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"k=\d+ breakpoints=\d+ dijkstra_calls=\d+\n", out)
+    graph = read_graph(graph_file)
+    index = build_index(graph, inst.source, inst.target)
+    segs, problems = checks.envelope_problems(env_file.read_text(), inst)
+    lambdas = (Fraction(0), Fraction(1), *inst.breakpoints[:3])
+    problems += checks.index_problems(index, segs)
+    problems += checks.document_problems(read_envelope(env_file), segs)
+    problems += checks.oracle_problems(segs, graph, inst, lambdas, shortest_path_length)
+    assert problems == []
+    for lam in lambdas:
+        got, want = query(index, lam), checks.answer(segs, lam)
+        assert (got.segment_index, got.cost, got.line.c0, got.line.c1) == (
+            want.segment, want.cost, want.c0, want.c1)
 
 
 def test_readme_options_exist():
