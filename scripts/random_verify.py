@@ -4,8 +4,9 @@
 Generates seeded random instances, builds each index, and compares the
 result segment-for-segment with the brute-force envelope.  Each instance
 is also written as graph-file text and parsed back, as the command line
-reads it: the parsed graph must equal the generated one and build the same
-segments.  Its index is written as an envelope file and read back too:
+reads it: the parsed graph must equal the generated one, adjacency
+included, and so must the text read by the line-by-line reader, and it
+must build the same segments.  Its index is written as an envelope file and read back too:
 the loaded segments must keep the built ones' intervals and lines and
 hold each witness's vertex walk, and the loaded index's query columns must
 hold the built one's endpoint ints and lines.  ``query()`` on the built
@@ -42,6 +43,7 @@ from parapath import (
     query,
 )
 from parapath.graphio import (
+    _parse_lines,
     document_from_index,
     format_envelope,
     format_graph,
@@ -73,9 +75,14 @@ def check_pruned(graph, source: int, target: int, result) -> str | None:
 def check_parsed(graph, source: int, target: int, result) -> str | None:
     """Why the graph read back from its own text differs or builds another
     result, or None."""
-    parsed = parse_graph(format_graph(graph))
-    if parsed != graph:
+    text = format_graph(graph)
+    parsed = parse_graph(text)
+    # ``==`` leaves the adjacency out, so it is compared too.
+    if parsed != graph or parsed.adjacency != graph.adjacency:
         return "graph parsed from its own text differs"
+    by_line = _parse_lines(text)
+    if by_line != parsed or by_line.adjacency != parsed.adjacency:
+        return "the line-by-line reader reads the graph's text differently"
     if build_index_detailed(parsed, source, target) != result:
         return "graph parsed from its own text builds other segments"
     return None

@@ -90,7 +90,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .dijkstra import (
@@ -104,6 +103,7 @@ from .model import (
     Path,
     ZERO,
     cost_line,
+    derived,
     show_number,
     validate_graph,
 )
@@ -149,7 +149,7 @@ class ShortestPathIndex:
     def k(self) -> int:
         return len(self.segments)
 
-    @cached_property
+    @derived
     def query_columns(self) -> Columns:
         """What a query reads: the strict :func:`check_segments`' endpoint ints and
         lines, kept by a build or a file load, else computed on the first query."""
@@ -208,9 +208,8 @@ def check_segments(
 
 
 def check_index_invariants(index: ShortestPathIndex) -> None:
-    """Strict invariant check over a whole index, kept as its query_columns:
-    stored directly, as under Python 3.11 the property's first read takes a lock."""
-    vars(index)["query_columns"] = check_segments(index.segments)
+    """Strict invariant check over a whole index, kept as its query_columns."""
+    object.__setattr__(index, "query_columns", check_segments(index.segments))
 
 
 # Intervals shallower than this, the root and its two halves, probe every

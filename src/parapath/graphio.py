@@ -30,7 +30,12 @@ from pathlib import Path as FilePath
 from typing import Iterable
 
 from .envelope import EnvelopeSegment, ShortestPathIndex, check_index_invariants
-from .errors import EnvelopeFormatError, GraphFormatError, NumberSizeError
+from .errors import (
+    EnvelopeFormatError,
+    GraphFormatError,
+    NumberSizeError,
+    WeightScaleError,
+)
 from .model import (
     MAX_NUMBER_CHARS,
     MAX_VERTICES,
@@ -39,6 +44,7 @@ from .model import (
     check_scale,
     parse_rational,
     path_vertices,
+    plain_ratio,
     show_number,
 )
 
@@ -102,6 +108,74 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 
 def parse_graph(text: str) -> DualWeightGraph:
     """Parse graph-file text; errors carry the 1-based offending line.
+
+    A well-formed file, its header first after any blank or comment lines
+    and then exactly the declared edge lines, is read column-wise: all
+    fields at once into five columns, each distinct weight token reduced to
+    lowest terms once, the common denominator checked by
+    :func:`check_scale` as it grows.  Any other text, and any anomaly the
+    column reader meets, is read by the line-by-line reader, which gives
+    the same graph for what it accepts and raises every error, so a file
+    fails with the same error and line whichever reader met it first.
+    """
+    columns = _read_columns(text)
+    return DualWeightGraph(*columns) if columns else _parse_lines(text)
+
+
+def _read_columns(text: str) -> tuple | None:
+    """The constructor's arguments for a well-formed file, else None."""
+    lines = text.splitlines()
+    for at, line in enumerate(lines):
+        header = line.split()
+        if header and header[0][0] != "#":
+            break
+    else:
+        return None
+    try:
+        psp, n, m = header
+        n, m = int(n), int(m)
+    except ValueError:
+        return None
+    if psp != "psp" or not 1 <= n <= MAX_VERTICES or len(lines) - at - 1 != m:
+        return None
+    rows = list(map(str.split, lines[at + 1:]))
+    if set(map(len, rows)) != {5}:
+        return None
+    es, tails, heads, t0, t1 = zip(*rows)
+    del rows
+    try:
+        tails, heads = tuple(map(int, tails)), tuple(map(int, heads))
+    except ValueError:
+        return None
+    if set(es) != {"e"} or min(tails) < 0 or min(heads) < 0:
+        return None
+    if max(tails) >= n or max(heads) >= n:
+        return None
+    den, ratios = 1, {}
+    for token in {*t0, *t1}:
+        ratio = plain_ratio(token)
+        if ratio is None:
+            try:
+                ratio = parse_rational(token).as_integer_ratio()
+            except (ValueError, ZeroDivisionError):
+                return None
+        p, q = ratio
+        if p <= 0:
+            return None
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        ratios[token] = p, q
+        if den % q:
+            try:
+                den = check_scale(lcm(den, q), m)
+            except WeightScaleError:
+                return None
+    scaled = {token: p * (den // q) for token, (p, q) in ratios.items()}.__getitem__
+    return n, den, tails, heads, tuple(map(scaled, t0)), tuple(map(scaled, t1))
+
+
+def _parse_lines(text: str) -> DualWeightGraph:
+    """Read graph-file text line by line, raising at the first fault.
 
     Reads straight into the graph's int columns.  Each distinct weight
     token is parsed, checked and scaled once, and the common denominator

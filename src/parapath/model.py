@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, log10
+from math import gcd, lcm, log10
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -51,33 +51,44 @@ MAX_VERTICES = 1_000_000
 MAX_SCALED_WEIGHT_BITS = 2**28
 
 
+def plain_ratio(text: str) -> tuple[int, int] | None:
+    """``(p, q)``, ``q > 0`` and not reduced, for the spellings the writers
+    emit: ASCII ``digits[.digits]`` and ``digits/digits``, read with
+    ``int()``.  None for any other spelling, for a zero denominator, for a
+    token longer than ``MAX_NUMBER_CHARS`` and for one ``int()`` refuses."""
+    if len(text) > MAX_NUMBER_CHARS or not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    try:
+        if slash:
+            if num.isdigit() and den.isdigit():
+                q = int(den)
+                return (int(num), q) if q else None
+        else:
+            whole, _dot, frac = text.partition(".")
+            digits = whole + frac
+            if digits.isdigit():
+                return int(digits), 10 ** len(frac)
+    except ValueError:  # past Python's int-from-str digit limit
+        pass
+    return None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal ("0.25", "25e-2") or ratio ("1/4") string exactly.
 
     Raises ValueError (ZeroDivisionError for a zero denominator) like
     ``Fraction`` does, and also for a token longer than ``MAX_NUMBER_CHARS``
     or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size.
-    The spellings the writers emit, ASCII ``digits[.digits]`` and
-    ``digits/digits``, are read with ``int()``; every other spelling, and
-    one ``int()`` refuses, goes to ``Fraction(text)``, so values and errors
-    are ``Fraction``'s either way.
+    The spellings :func:`plain_ratio` reads are taken from it; every other
+    spelling, and one it refuses, goes to ``Fraction(text)``, so values and
+    errors are ``Fraction``'s either way.
     """
+    ratio = plain_ratio(text)
+    if ratio is not None:
+        return Fraction(*ratio)
     if len(text) > MAX_NUMBER_CHARS:
         raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
-    num, slash, den = text.partition("/")
-    try:
-        if slash:
-            if num.isdigit() and den.isdigit() and text.isascii():
-                q = int(den)
-                if q:
-                    return Fraction(int(num), q)
-        else:
-            whole, _dot, frac = text.partition(".")
-            digits = whole + frac
-            if digits.isdigit() and digits.isascii():
-                return Fraction(int(digits), 10 ** len(frac))
-    except ValueError:  # past Python's int-from-str digit limit
-        pass
     _mantissa, marker, exponent = text.lower().partition("e")
     try:
         wide = marker and abs(int(exponent)) > MAX_DECIMAL_EXPONENT
@@ -137,11 +148,14 @@ class DualWeightGraph:
     ``w1[e] / den``, ``den`` being the weights' least common denominator, and
     ``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges leaving
     ``v`` in edge-id order.  The constructor checks the columns, so a graph
-    that exists is valid.  It raises GraphStructureError for no vertex,
-    WeightDomainError for a ``den`` below 1, GraphStructureError for columns
-    of unequal length, then, at the first edge at fault, GraphStructureError
-    for an endpoint outside ``0..vertex_count - 1`` and WeightDomainError for
-    a weight that is not positive, then as :func:`check_scale` does.
+    that exists is valid, and keeps each column as a tuple, so it stays
+    valid.  It raises GraphStructureError for no vertex, WeightDomainError
+    for a ``den`` below 1, GraphStructureError for columns of unequal
+    length, then, at the first edge at fault, GraphStructureError for an
+    endpoint outside ``0..vertex_count - 1`` and WeightDomainError for a
+    weight that is not positive, then as :func:`check_scale` does, then
+    WeightDomainError for a ``den`` that is not the weights' least common
+    denominator, so one edge set has one set of columns.
     """
 
     vertex_count: int
@@ -154,7 +168,9 @@ class DualWeightGraph:
 
     def __post_init__(self) -> None:
         n, den = self.vertex_count, self.den
-        columns = self.tails, self.heads, self.w0, self.w1
+        columns = tuple(map(tuple, (self.tails, self.heads, self.w0, self.w1)))
+        for name, column in zip(("tails", "heads", "w0", "w1"), columns):
+            object.__setattr__(self, name, column)
         if n < 1:
             raise GraphStructureError("graph needs at least one vertex")
         if den < 1:
@@ -176,6 +192,11 @@ class DualWeightGraph:
                 )
             out[tail].append((head, a, b, eid))
         check_scale(den, lengths[0])
+        if den > 1 and gcd(den, *columns[2], *columns[3]) > 1:
+            raise WeightDomainError(
+                f"weight denominator {show_number(den)} is not the weights' "
+                "least common denominator"
+            )
         object.__setattr__(self, "adjacency", tuple(map(tuple, out)))
 
     @classmethod

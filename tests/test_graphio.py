@@ -23,10 +23,11 @@ from parapath import (
     chain_endpoints,
     chain_graph,
     document_from_index,
+    graphio,
     query,
     random_graph,
 )
-from parapath.errors import NumberSizeError
+from parapath.errors import NumberSizeError, WeightScaleError
 from parapath.graphio import (
     format_envelope,
     format_fraction,
@@ -359,6 +360,82 @@ def test_ratio_weights_not_in_lowest_terms_are_reduced_and_shared():
     first, second = graph.edges
     assert (first.w0.numerator, first.w0.denominator) == (1, 2)
     assert second.w0 is first.w0 and second.w1 == first.w0
+
+
+def parse_outcome(parse, text):
+    """The graph and its adjacency, or the refusal's class, message and line."""
+    try:
+        graph = parse(text)
+    except (GraphFormatError, WeightScaleError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return graph, graph.adjacency
+
+
+# Every separator ``str.splitlines`` splits at.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+odd_tokens = st.sampled_from(
+    ["1e2", "+3", "3_0", "-1", "0", "1/0", "2/4", "0.50", "1e1001", "abc", "",
+     "#", "#1", "e", "psp", "7", "٣", "1\u00a0", "9" * 5000]
+)
+odd_lines = st.sampled_from(["", "  ", "\t", "# c", "#", "  # c", "#e 0 1 1 1"])
+
+
+@st.composite
+def graph_file_texts(draw):
+    """``format_graph`` text of a graph, then a few edits to it."""
+    comments = draw(st.lists(st.sampled_from(["gen random", "", "x"]), max_size=2))
+    lines = format_graph(draw(own.graphs()), comments).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(["token", "weight", "repeat", "drop", "insert"]))
+        if edit == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(odd_lines))
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "drop":
+            del lines[i]
+        elif fields := lines[i].split():
+            # A weight edit lands on a weight field, if the line has one.
+            j = draw(st.integers(3 if edit == "weight" else 0, 4))
+            fields[min(j, len(fields) - 1)] = draw(odd_tokens)
+            lines[i] = " ".join(fields)
+    brk = draw(st.sampled_from(LINE_BREAKS))
+    return brk.join(lines) + draw(st.sampled_from(["", brk]))
+
+
+@given(graph_file_texts())
+@example("psp 2 1\r\ne 0 1 1e2 +3\r\n")
+@example("\n# lead\npsp 2 1\n\ne 0 1 3_0 1\n")
+@example("psp 2 1\u2028e 0 1 1 1\u2029")
+@example("psp 2 1\nx 0 1 1 1\n")
+@example("psp 2 1\n#e 0 1 1 1\n")
+@example("psp 2 2\ne 0 1 1 1\ne 0 1 1 1 1\n")
+@example("psp 2 1\ne -1 1 1 1\n")
+@example("psp 2 1\ne 2 1 1 1\n")
+@example("psp 2 1\ne 0 2 1 1\n")
+@example("psp 2 1\ne 0 -1 1 1\n")
+@example("psq 2 1\ne 0 1 1 1\n")
+@example(f"psp {MAX_VERTICES + 1} 1\ne 0 1 1 1\n")
+@example("psp 2 1\ne 0 1 1/0 1\n")
+@settings(max_examples=300, deadline=None)
+def test_column_reader_agrees_with_line_reader(text):
+    assert parse_outcome(parse_graph, text) == parse_outcome(graphio._parse_lines, text)
+
+
+def test_well_formed_files_are_read_column_wise(bench_instances, monkeypatch):
+    texts = [
+        bench_instances.format_psp(bench_instances.grid_instance(7)),
+        bench_instances.format_psp(bench_instances.chain_instance(chain_graph)),
+        format_graph(random_graph(30, 200, seed=3), ["gen random"]),
+    ]
+    expected = [reference_parse_graph(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError("a well-formed file went to the line-by-line reader")
+
+    monkeypatch.setattr(graphio, "_parse_lines", refuse)
+    assert [parse_graph(text) for text in texts] == expected
 
 
 ratios = st.builds(

@@ -327,12 +327,34 @@ def test_constructor_refuses_hostile_denominators_like_the_edge_list_check():
          "weight denominator 0 is below 1"),
         ((2, 1, (5,), (1,), (0,), ()), GraphStructureError,
          "edge columns of unequal length (1, 1, 1, 0)"),
+        # ``den`` must be the weights' least common denominator, so one edge
+        # set has one set of columns; each edge is checked before that.
+        ((2, 2, (0,), (1,), (2,), (2,)), WeightDomainError,
+         "weight denominator 2 is not the weights' least common denominator"),
+        ((3, 12, (0, 1), (1, 2), (6, 4), (8, 2)), WeightDomainError,
+         "weight denominator 12 is not the weights' least common denominator"),
+        ((2, 10**200, (0,), (1,), (10**200,), (10**200,)), WeightDomainError,
+         "weight denominator <a number of about 200 digits> is not the weights' "
+         "least common denominator"),
+        ((2, 2, (0,), (1,), (0,), (2,)), WeightDomainError,
+         "edge 0: weights must be strictly positive, got (0, 1)"),
     ],
 )
 def test_constructor_refuses_columns_that_are_not_one_edge_set(columns, error, message):
     with pytest.raises(error) as info:
         DualWeightGraph(*columns)
     assert str(info.value) == message
+
+
+def test_constructor_keeps_its_columns_as_tuples():
+    columns = [0], [1], [1], [3]
+    graph = DualWeightGraph(2, 2, *columns)
+    built = DualWeightGraph.build(2, [(0, 1, F(1, 2), F(3, 2))])
+    assert graph == built and hash(graph) == hash(built)
+    columns_kept = graph.tails, graph.heads, graph.w0, graph.w1
+    assert all(type(column) is tuple for column in columns_kept)
+    columns[2][0] = -5  # the caller's list, not the graph's column
+    assert graph.w0 == (1,) and build_index(graph, 0, 1).k == 1
 
 
 def hostile_star_text(routes: int = 4000) -> str:
