@@ -24,8 +24,8 @@ for the maximal one, and holds the pair as one int::
 
 ``bound`` is the graph's ``slope_bound``, ``(V - 1) * Wmax`` for ``V``
 vertices and ``Wmax`` the largest scaled weight, and ``shift`` is the
-bit length of ``2 * bound`` (:func:`label_shift`).  A label is the cost
-of a simple path, as it extends a settled vertex's tree path by an
+graph's ``label_shift``, the bit length of ``2 * bound``.  A label is the
+cost of a simple path, as it extends a settled vertex's tree path by an
 unsettled vertex, so it has at most ``V - 1`` edges, each changing the
 slope by less than ``Wmax``.  The low part
 ``sign * slope + bound`` therefore lies in ``[0, 2 * bound]``, below
@@ -33,15 +33,36 @@ slope by less than ``Wmax``.  The low part
 their pairs do, and equal labels are equal pairs.  The source's label is
 ``bound``, the pair (0, 0).  An edge adds
 ``(((q - p) * W0 + p * W1) << shift) + sign * (W1 - W0)``, which is
-``a * W0 + b * W1`` with ``a = ((q - p) << shift) - sign`` and
-``b = (p << shift) + sign``.  That step is strictly positive: both
-weights are at least 1, so the length part is at least ``q << shift``,
-more than ``2 * bound``, which is at least ``2 * Wmax`` (a search needs
-``V >= 2``), while the slope part is less than ``Wmax`` in absolute
-value.  A label is thus final when its vertex is popped.  The target's
-label ``L`` gives length ``L >> shift`` and slope
-``S = sign * ((L mod 2**shift) - bound)``, and its path's line over ``D``
-has slope ``S`` and value ``(length - p*S) / q`` at 0.
+positive: both weights are at least 1, so the length part is at least
+``q << shift``, more than ``2 * bound``, which is at least ``2 * Wmax``
+(a search needs ``V >= 2``), while the slope part is less than ``Wmax``
+in absolute value.  ``reverse_lengths`` labels a vertex with its length
+alone, ``shift = 0``, and its steps are positive for the same reason.
+
+Heap entries.  The kernel stores and pushes each label with its vertex in
+the low bits, one int::
+
+    entry = (label << vb) | v
+
+with ``vb`` the graph's ``vertex_bits``, the bit length of ``V``, so
+``v < 2**vb``.  Entries therefore order exactly as the pairs
+``(label, v)``, which is the order a heap of ``(label, v)`` tuples pops
+in: vertices settle by label, ties by vertex id.  Two entries of one
+vertex share its low bits, so they compare as its labels do, and "equal
+labels keep the incumbent" holds as before.  A popped entry ``e`` of
+vertex ``u = e & (2**vb - 1)`` extends to ``v`` over an edge as
+``(e - u) + a * W0 + b * W1 + v``, for a step ``a * W0 + b * W1`` that is
+the label's step shifted left by ``vb``: still positive, and its low
+``vb`` bits are zero, so ``v`` fills them without a carry.  A label is
+thus final when its vertex is popped.  The callers fold ``vb`` into
+``a``, ``b`` and the start entry; the forward search uses
+``a = ((q - p) << (shift + vb)) - (sign << vb)`` and
+``b = (p << (shift + vb)) + (sign << vb)``, the reverse search
+``a = (q - p) << vb`` and ``b = p << vb``.  An entry ``E`` of the forward
+search gives length ``E >> (shift + vb)``; the target's gives label
+``L = E >> vb`` and slope ``S = sign * ((L mod 2**shift) - bound)``, and
+its path's line over ``D`` has slope ``S`` and value ``(length - p*S) / q``
+at 0.  An entry of the reverse search gives length ``E >> vb``.
 """
 
 from __future__ import annotations
@@ -63,49 +84,47 @@ MAX_SLOPE: SlopeMode = "max-slope"
 
 def _dijkstra(
     adjacency: Sequence[Sequence[tuple[int, int, int, int]]], a: int, b: int,
-    origin: int, start: int, stop: int, settled: list[bool], labels: list[int | None],
+    start: int, vb: int, stop: int, settled: list[bool], labels: list[int | None],
 ) -> list[int]:
-    """Plain Dijkstra from ``origin``, labelled ``start``, in which an entry
+    """Plain Dijkstra over heap entries ``(label << vb) | v``, from the entry
+    ``start`` of the vertex in its low ``vb`` bits, in which an entry
     ``(v, w0, w1, eid)`` of ``adjacency[u]`` adds ``a * w0 + b * w1``, which
-    must be positive.  Returns, for each vertex, the id of the edge whose
-    relaxation set its label, or -1.
+    must be positive with its low ``vb`` bits zero.  Returns, for each
+    vertex, the id of the edge whose relaxation set its entry, or -1.
 
     The search stops once ``stop`` is settled.  ``settled`` marks the
     vertices it never enters and receives its settled marks, so a
     relaxation pays no extra check.  ``labels``, all None, receives the
-    labels: exact over the unmarked vertices for a settled vertex, at
-    least the stop vertex's for any other reached vertex, and None for an
-    unreached one.  Equal labels keep the incumbent predecessor, and heap
-    ties resolve by vertex id, so the output is deterministic.
+    entries: exact over the unmarked vertices for a settled vertex, at
+    least the stop vertex's label for any other reached vertex, and None
+    for an unreached one.  Equal labels keep the incumbent predecessor, and
+    heap ties resolve by vertex id, so the output is deterministic.
     """
+    mask = (1 << vb) - 1
     prev_edge = [-1] * len(labels)
-    labels[origin] = start
-    heap = [(start, origin)]
+    labels[start & mask] = start
+    heap = [start]
     while heap:
-        ell, u = heappop(heap)
-        # Each push lowers its vertex's label, so a vertex's first pop holds
-        # its current label and every later pop finds it settled.
+        e = heappop(heap)
+        u = e & mask
+        # Each push lowers its vertex's entry, so a vertex's first pop holds
+        # its current entry and every later pop finds it settled.
         if settled[u]:
             continue
         settled[u] = True
         if u == stop:
             break
+        base = e - u
         for v, w0, w1, eid in adjacency[u]:
             if settled[v]:
                 continue
-            new = ell + a * w0 + b * w1
+            new = base + a * w0 + b * w1 + v
             cur = labels[v]
             if cur is None or new < cur:
                 labels[v] = new
                 prev_edge[v] = eid
-                heappush(heap, (new, v))
+                heappush(heap, new)
     return prev_edge
-
-
-def label_shift(graph: DualWeightGraph) -> int:
-    """How far a slope-extremal label shifts its length: the bit length of
-    ``2 * graph.slope_bound``.  ``label >> label_shift(graph)`` is the length."""
-    return (2 * graph.slope_bound).bit_length()
 
 
 def dijkstra_extreme_slope(
@@ -130,10 +149,11 @@ def dijkstra_extreme_slope(
     ``dead`` marks vertices the search never enters: it serves as the
     search's settled mask, and the search marks the vertices it settles in
     it.  The source and target must not be marked.  ``labels``, a list of
-    ``vertex_count`` Nones, receives the labels laid out as the module
-    docstring says, whose lengths are ``label >> label_shift(graph)``:
-    exact over the unmarked vertices for a settled vertex, at least the
-    target's for any other reached vertex, and None for an unreached one.
+    ``vertex_count`` Nones, receives the heap entries laid out as the module
+    docstring says, whose lengths are ``entry >> (shift + vb)`` for the
+    graph's ``label_shift`` and ``vertex_bits``: exact over the unmarked
+    vertices for a settled vertex, at least the target's for any other
+    reached vertex, and None for an unreached one.
     """
     # Inline int checks, so a probe calls no validator; they name a failure.
     n = graph.vertex_count
@@ -148,12 +168,13 @@ def dijkstra_extreme_slope(
     if source == target:
         return (), CostLine.from_scaled(0, 0, graph.den)
 
-    bound, shift = graph.slope_bound, label_shift(graph)
+    bound, shift, vb = graph.slope_bound, graph.label_shift, graph.vertex_bits
+    top, step = shift + vb, sign << vb
     labels = [None] * n if labels is None else labels
     settled = [False] * n if dead is None else dead
     prev_edge = _dijkstra(
-        graph.adjacency, ((q - p) << shift) - sign, (p << shift) + sign,
-        source, bound, target, settled, labels,
+        graph.adjacency, ((q - p) << top) - step, (p << top) + step,
+        (bound << vb) | source, vb, target, settled, labels,
     )
     if not settled[target]:
         raise UnreachableError(f"vertex {target} not reachable from {source}")
@@ -168,7 +189,7 @@ def dijkstra_extreme_slope(
         edges.append(eid)
         v = tails[eid]
     edges.reverse()
-    label = labels[target]
+    label = labels[target] >> vb
     length = label >> shift
     slope = sign * (label - (length << shift) - bound)
     line = CostLine.from_scaled((length - p * slope) // q, slope, graph.den)
@@ -184,20 +205,25 @@ def reverse_lengths(
 ) -> list[int | None]:
     """Plain lengths ``d(v, target)`` at ``lam``, from a search over reversed edges.
 
-    Lengths are scaled by ``q * D`` at ``lam = p/q``, as the slope-extremal
-    labels' are, and ``dead`` marks vertices the search never enters, as it
-    does there, and receives the settled marks.  The search stops once
+    Returns the search's heap entries ``(length << vb) | v``, for ``vb``
+    the graph's ``vertex_bits``, so ``entry >> vb`` is a length.  Lengths
+    are scaled by ``q * D`` at ``lam = p/q``, as the slope-extremal labels'
+    are, and ``dead`` marks vertices the search never enters, as it does
+    there, and receives the settled marks.  The search stops once
     ``source`` is settled, so a length is exact over the unmarked vertices
     for a settled vertex and at least the source's for any other reached
     vertex; an unreached vertex keeps None.  The caller checks ``lam`` and
     the pair.
     """
     p, q = lam.as_integer_ratio()
-    n = graph.vertex_count
-    lengths: list[int | None] = [None] * n
+    n, vb = graph.vertex_count, graph.vertex_bits
+    entries: list[int | None] = [None] * n
     settled = [False] * n if dead is None else dead
-    _dijkstra(graph.reverse_adjacency, q - p, p, target, 0, source, settled, lengths)
-    return lengths
+    _dijkstra(
+        graph.reverse_adjacency, (q - p) << vb, p << vb, target, vb, source,
+        settled, entries,
+    )
+    return entries
 
 
 def shortest_path_length(

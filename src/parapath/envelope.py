@@ -90,11 +90,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dijkstra import (
-    MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope, label_shift,
-    reverse_lengths,
+    MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope, reverse_lengths,
 )
 from .model import (
     CostLine,
@@ -111,15 +110,15 @@ from .model import (
 Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]
 
 
-@dataclass(frozen=True)
-class EnvelopeSegment:
+class EnvelopeSegment(NamedTuple):
     """Maximal parameter interval on which one path is optimal.
 
     ``path`` is the witness's edge ids, a plain tuple, or None for a
     segment read from an envelope file: a vertex walk cannot tell parallel
     edges apart.  ``vertices`` is the witness's vertex walk, which an
     envelope file holds and :func:`~parapath.graphio.document_from_index`
-    fills in; the builder leaves it None.
+    fills in; the builder leaves it None.  A segment is a tuple, and
+    compares equal to a plain tuple of its fields.
     """
 
     lo: Fraction
@@ -156,8 +155,7 @@ class ShortestPathIndex:
         return check_segments(self.segments)
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     index: ShortestPathIndex
     dijkstra_calls: int
 
@@ -171,40 +169,50 @@ def check_segments(
     comparing against possibly-wrong envelopes.  Strict mode adds exact
     line agreement at breakpoints and strictly decreasing slopes, and
     returns the ints it read as :attr:`ShortestPathIndex.query_columns`.
+    After the ends of [0, 1], segments are checked in order, each against
+    the one before it, so the first fault is the one reported.
     """
     if not segments:
         raise ValueError("segment array is empty")
-    # Numerator/denominator pairs, each in lowest terms.
-    los = [seg.lo.as_integer_ratio() for seg in segments]
-    his = [seg.hi.as_integer_ratio() for seg in segments]
-    if los[0][0] != 0:
-        lo = show_number(segments[0].lo)
-        raise ValueError(f"first segment starts at {lo}, not 0")
-    if his[-1][0] != his[-1][1]:
-        hi = show_number(segments[-1].hi)
-        raise ValueError(f"last segment ends at {hi}, not 1")
-    for i, ((lp, lq), (hp, hq)) in enumerate(zip(los, his)):
+    # Endpoints are read as numerator/denominator pairs, each in lowest terms.
+    lo = segments[0].lo
+    lp, lq = lo.as_integer_ratio()
+    if lp != 0:
+        raise ValueError(f"first segment starts at {show_number(lo)}, not 0")
+    hp, hq = segments[-1].hi.as_integer_ratio()
+    if hp != hq:
+        raise ValueError(f"last segment ends at {show_number(segments[-1].hi)}, not 1")
+    nums, dens, lines = [], [], []
+    hi = lo
+    before = None  # the line of the segment before, when strict
+    for i, seg in enumerate(segments):
+        # A built index shares one Fraction per breakpoint between its segments.
+        if seg.lo is not hi and seg.lo.as_integer_ratio() != (lp, lq):
+            raise ValueError(f"gap between segments {i - 1} and {i}")
+        hi = seg.hi
+        hp, hq = hi.as_integer_ratio()
         if lp * hq >= hp * lq:
-            ends = ", ".join(map(show_number, (segments[i].lo, segments[i].hi)))
+            ends = ", ".join(map(show_number, (seg.lo, hi)))
             raise ValueError(f"segment {i} has empty interval [{ends}]")
-    lines = tuple([seg.line.scaled() for seg in segments]) if strict else ()
-    for i in range(len(segments) - 1):
-        p, q = his[i]
-        if his[i] != los[i + 1]:
-            raise ValueError(f"gap between segments {i} and {i + 1}")
-        if not strict:
-            continue
-        (ma, sa, da), (mb, sb, db) = lines[i], lines[i + 1]
-        if ma * db == mb * da and sa * db == sb * da:
-            raise ValueError(f"segments {i} and {i + 1} share a line")
-        if sa * db <= sb * da:
-            raise ValueError(f"slope not decreasing at segment {i + 1}")
-        if (q * ma + p * sa) * db != (q * mb + p * sb) * da:
-            raise ValueError(
-                f"lines disagree at breakpoint {show_number(segments[i].hi)} "
-                f"between {i} and {i + 1}"
-            )
-    return (*zip(*his), lines) if strict else None
+        nums.append(hp)
+        dens.append(hq)
+        if strict:
+            mb, sb, db = line = seg.line.scaled()
+            if before is not None:
+                ma, sa, da = before
+                if (left := sa * db) <= (right := sb * da):
+                    if left == right and ma * db == mb * da:
+                        raise ValueError(f"segments {i - 1} and {i} share a line")
+                    raise ValueError(f"slope not decreasing at segment {i}")
+                if (lq * ma + lp * sa) * db != (lq * mb + lp * sb) * da:
+                    raise ValueError(
+                        f"lines disagree at breakpoint {show_number(seg.lo)} "
+                        f"between {i - 1} and {i}"
+                    )
+            lines.append(line)
+            before = line
+        lp, lq = hp, hq
+    return (tuple(nums), tuple(dens), tuple(lines)) if strict else None
 
 
 def check_index_invariants(index: ShortestPathIndex) -> None:
@@ -234,11 +242,11 @@ class _Bounds:
     """A probe's slack over the vertices its search ran over, in the
     probe's length units, for the live tests of the intervals it ends.
 
-    Holds the search's labels until first asked: the reverse search that
-    completes the slack runs then, since a probe between two base-case
-    intervals never needs it.  ``depth`` is the probe's in the bisection
-    tree: 0 at the root ends, and one more than its interval's, which is
-    the larger of its ends' depths.
+    Holds the search's heap entries until first asked: the reverse search
+    that completes the slack runs then, since a probe between two
+    base-case intervals never needs it.  ``depth`` is the probe's in the
+    bisection tree: 0 at the root ends, and one more than its interval's,
+    which is the larger of its ends' depths.
     """
 
     lam: Fraction
@@ -251,15 +259,16 @@ class _Bounds:
         """``{v: sigma(v)}``, each label a search left unsettled lowered to
         ``OPT``, the target's label, which it is at least."""
         if self._slack is None:
-            labels, live = self.labels, self.live
-            shift = label_shift(graph)
-            opt = labels[target] >> shift
+            labels, live, vb = self.labels, self.live, graph.vertex_bits
+            top = graph.label_shift + vb  # an entry's length sits above it
+            opt = labels[target] >> top
             back = reverse_lengths(
                 graph, self.lam, source, target, _dead(graph.vertex_count, live)
             )
             self._slack = {
-                v: (opt if (f := labels[v]) is None or (f := f >> shift) > opt else f)
-                + (b if (b := back[v]) is not None and b < opt else opt) - opt
+                v: (opt if (f := labels[v]) is None or (f := f >> top) > opt else f)
+                + (b if (b := back[v]) is not None and (b := b >> vb) < opt else opt)
+                - opt
                 for v in live
             }
             self.labels = None

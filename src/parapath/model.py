@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, log10
+from operator import countOf
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -149,13 +150,19 @@ class DualWeightGraph:
     ``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges leaving
     ``v`` in edge-id order.  The constructor checks the columns, so a graph
     that exists is valid, and keeps each column as a tuple, so it stays
-    valid.  It raises GraphStructureError for no vertex, WeightDomainError
-    for a ``den`` below 1, GraphStructureError for columns of unequal
-    length, then, at the first edge at fault, GraphStructureError for an
-    endpoint outside ``0..vertex_count - 1`` and WeightDomainError for a
-    weight that is not positive, then as :func:`check_scale` does, then
-    WeightDomainError for a ``den`` that is not the weights' least common
-    denominator, so one edge set has one set of columns.
+    valid.  Every number must be exactly an ``int``, not a bool or a float,
+    as the searches add and compare them exactly and pack vertex ids into
+    their labels' low bits.  In this order, it raises
+    GraphStructureError for a ``vertex_count`` that is not an int or is
+    below 1, WeightDomainError for a ``den`` that is not an int or is below
+    1, GraphStructureError for columns of unequal length, then, column by
+    column, GraphStructureError for an endpoint and WeightDomainError for a
+    weight that is not an int, then, at the first edge at fault,
+    GraphStructureError for an endpoint outside ``0..vertex_count - 1`` and
+    WeightDomainError for a weight that is not positive, then as
+    :func:`check_scale` does, then WeightDomainError for a ``den`` that is
+    not the weights' least common denominator, so one edge set has one set
+    of columns.
     """
 
     vertex_count: int
@@ -171,14 +178,27 @@ class DualWeightGraph:
         columns = tuple(map(tuple, (self.tails, self.heads, self.w0, self.w1)))
         for name, column in zip(("tails", "heads", "w0", "w1"), columns):
             object.__setattr__(self, name, column)
+        if type(n) is not int:
+            raise GraphStructureError(
+                f"vertex count is a {type(n).__name__:.40}, not an int"
+            )
         if n < 1:
             raise GraphStructureError("graph needs at least one vertex")
+        if type(den) is not int:
+            raise WeightDomainError(
+                f"weight denominator is a {type(den).__name__:.40}, not an int"
+            )
         if den < 1:
             raise WeightDomainError(f"weight denominator {show_number(den)} is below 1")
         lengths = tuple(map(len, columns))
         if len(set(lengths)) > 1:
             shown = ", ".join(map(show_number, lengths))
             raise GraphStructureError(f"edge columns of unequal length ({shown})")
+        for name, column in zip(("tails", "heads", "w0", "w1"), columns):
+            if countOf(map(type, column), int) != len(column):
+                bad = next(type(x).__name__ for x in column if type(x) is not int)
+                error = WeightDomainError if name[0] == "w" else GraphStructureError
+                raise error(f"edge column {name} holds a {bad:.40}, not only ints")
         out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         for eid, (tail, head, a, b) in enumerate(zip(*columns)):
             if not (0 <= tail < n and 0 <= head < n):
@@ -233,6 +253,19 @@ class DualWeightGraph:
         such slopes, so it is at most twice the bound."""
         wmax = max(max(self.w0, default=0), max(self.w1, default=0))
         return (self.vertex_count - 1) * wmax
+
+    @derived
+    def label_shift(self) -> int:
+        """How far a slope-extremal search's label shifts its length: the
+        bit length of ``2 * slope_bound``, as ``parapath.dijkstra`` lays
+        labels out."""
+        return (2 * self.slope_bound).bit_length()
+
+    @derived
+    def vertex_bits(self) -> int:
+        """The low bits a search's heap entry keeps for its vertex: the bit
+        length of ``vertex_count``."""
+        return self.vertex_count.bit_length()
 
     @derived
     def edges(self) -> tuple[Edge, ...]:
@@ -333,10 +366,13 @@ class CostLine:
         m = a * d
         self._scaled = (m, c * b - m, b * d)
 
-    @classmethod
-    def from_scaled(cls, m: int, s: int, d: int) -> "CostLine":
-        """The line worth ``(m + lam*s) / d`` at ``lam``, for ``d > 0``."""
-        line = cls.__new__(cls)
+    @staticmethod
+    def from_scaled(m: int, s: int, d: int) -> "CostLine":
+        """The line worth ``(m + lam*s) / d`` at ``lam``, for ``d > 0``.
+
+        A static method: every search and cost-line walk makes one, and a
+        class method's binding costs about a fifth of the call."""
+        line = object.__new__(CostLine)
         line._scaled = (m, s, d)
         return line
 

@@ -1,10 +1,13 @@
+import heapq
 import math
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import strategies as own
 from parapath import (
@@ -23,6 +26,7 @@ from parapath import (
     random_graph,
     shortest_path_length,
 )
+from parapath.dijkstra import reverse_lengths
 
 
 @pytest.fixture
@@ -200,3 +204,147 @@ def _timed_full_settle(graph, source, unreachable):
     with pytest.raises(UnreachableError):
         dijkstra_extreme_slope(graph, F(1, 3), source, unreachable, MIN_SLOPE)
     return time.perf_counter() - start
+
+
+def tuple_heap_kernel(adjacency, a, b, origin, start, stop, settled, labels):
+    """The search loop over a heap of ``(label, vertex)`` tuples, as it was
+    before heap entries carried their vertex in the label's low bits: the
+    packed entries must settle, relax and break ties exactly as it does."""
+    prev_edge = [-1] * len(labels)
+    labels[origin] = start
+    heap = [(start, origin)]
+    while heap:
+        ell, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if u == stop:
+            break
+        for v, w0, w1, eid in adjacency[u]:
+            if settled[v]:
+                continue
+            new = ell + a * w0 + b * w1
+            cur = labels[v]
+            if cur is None or new < cur:
+                labels[v] = new
+                prev_edge[v] = eid
+                heapq.heappush(heap, (new, v))
+    return prev_edge
+
+
+def tuple_heap_search(graph, lam, source, target, mode, settled):
+    """(path, scaled line, labels) of the slope-extremal search run by
+    :func:`tuple_heap_kernel`, or None when ``target`` is unreachable;
+    ``settled`` receives the settled marks."""
+    p, q = lam.as_integer_ratio()
+    sign = 1 if mode == MIN_SLOPE else -1
+    bound = graph.slope_bound
+    shift = (2 * bound).bit_length()
+    labels = [None] * graph.vertex_count
+    if source == target:
+        return (), (0, 0, graph.den), labels
+    prev_edge = tuple_heap_kernel(
+        graph.adjacency, ((q - p) << shift) - sign, (p << shift) + sign,
+        source, bound, target, settled, labels,
+    )
+    if not settled[target]:
+        return None
+    path, v = [], target
+    while v != source:
+        path.append(prev_edge[v])
+        v = graph.tails[prev_edge[v]]
+    length = labels[target] >> shift
+    slope = sign * (labels[target] - (length << shift) - bound)
+    return tuple(reversed(path)), ((length - p * slope) // q, slope, graph.den), labels
+
+
+def unpacked(entries, graph):
+    """Each heap entry's label, after checking its low bits hold its vertex."""
+    vb = graph.vertex_bits
+    assert vb == graph.vertex_count.bit_length()
+    for v, entry in enumerate(entries):
+        assert entry is None or entry & ((1 << vb) - 1) == v
+    return [None if entry is None else entry >> vb for entry in entries]
+
+
+def dead_masks(graph, source, target, seed):
+    """No mask, a mask marking nothing, and a seeded mask marking some
+    vertices other than the pair."""
+    rng = random.Random(seed)
+    n = graph.vertex_count
+    some = [v not in (source, target) and rng.random() < 0.3 for v in range(n)]
+    return None, [False] * n, some
+
+
+def assert_packed_matches_tuple_heap(graph, source, target, lam, seed):
+    for dead in dead_masks(graph, source, target, seed):
+        for mode in (MIN_SLOPE, MAX_SLOPE):
+            want_settled = [False] * graph.vertex_count if dead is None else list(dead)
+            want = tuple_heap_search(graph, lam, source, target, mode, want_settled)
+            got_settled = None if dead is None else list(dead)
+            labels = [None] * graph.vertex_count
+            if want is None:
+                with pytest.raises(UnreachableError):
+                    dijkstra_extreme_slope(
+                        graph, lam, source, target, mode, got_settled, labels
+                    )
+            else:
+                path, line = dijkstra_extreme_slope(
+                    graph, lam, source, target, mode, got_settled, labels
+                )
+                assert (path, line.scaled(), unpacked(labels, graph)) == want
+            if dead is not None:
+                assert got_settled == want_settled
+        # The reverse search: plain lengths toward the target.
+        p, q = lam.as_integer_ratio()
+        n = graph.vertex_count
+        want_settled = [False] * n if dead is None else list(dead)
+        want_lengths = [None] * n
+        tuple_heap_kernel(
+            graph.reverse_adjacency, q - p, p, target, 0, source,
+            want_settled, want_lengths,
+        )
+        got_settled = None if dead is None else list(dead)
+        got = reverse_lengths(graph, lam, source, target, got_settled)
+        assert unpacked(got, graph) == want_lengths
+        if dead is not None:
+            assert got_settled == want_settled
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(
+    st.one_of(
+        own.graphs_with_pair(max_vertices=9, max_edges=24),
+        seeds.map(lambda seed: own.random_instance(
+            random.Random(seed), max_vertices=10, max_edges=30,
+            max_weight=3, weight_scale=1,
+        )),
+    ),
+    own.lambdas,
+    seeds,
+)
+@settings(max_examples=300, deadline=None)
+def test_packed_heap_entries_match_a_tuple_heap(instance, lam, seed):
+    assert_packed_matches_tuple_heap(*instance, lam, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_packed_heap_entries_at_vertex_bit_boundaries(n):
+    # With ``vertex_count`` at 2**j - 1 or 2**j + 1 the highest vertex id
+    # needs every vertex bit, and at 2**j all but one: a layout one bit
+    # short mixes the high vertex ids into the labels.  Tied two-route
+    # steps run through every vertex, so ties break by vertex id all along.
+    rng = random.Random(n)
+    rows = [(0, 0, 1, 1)]
+    for v in range(n - 1):
+        rows += [(v, v + 1, 1, 2), (v, v + 1, 2, 1), (v + 1, v, 1, 1)]
+    rows += [
+        (rng.randrange(n), rng.randrange(n), rng.randint(1, 3), rng.randint(1, 3))
+        for _ in range(2 * n)
+    ]
+    graph = DualWeightGraph.build(n, rows)
+    for source, target in {(0, n - 1), (n - 1, 0), (n // 2, n - 1)}:
+        for lam in (F(0), F(1, 3), F(1, 2), F(1)):
+            assert_packed_matches_tuple_heap(graph, source, target, lam, n)

@@ -179,7 +179,17 @@ def test_invariant_checker_rejects_bad_tilings(diamond):
     seg0, seg1 = index.segments
     gap = (EnvelopeSegment(seg0.lo, F(1, 3), seg0.path, seg0.line), seg1)
     shared = (seg0, EnvelopeSegment(seg1.lo, seg1.hi, seg1.path, seg0.line))
-    for segments, match in ((gap, "gap"), (shared, "share a line")):
+    # Segments are checked in order, so the gap before segment 1 is found
+    # before segment 1's empty interval.
+    both = (
+        EnvelopeSegment(F(0), F(1, 3), seg0.path, seg0.line),
+        EnvelopeSegment(F(1, 2), F(1, 2), seg1.path, seg1.line),
+        EnvelopeSegment(F(1, 2), F(1), seg1.path, seg1.line),
+    )
+    for segments, match in (
+        (gap, "gap"), (shared, "share a line"),
+        (both, r"^gap between segments 0 and 1$"),
+    ):
         bad = ShortestPathIndex(0, 3, segments)
         with pytest.raises(ValueError, match=match):
             check_index_invariants(bad)
@@ -239,3 +249,39 @@ def test_chain_breakpoints_stay_under_twice_the_slope_bound():
         assert largest <= 2 * graph.slope_bound
     # chain_graph(63), the benchmark's chain: 65-bit breakpoints, a 73-bit bound.
     assert (largest.bit_length(), (2 * graph.slope_bound).bit_length()) == (65, 73)
+
+
+@pytest.mark.parametrize("workload", ["chain-deep", "grid-wide"])
+def test_every_probe_and_walk_goes_through_the_module_names(
+    workload, bench_instances, monkeypatch
+):
+    # The benchmark's tracer times the search and the cost-line walk by
+    # wrapping ``envelope.dijkstra_extreme_slope`` and ``envelope.cost_line``.
+    # A build that reached either some other way would leave its time out
+    # of those layers, so each probe and each segment's walk must be one
+    # call through these names.
+    if workload == "chain-deep":
+        graph, (source, target) = chain_graph(63), chain_endpoints(63)
+    else:
+        inst = bench_instances.grid_instance(1)
+        graph = DualWeightGraph.build(inst.vertex_count, inst.rows)
+        source, target = inst.source, inst.target
+    calls = {"search": 0, "walk": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    envelope = parapath.envelope
+    monkeypatch.setattr(
+        envelope, "dijkstra_extreme_slope",
+        counted("search", envelope.dijkstra_extreme_slope),
+    )
+    monkeypatch.setattr(envelope, "cost_line", counted("walk", envelope.cost_line))
+    result = build_index_detailed(graph, source, target)
+    assert calls == {"search": result.dijkstra_calls, "walk": result.index.k}
+    assert (result.dijkstra_calls, result.index.k) == {
+        "chain-deep": (122, 64), "grid-wide": (39, 20)
+    }[workload]

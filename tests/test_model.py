@@ -338,6 +338,36 @@ def test_constructor_refuses_hostile_denominators_like_the_edge_list_check():
          "least common denominator"),
         ((2, 2, (0,), (1,), (0,), (2,)), WeightDomainError,
          "edge 0: weights must be strictly positive, got (0, 1)"),
+        # Every number is exactly an int, since the searches pack vertex ids
+        # and weights into bit fields: a float weight or endpoint used to
+        # pass and fail later inside a build, and a bool passed as an int.
+        ((2, 1, (0,), (1,), (0.5,), (1,)), WeightDomainError,
+         "edge column w0 holds a float, not only ints"),
+        ((2, 1, (0,), (1,), (1,), (True,)), WeightDomainError,
+         "edge column w1 holds a bool, not only ints"),
+        ((2, 1, (0.0,), (1,), (1,), (1,)), GraphStructureError,
+         "edge column tails holds a float, not only ints"),
+        ((2, 1, (0, 0), (1, True), (1, 1), (1, 1)), GraphStructureError,
+         "edge column heads holds a bool, not only ints"),
+        ((2.0, 1, (), (), (), ()), GraphStructureError,
+         "vertex count is a float, not an int"),
+        ((True, 1, (), (), (), ()), GraphStructureError,
+         "vertex count is a bool, not an int"),
+        ((2, 1.0, (), (), (), ()), WeightDomainError,
+         "weight denominator is a float, not an int"),
+        ((2, True, (), (), (), ()), WeightDomainError,
+         "weight denominator is a bool, not an int"),
+        # The types of ``vertex_count`` and ``den`` are checked before their
+        # ranges, the column lengths before the columns' types, and those
+        # before any edge: edge 0's endpoint 5 is out of range here.
+        (("2", -1, (), (), (), ()), GraphStructureError,
+         "vertex count is a str, not an int"),
+        ((2, "1", (), (), (), ()), WeightDomainError,
+         "weight denominator is a str, not an int"),
+        ((2, 1, (0.5,), (1,), (1,), ()), GraphStructureError,
+         "edge columns of unequal length (1, 1, 1, 0)"),
+        ((2, 1, (5,), (1,), (1,), (0.5,)), WeightDomainError,
+         "edge column w1 holds a float, not only ints"),
     ],
 )
 def test_constructor_refuses_columns_that_are_not_one_edge_set(columns, error, message):

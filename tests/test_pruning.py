@@ -196,7 +196,9 @@ def test_gate_prunes_grid_wide_and_never_chains(bench_instances):
 def test_reverse_lengths_are_exact_up_to_the_source(instance, lam):
     graph, source, target = instance
     scale = lam.denominator * graph.den
-    got = reverse_lengths(graph, lam, source, target)
+    entries = reverse_lengths(graph, lam, source, target)
+    vb = graph.vertex_bits  # an entry holds its length above the vertex bits
+    got = [None if e is None else e >> vb for e in entries]
     exact = distances(graph, lam, target, False)
     best = exact[source]
     for v in range(graph.vertex_count):
