@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .errors import GeneratorParameterError, NumberSizeError
-from .model import MAX_VERTICES, DualWeightGraph, as_rational, show_number
+from .model import MAX_EDGES, MAX_VERTICES, DualWeightGraph, as_rational, show_number
 
 
 def random_graph(
@@ -38,10 +38,10 @@ def random_graph(
             f"vertex count {show_number(vertices)} outside 2..{MAX_VERTICES}"
         )
     max_edges = vertices * (vertices - 1)
-    if not (1 <= edges <= max_edges):
+    if not (1 <= edges <= min(max_edges, MAX_EDGES)):
         raise GeneratorParameterError(
-            f"edge count {show_number(edges)} outside 1..{max_edges} "
-            f"for {vertices} vertices"
+            f"edge count {show_number(edges)} outside "
+            f"1..{min(max_edges, MAX_EDGES)} for {vertices} vertices"
         )
     if wmax <= 0:
         raise GeneratorParameterError("weight bound must be positive")

@@ -26,6 +26,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from pathlib import Path as FilePath
 from typing import Iterable
 
@@ -33,7 +34,9 @@ from .envelope import EnvelopeSegment, ShortestPathIndex, check_index_invariants
 from .errors import (
     EnvelopeFormatError,
     GraphFormatError,
+    GraphStructureError,
     NumberSizeError,
+    WeightDomainError,
     WeightScaleError,
 )
 from .model import (
@@ -86,157 +89,101 @@ def format_weight(value: Fraction) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _parse_weight(token: str, line_no: int, parsed: dict[str, Fraction]) -> Fraction:
-    """``token``'s value, parsed on its first use and then taken from ``parsed``."""
-    value = parsed.get(token)
-    if value is None:
-        try:
-            value = parsed[token] = parse_rational(token)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphFormatError(
-                f"bad weight {token!r:.40}: {exc!s:.150}", line_no
-            ) from None
-    return value
-
-
-def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GraphFormatError(f"bad {what} {token!r:.40}", line_no) from None
-
-
 def parse_graph(text: str) -> DualWeightGraph:
     """Parse graph-file text; errors carry the 1-based offending line.
 
-    A well-formed file, its header first after any blank or comment lines
-    and then exactly the declared edge lines, is read column-wise: all
-    fields at once into five columns, each distinct weight token reduced to
-    lowest terms once, the common denominator checked by
-    :func:`check_scale` as it grows.  Any other text, and any anomaly the
-    column reader meets, is read by the line-by-line reader, which gives
-    the same graph for what it accepts and raises every error, so a file
-    fails with the same error and line whichever reader met it first.
+    Reads the edge lines column-wise and each distinct weight token once,
+    growing the common denominator ``D`` under :func:`check_scale` over the
+    edge lines present; blank and ``#`` lines are looked for only when some
+    line after the header is not five fields led by ``e``.  Refuses for the
+    first fault in this order, at its first line: (1) the header; (2) an
+    edge line's shape, up to the first surplus line; (3) a surplus edge
+    line; (4) an endpoint not an int; (5) a weight token, in first-use
+    order, that does not parse, then ``D`` past the cap (WeightScaleError,
+    no line) at the line taking it past, unless step 7 refuses that line;
+    (6) fewer edge lines than declared (no line); (7) per edge line, as the
+    constructor checks, an endpoint out of range, then a weight not > 0.
+    So faults on one line are refused as a line-by-line reader refuses them.
     """
-    columns = _read_columns(text)
-    return DualWeightGraph(*columns) if columns else _parse_lines(text)
-
-
-def _read_columns(text: str) -> tuple | None:
-    """The constructor's arguments for a well-formed file, else None."""
-    lines = text.splitlines()
-    for at, line in enumerate(lines):
-        header = line.split()
-        if header and header[0][0] != "#":
-            break
-    else:
-        return None
-    try:
-        psp, n, m = header
-        n, m = int(n), int(m)
-    except ValueError:
-        return None
-    if psp != "psp" or not 1 <= n <= MAX_VERTICES or len(lines) - at - 1 != m:
-        return None
-    rows = list(map(str.split, lines[at + 1:]))
-    if set(map(len, rows)) != {5}:
-        return None
-    es, tails, heads, t0, t1 = zip(*rows)
+    rows = list(map(str.split, text.splitlines()))
+    at = next((at for at, row in enumerate(rows) if row and row[0][0] != "#"), None)
+    if at is None:
+        raise GraphFormatError("missing 'psp' header line")
+    header, rows, numbers = rows[at], rows[at + 1:], range(at + 2, len(rows) + 1)
+    if header[0] != "psp" or len(header) != 3:
+        raise GraphFormatError("expected header 'psp <vertices> <edges>'", at + 1)
+    _check_ints(header[1:], ("vertex count", "edge count"), at + 1)
+    n, m = map(int, header[1:])
+    if not 1 <= n <= MAX_VERTICES or m < 0:
+        raise GraphFormatError(
+            f"header counts out of range (vertices 1..{MAX_VERTICES})", at + 1
+        )
+    if set(map(len, rows)) != {5} or set(map(itemgetter(0), rows)) != {"e"}:
+        kept = [(no, row) for no, row in zip(numbers, rows) if row and row[0][0] != "#"]
+        for no, row in kept[:m + 1]:
+            if len(row) != 5 or row[0] != "e":
+                raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", no)
+        numbers, rows = tuple(zip(*kept)) or ((), ())
+    if len(rows) > m:
+        raise GraphFormatError("more edge lines than the header declares", numbers[m])
+    _es, tails, heads, t0, t1 = zip(*rows) if rows else ((),) * 5
     del rows
     try:
         tails, heads = tuple(map(int, tails)), tuple(map(int, heads))
     except ValueError:
-        return None
-    if set(es) != {"e"} or min(tails) < 0 or min(heads) < 0:
-        return None
-    if max(tails) >= n or max(heads) >= n:
-        return None
-    den, ratios = 1, {}
-    for token in {*t0, *t1}:
-        ratio = plain_ratio(token)
-        if ratio is None:
-            try:
-                ratio = parse_rational(token).as_integer_ratio()
-            except (ValueError, ZeroDivisionError):
-                return None
-        p, q = ratio
-        if p <= 0:
-            return None
+        for no, ends in zip(numbers, zip(tails, heads)):
+            _check_ints(ends, ("tail", "head"), no)
+    tokens = [""] * (2 * len(t0))  # the weight tokens in first-use order
+    tokens[::2], tokens[1::2] = t0, t1
+    ratios: dict[str, tuple[int, int]] = {}
+    for token in dict.fromkeys(tokens):
+        try:
+            p, q = plain_ratio(token) or parse_rational(token).as_integer_ratio()
+        except (ValueError, ZeroDivisionError) as exc:
+            message = f"bad weight {token!r:.40}: {exc!s:.150}"
+            raise GraphFormatError(message, numbers[tokens.index(token) // 2]) from None
         g = gcd(p, q)
-        p, q = p // g, q // g
-        ratios[token] = p, q
+        ratios[token] = p // g, q // g
+    den = 1
+    for token, (_p, q) in ratios.items():
         if den % q:
             try:
-                den = check_scale(lcm(den, q), m)
-            except WeightScaleError:
-                return None
-    scaled = {token: p * (den // q) for token, (p, q) in ratios.items()}.__getitem__
-    return n, den, tails, heads, tuple(map(scaled, t0)), tuple(map(scaled, t1))
-
-
-def _parse_lines(text: str) -> DualWeightGraph:
-    """Read graph-file text line by line, raising at the first fault.
-
-    Reads straight into the graph's int columns.  Each distinct weight
-    token is parsed, checked and scaled once, and the common denominator
-    grows as new tokens come in, so :func:`check_scale` refuses it while
-    the file is read.  It counts the edges the header declares, but no
-    more than the lines left can hold, so a header that overstates its
-    edge count meets the count check instead.
-    """
-    vertex_count: int | None = None
-    edge_count, most, den = 0, 0, 1
-    rows: list[tuple[int, int, str, str]] = []
-    weights: dict[str, Fraction] = {}
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if vertex_count is None:
-            if fields[0] != "psp" or len(fields) != 3:
-                raise GraphFormatError(
-                    "expected header 'psp <vertices> <edges>'", line_no
-                )
-            vertex_count = _parse_int(fields[1], line_no, "vertex count")
-            edge_count = _parse_int(fields[2], line_no, "edge count")
-            if not 1 <= vertex_count <= MAX_VERTICES or edge_count < 0:
-                raise GraphFormatError(
-                    f"header counts out of range (vertices 1..{MAX_VERTICES})", line_no
-                )
-            most = min(edge_count, len(lines) - line_no)
-            continue
-        if fields[0] != "e" or len(fields) != 5:
-            raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", line_no)
-        if len(rows) >= edge_count:
-            raise GraphFormatError("more edge lines than the header declares", line_no)
-        _e, t, h, t0, t1 = fields
-        try:
-            tail, head = int(t), int(h)
-        except ValueError:
-            tail, head = _parse_int(t, line_no, "tail"), _parse_int(h, line_no, "head")
-        w0, w1 = weights.get(t0), weights.get(t1)
-        fresh = w0 is None or w1 is None
-        if fresh:
-            w0, w1 = (_parse_weight(token, line_no, weights) for token in (t0, t1))
-        if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
-            raise GraphFormatError(f"vertex id outside 0..{vertex_count - 1}", line_no)
-        if fresh:  # only a token's first line can fail these; failing ends the parse
-            if w0.numerator <= 0 or w1.numerator <= 0:
-                raise GraphFormatError("weights must be strictly positive", line_no)
-            den = check_scale(lcm(den, w0.denominator, w1.denominator), most)
-        rows.append((tail, head, t0, t1))
-    if vertex_count is None:
-        raise GraphFormatError("missing 'psp' header line")
-    if len(rows) != edge_count:
+                den = check_scale(lcm(den, q), len(tails))
+            except WeightScaleError:  # at the first line that takes D past
+                r = tokens.index(token) // 2
+                (p0, q0), (p1, q1) = ratios[t0[r]], ratios[t1[r]]
+                _check_edges(n, [(numbers[r], tails[r], heads[r], p0, p1)])
+                check_scale(lcm(den, q0, q1), len(tails))  # a multiple: raises
+    if len(tails) != m:
         raise GraphFormatError(
-            f"header declares {show_number(edge_count)} edges, file has {len(rows)}"
+            f"header declares {show_number(m)} edges, file has {len(tails)}"
         )
-    tails, heads, *tokens = zip(*rows) if rows else ((),) * 4
-    scaled = {t: w.numerator * (den // w.denominator) for t, w in weights.items()}
-    w0, w1 = (tuple(map(scaled.__getitem__, ts)) for ts in tokens)
-    del rows, weights, tokens, scaled  # not held while the adjacency is built
-    return DualWeightGraph(vertex_count, den, tails, heads, w0, w1)
+    scaled = {token: p * (den // q) for token, (p, q) in ratios.items()}.__getitem__
+    w0, w1 = tuple(map(scaled, t0)), tuple(map(scaled, t1))
+    del t0, t1, tokens, ratios, scaled  # not held while the adjacency is built
+    try:
+        return DualWeightGraph(n, den, tails, heads, w0, w1)
+    except (GraphStructureError, WeightDomainError):
+        _check_edges(n, zip(numbers, tails, heads, w0, w1))
+        raise
+
+
+def _check_ints(tokens: Iterable[str], names: Iterable[str], line_no: int) -> None:
+    """Raise GraphFormatError for the first of ``tokens`` ``int()`` refuses."""
+    for name, token in zip(names, tokens):
+        try:
+            int(token)
+        except ValueError:
+            raise GraphFormatError(f"bad {name} {token!r:.40}", line_no) from None
+
+
+def _check_edges(n: int, rows: Iterable[tuple[int, int, int, int, int]]) -> None:
+    """Raise GraphFormatError at the first bad ``(line, tail, head, w0, w1)`` row."""
+    for line_no, tail, head, w0, w1 in rows:
+        if not (0 <= tail < n and 0 <= head < n):
+            raise GraphFormatError(f"vertex id outside 0..{n - 1}", line_no)
+        if w0 <= 0 or w1 <= 0:
+            raise GraphFormatError("weights must be strictly positive", line_no)
 
 
 def format_graph(graph: DualWeightGraph, comments: Iterable[str] = ()) -> str:

@@ -44,6 +44,9 @@ MAX_DECIMAL_EXPONENT = 1_000
 # header ``psp 1000000000 0`` asks for some 100 GB; at the cap it is 110 MB.
 MAX_VERTICES = 1_000_000
 
+# Cap on ``gen random``'s edges: at a measured 0.75 KB each, 0.8 GB in all.
+MAX_EDGES = 1_000_000
+
 # Cap on the scaled weights' size, taken as 2 * edges * bits(D).  The common
 # denominator D can have as many bits as all weight denominators together,
 # and every scaled weight carries it, so without the cap E coprime

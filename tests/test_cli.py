@@ -11,6 +11,7 @@ from parapath import (
     write_graph,
 )
 from parapath.cli import build_parser, main
+from parapath.model import MAX_EDGES, MAX_VERTICES
 
 DIAMOND_TEXT = """\
 psp 4 4
@@ -64,8 +65,16 @@ def test_build_zero_weight_is_input_error(tmp_path):
     assert main(["build", str(bad), "--source", "0", "--target", "1", "--out", "x"]) == 2
 
 
-def test_build_hostile_denominators_is_input_error(tmp_path, capsys):
-    # 4000 routes whose weights 1/(10**12 + i) share no denominator.
+def test_build_hostile_denominators_is_input_error(tmp_path, capsys, monkeypatch):
+    # 4000 routes whose weights 1/(10**12 + i) share no denominator.  The
+    # file is refused in one pass: no weight token is read twice.
+    seen = []
+    for name in ("plain_ratio", "parse_rational"):
+        def counting(token, read=getattr(graphio, name)):
+            seen.append(token)
+            return read(token)
+
+        monkeypatch.setattr(graphio, name, counting)
     rows = "".join(
         f"e 0 {i + 2} 1/{10**12 + i} 1/{10**12 + i}\n"
         f"e {i + 2} 1 1/{10**12 + i} 1/{10**12 + i}\n"
@@ -77,6 +86,7 @@ def test_build_hostile_denominators_is_input_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: weights need a common")
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_build_never_derives_fraction_edges(tmp_path, monkeypatch):
@@ -229,6 +239,17 @@ def test_gen_infeasible_params(tmp_path):
         ["gen", "random", "--vertices", "3", "--edges", "99", "--out", str(out)]
     )
     assert code == 2
+
+
+def test_gen_refuses_edges_past_the_cap(tmp_path, capsys):
+    # Refused before ``random.sample`` is asked for the slots.
+    out = tmp_path / "x.psp"
+    argv = ["gen", "random", "--vertices", str(MAX_VERTICES),
+            "--edges", str(MAX_EDGES + 1), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge count ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_gen_chain_has_stable_envelope(tmp_path, capsys):

@@ -20,7 +20,7 @@ from parapath import (
 from parapath.errors import NumberSizeError
 from parapath.generators import max_chain_blocks
 from parapath.graphio import format_graph, format_weight
-from parapath.model import MAX_VERTICES
+from parapath.model import MAX_EDGES, MAX_VERTICES
 
 
 def list_of_pairs_random_graph(vertices, edges, seed):
@@ -57,7 +57,8 @@ class TestRandomGraph:
 
     @pytest.mark.parametrize(
         "vertices, edges",
-        [(1, 1), (3, 0), (3, 7), (2, 3), (MAX_VERTICES + 1, 1)],
+        [(1, 1), (3, 0), (3, 7), (2, 3), (MAX_VERTICES + 1, 1),
+         (MAX_VERTICES, MAX_EDGES + 1)],
     )
     def test_infeasible_parameters_rejected(self, vertices, edges):
         with pytest.raises(GeneratorParameterError):

@@ -3,7 +3,9 @@ import json
 import math
 import pickle
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,6 @@ from parapath import (
     chain_endpoints,
     chain_graph,
     document_from_index,
-    graphio,
     query,
     random_graph,
 )
@@ -39,7 +40,14 @@ from parapath.graphio import (
     read_graph,
     write_envelope,
 )
-from parapath.model import MAX_NUMBER_CHARS, MAX_VERTICES, path_vertices
+from parapath.model import (
+    MAX_NUMBER_CHARS,
+    MAX_VERTICES,
+    check_scale,
+    parse_rational,
+    path_vertices,
+    show_number,
+)
 
 
 DIAMOND_TEXT = """\
@@ -319,6 +327,94 @@ def reference_parse_graph(text: str) -> DualWeightGraph:
     )
 
 
+# The line-by-line reader ``parse_graph`` replaced, kept verbatim as the
+# reference for its error contract: a file whose faults lie on one line
+# must be refused with this reader's class, message and line.
+def _parse_weight(token: str, line_no: int, parsed: dict[str, Fraction]) -> Fraction:
+    """``token``'s value, parsed on its first use and then taken from ``parsed``."""
+    value = parsed.get(token)
+    if value is None:
+        try:
+            value = parsed[token] = parse_rational(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GraphFormatError(
+                f"bad weight {token!r:.40}: {exc!s:.150}", line_no
+            ) from None
+    return value
+
+
+def _parse_int(token: str, line_no: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise GraphFormatError(f"bad {what} {token!r:.40}", line_no) from None
+
+
+def _parse_lines(text: str) -> DualWeightGraph:
+    """Read graph-file text line by line, raising at the first fault.
+
+    Reads straight into the graph's int columns.  Each distinct weight
+    token is parsed, checked and scaled once, and the common denominator
+    grows as new tokens come in, so :func:`check_scale` refuses it while
+    the file is read.  It counts the edges the header declares, but no
+    more than the lines left can hold, so a header that overstates its
+    edge count meets the count check instead.
+    """
+    vertex_count: int | None = None
+    edge_count, most, den = 0, 0, 1
+    rows: list[tuple[int, int, str, str]] = []
+    weights: dict[str, Fraction] = {}
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if vertex_count is None:
+            if fields[0] != "psp" or len(fields) != 3:
+                raise GraphFormatError(
+                    "expected header 'psp <vertices> <edges>'", line_no
+                )
+            vertex_count = _parse_int(fields[1], line_no, "vertex count")
+            edge_count = _parse_int(fields[2], line_no, "edge count")
+            if not 1 <= vertex_count <= MAX_VERTICES or edge_count < 0:
+                raise GraphFormatError(
+                    f"header counts out of range (vertices 1..{MAX_VERTICES})", line_no
+                )
+            most = min(edge_count, len(lines) - line_no)
+            continue
+        if fields[0] != "e" or len(fields) != 5:
+            raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", line_no)
+        if len(rows) >= edge_count:
+            raise GraphFormatError("more edge lines than the header declares", line_no)
+        _e, t, h, t0, t1 = fields
+        try:
+            tail, head = int(t), int(h)
+        except ValueError:
+            tail, head = _parse_int(t, line_no, "tail"), _parse_int(h, line_no, "head")
+        w0, w1 = weights.get(t0), weights.get(t1)
+        fresh = w0 is None or w1 is None
+        if fresh:
+            w0, w1 = (_parse_weight(token, line_no, weights) for token in (t0, t1))
+        if not (0 <= tail < vertex_count and 0 <= head < vertex_count):
+            raise GraphFormatError(f"vertex id outside 0..{vertex_count - 1}", line_no)
+        if fresh:  # only a token's first line can fail these; failing ends the parse
+            if w0.numerator <= 0 or w1.numerator <= 0:
+                raise GraphFormatError("weights must be strictly positive", line_no)
+            den = check_scale(lcm(den, w0.denominator, w1.denominator), most)
+        rows.append((tail, head, t0, t1))
+    if vertex_count is None:
+        raise GraphFormatError("missing 'psp' header line")
+    if len(rows) != edge_count:
+        raise GraphFormatError(
+            f"header declares {show_number(edge_count)} edges, file has {len(rows)}"
+        )
+    tails, heads, *tokens = zip(*rows) if rows else ((),) * 4
+    scaled = {t: w.numerator * (den // w.denominator) for t, w in weights.items()}
+    w0, w1 = (tuple(map(scaled.__getitem__, ts)) for ts in tokens)
+    del rows, weights, tokens, scaled  # not held while the adjacency is built
+    return DualWeightGraph(vertex_count, den, tails, heads, w0, w1)
+
+
 def json_reference_envelope(doc: ShortestPathIndex) -> str:
     """The envelope layout as ``json.dumps`` writes it; ``format_envelope``
     must produce the same bytes."""
@@ -382,11 +478,11 @@ odd_lines = st.sampled_from(["", "  ", "\t", "# c", "#", "  # c", "#e 0 1 1 1"])
 
 
 @st.composite
-def graph_file_texts(draw):
-    """``format_graph`` text of a graph, then a few edits to it."""
+def graph_file_texts(draw, max_edits=3):
+    """``format_graph`` text of a graph, then up to ``max_edits`` edits to it."""
     comments = draw(st.lists(st.sampled_from(["gen random", "", "x"]), max_size=2))
     lines = format_graph(draw(own.graphs()), comments).splitlines()
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_edits))):
         i = draw(st.integers(0, max(len(lines) - 1, 0)))
         edit = draw(st.sampled_from(["token", "weight", "repeat", "drop", "insert"]))
         if edit == "insert" or not lines:
@@ -404,7 +500,7 @@ def graph_file_texts(draw):
     return brk.join(lines) + draw(st.sampled_from(["", brk]))
 
 
-@given(graph_file_texts())
+@given(graph_file_texts(max_edits=1))
 @example("psp 2 1\r\ne 0 1 1e2 +3\r\n")
 @example("\n# lead\npsp 2 1\n\ne 0 1 3_0 1\n")
 @example("psp 2 1\u2028e 0 1 1 1\u2029")
@@ -420,22 +516,62 @@ def graph_file_texts(draw):
 @example("psp 2 1\ne 0 1 1/0 1\n")
 @settings(max_examples=300, deadline=None)
 def test_column_reader_agrees_with_line_reader(text):
-    assert parse_outcome(parse_graph, text) == parse_outcome(graphio._parse_lines, text)
+    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
 
-def test_well_formed_files_are_read_column_wise(bench_instances, monkeypatch):
-    texts = [
-        bench_instances.format_psp(bench_instances.grid_instance(7)),
-        bench_instances.format_psp(bench_instances.chain_instance(chain_graph)),
-        format_graph(random_graph(30, 200, seed=3), ["gen random"]),
-    ]
-    expected = [reference_parse_graph(text) for text in texts]
+@given(graph_file_texts())
+@settings(max_examples=300, deadline=None)
+def test_edited_files_keep_the_line_readers_outcome_class(text):
+    ours, theirs = (parse_outcome(parse, text) for parse in (parse_graph, _parse_lines))
+    if isinstance(theirs[0], DualWeightGraph):
+        assert ours == theirs
+    else:
+        assert ours[0] is theirs[0]
 
-    def refuse(text):
-        raise AssertionError("a well-formed file went to the line-by-line reader")
 
-    monkeypatch.setattr(graphio, "_parse_lines", refuse)
-    assert [parse_graph(text) for text in texts] == expected
+def capped_text(line):
+    """A file of 10,000 edge lines whose line 2, ``line``, alone takes the
+    weights' common denominator past the scale cap."""
+    return f"psp 3 10000\n{line}\n" + "e 0 1 1 1\n" * 9999
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"e 0 1 1/{2**13500} 1",
+        # Both weights are new, so the cap is named at their common denominator.
+        f"e 0 1 1/{2**13500} 1/{3**8000}",
+        # The line's own faults come before the cap, as the line reader has them.
+        f"e 0 5 1/{2**13500} 1",
+        f"e 0 1 -1/{2**13500} 1",
+        f"e 0 1 1/{2**13500} x",
+    ],
+    ids=["cap", "cap-two-new-weights", "cap-and-range", "cap-and-sign", "cap-and-bad-weight"],
+)
+def test_cap_on_one_line_is_refused_as_the_line_reader_refuses_it(line):
+    text = capped_text(line)
+    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        # Surplus edge lines are found before a bad endpoint on an earlier
+        # line; the line reader named line 2, "bad tail".
+        ("psp 2 1\ne 1e2 0 0.01 0.01\ne 0 0 0.01 0.01",
+         "more edge lines than the header declares", 3),
+        # A bad endpoint on a later line before a bad weight on an earlier one.
+        ("psp 2 2\ne 0 1 x 1\ne 0 y 1 1\n", "bad head 'y'", 3),
+        # A bad weight on a later line before an endpoint out of range.
+        ("psp 2 2\ne 0 5 1 1\ne 0 1 1 x\n", "bad weight 'x'", 3),
+        # The shortfall before an endpoint out of range.
+        ("psp 2 3\ne 0 5 1 1\n", "header declares 3 edges, file has 1", None),
+    ],
+)
+def test_multi_fault_files_follow_the_documented_order(text, message, line):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert info.value.line == line and message in str(info.value)
 
 
 ratios = st.builds(
