@@ -18,7 +18,8 @@ forced to prune its probes must build the same result too, both from its
 usual depth of the bisection on and from the root on, for every random
 instance and for tie-heavy 4x4 and 5x5 grids (weights 1..3), one per 100
 instances and at least two, which are also checked against the
-brute-force envelope.
+brute-force envelope.  Number spellings that ``Fraction`` reads on some
+Pythons only (``_`` and inner whitespace) must be refused on this one.
 Exits nonzero on the first mismatch and prints the instance so it can be
 replayed.
 
@@ -51,12 +52,27 @@ from parapath.graphio import (
     parse_envelope,
     parse_graph,
 )
-from parapath.model import path_vertices
+from parapath.model import parse_rational, path_vertices
 
 TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 sys.path.insert(0, str(TESTS_DIR))
 
 from random_cases import random_grid, random_instance  # noqa: E402
+
+
+# Fraction reads these on Python 3.11 or 3.12 and later; the program never does.
+REFUSED_SPELLINGS = ("1_000", "1 /2", "1/ 2", "1e1_0")
+
+
+def check_spellings() -> str | None:
+    """Why a spelling in ``REFUSED_SPELLINGS`` is read, or None."""
+    for token in REFUSED_SPELLINGS:
+        try:
+            value = parse_rational(token)
+        except ValueError:
+            continue
+        return f"the number spelling {token!r} reads as {value}, not refused"
+    return None
 
 
 def check_pruned(graph, source: int, target: int, result) -> str | None:
@@ -141,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-edges", type=int, default=20)
     args = parser.parse_args(argv)
     grids = max(2, args.instances // 100)
+    report = check_spellings()
+    if report is not None:
+        print(f"MISMATCH: {report}")
+        return 1
 
     rng = random.Random(args.seed)
     start = time.perf_counter()

@@ -23,7 +23,7 @@ from .errors import (
     ParapathError,
     UnreachableError,
 )
-from .model import parse_rational, path_vertices, validate_graph, validate_lambda
+from .model import parse_rational, path_vertices, validate_graph
 from .query import locate_segment, query
 
 EXIT_OK = 0
@@ -45,13 +45,11 @@ def _fail(code: int, message: str) -> int:
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        lam = parse_rational(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise LambdaRangeError(
             f"cannot parse lambda {text!r:.40}: {exc!s:.150}"
         ) from None
-    validate_lambda(lam)
-    return lam
 
 
 def _int(text: str) -> int:

@@ -150,7 +150,7 @@ class ShortestPathIndex:
 
     @derived
     def query_columns(self) -> Columns:
-        """What a query reads: the strict :func:`check_segments`' endpoint ints and
+        """What a query reads: :func:`check_segments`' endpoint ints and
         lines, kept by a build or a file load, else computed on the first query."""
         return check_segments(self.segments)
 
@@ -160,17 +160,13 @@ class BuildResult(NamedTuple):
     dijkstra_calls: int
 
 
-def check_segments(
-    segments: Sequence[EnvelopeSegment], strict: bool = True
-) -> Columns | None:
-    """Validate the segment-array invariants, raising ValueError on failure.
-
-    Non-strict mode checks only the interval structure; it is used when
-    comparing against possibly-wrong envelopes.  Strict mode adds exact
-    line agreement at breakpoints and strictly decreasing slopes, and
-    returns the ints it read as :attr:`ShortestPathIndex.query_columns`.
-    After the ends of [0, 1], segments are checked in order, each against
-    the one before it, so the first fault is the one reported.
+def check_segments(segments: Sequence[EnvelopeSegment]) -> Columns:
+    """Validate the segment-array invariants, raising ValueError on failure:
+    nonempty intervals tiling [0, 1], strictly decreasing slopes and lines
+    agreeing exactly at each breakpoint.  Returns the ints it read as
+    :attr:`ShortestPathIndex.query_columns`.  After the ends of [0, 1],
+    segments are checked in order, each against the one before it, so the
+    first fault is the one reported.
     """
     if not segments:
         raise ValueError("segment array is empty")
@@ -184,7 +180,6 @@ def check_segments(
         raise ValueError(f"last segment ends at {show_number(segments[-1].hi)}, not 1")
     nums, dens, lines = [], [], []
     hi = lo
-    before = None  # the line of the segment before, when strict
     for i, seg in enumerate(segments):
         # A built index shares one Fraction per breakpoint between its segments.
         if seg.lo is not hi and seg.lo.as_integer_ratio() != (lp, lq):
@@ -196,27 +191,25 @@ def check_segments(
             raise ValueError(f"segment {i} has empty interval [{ends}]")
         nums.append(hp)
         dens.append(hq)
-        if strict:
-            mb, sb, db = line = seg.line.scaled()
-            if before is not None:
-                ma, sa, da = before
-                if (left := sa * db) <= (right := sb * da):
-                    if left == right and ma * db == mb * da:
-                        raise ValueError(f"segments {i - 1} and {i} share a line")
-                    raise ValueError(f"slope not decreasing at segment {i}")
-                if (lq * ma + lp * sa) * db != (lq * mb + lp * sb) * da:
-                    raise ValueError(
-                        f"lines disagree at breakpoint {show_number(seg.lo)} "
-                        f"between {i - 1} and {i}"
-                    )
-            lines.append(line)
-            before = line
+        mb, sb, db = line = seg.line.scaled()
+        if lines:  # against the line of the segment before
+            ma, sa, da = lines[-1]
+            if (left := sa * db) <= (right := sb * da):
+                if left == right and ma * db == mb * da:
+                    raise ValueError(f"segments {i - 1} and {i} share a line")
+                raise ValueError(f"slope not decreasing at segment {i}")
+            if (lq * ma + lp * sa) * db != (lq * mb + lp * sb) * da:
+                raise ValueError(
+                    f"lines disagree at breakpoint {show_number(seg.lo)} "
+                    f"between {i - 1} and {i}"
+                )
+        lines.append(line)
         lp, lq = hp, hq
-    return (tuple(nums), tuple(dens), tuple(lines)) if strict else None
+    return tuple(nums), tuple(dens), tuple(lines)
 
 
 def check_index_invariants(index: ShortestPathIndex) -> None:
-    """Strict invariant check over a whole index, kept as its query_columns."""
+    """The segment check over a whole index, kept as its query_columns."""
     object.__setattr__(index, "query_columns", check_segments(index.segments))
 
 

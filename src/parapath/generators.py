@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import GeneratorParameterError, NumberSizeError
 from .model import MAX_EDGES, MAX_VERTICES, DualWeightGraph, as_rational, show_number
@@ -55,12 +56,14 @@ def random_graph(
     # what sampling that list would, since ``sample``'s draws depend only on
     # the population size, without building all V(V - 1) pairs.
     chosen = [divmod(m, vertices - 1) for m in rng.sample(range(max_edges), edges)]
-    rows = [
-        (tail, r if r < tail else r + 1, Fraction(rng.randint(1, cents), 100),
-         Fraction(rng.randint(1, cents), 100))
-        for tail, r in chosen
-    ]
-    return DualWeightGraph.build(vertices, rows)
+    tails = [tail for tail, _r in chosen]
+    heads = [r if r < tail else r + 1 for tail, r in chosen]
+    draws = [rng.randint(1, cents) for _ in range(2 * edges)]
+    g = gcd(100, *draws)
+    w0 = [w // g for w in draws[::2]]
+    w1 = [w // g for w in draws[1::2]]
+    del chosen, draws  # not held while the graph is built
+    return DualWeightGraph(vertices, 100 // g, tails, heads, w0, w1)
 
 
 def max_chain_blocks() -> int | None:
@@ -98,15 +101,16 @@ def chain_graph(blocks: int) -> DualWeightGraph:
             f"a chain of {show_number(blocks)} blocks has wider weights "
             f"(at most {cap} blocks)"
         )
-    rows = []
+    # Weights in halves: 1/2 is among them, so 2 is their least common denominator.
+    tails, heads, w0, w1 = [], [], [], []
     for i in range(blocks):
         start = 3 * i
         upper, lower, end = start + 1, start + 2, start + 3
-        up = Fraction(1, 2), Fraction(1 + 2 ** (blocks + 1 - i), 2)
-        low = Fraction(1 + 2**i, 2), Fraction(1, 2)
-        rows += [(start, upper, *up), (upper, end, *up)]
-        rows += [(start, lower, *low), (lower, end, *low)]
-    return DualWeightGraph.build(3 * blocks + 1, rows)
+        tails += [start, upper, start, lower]
+        heads += [upper, end, lower, end]
+        w0 += [1, 1, 1 + 2**i, 1 + 2**i]
+        w1 += [1 + 2 ** (blocks + 1 - i), 1 + 2 ** (blocks + 1 - i), 1, 1]
+    return DualWeightGraph(3 * blocks + 1, 2, tails, heads, w0, w1)
 
 
 def chain_endpoints(blocks: int) -> tuple[int, int]:

@@ -26,7 +26,6 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
 from pathlib import Path as FilePath
 from typing import Iterable
 
@@ -118,16 +117,19 @@ def parse_graph(text: str) -> DualWeightGraph:
         raise GraphFormatError(
             f"header counts out of range (vertices 1..{MAX_VERTICES})", at + 1
         )
-    if set(map(len, rows)) != {5} or set(map(itemgetter(0), rows)) != {"e"}:
+    # Rows are zipped only once all have five fields, as zip cuts longer ones.
+    columns = tuple(zip(*rows)) if set(map(len, rows)) == {5} else ()
+    if not columns or set(columns[0]) != {"e"}:
         kept = [(no, row) for no, row in zip(numbers, rows) if row and row[0][0] != "#"]
         for no, row in kept[:m + 1]:
             if len(row) != 5 or row[0] != "e":
                 raise GraphFormatError("expected 'e <tail> <head> <w0> <w1>'", no)
         numbers, rows = tuple(zip(*kept)) or ((), ())
+        columns = tuple(zip(*rows)) or ((),) * 5
     if len(rows) > m:
         raise GraphFormatError("more edge lines than the header declares", numbers[m])
-    _es, tails, heads, t0, t1 = zip(*rows) if rows else ((),) * 5
-    del rows
+    _es, tails, heads, t0, t1 = columns
+    del rows, columns
     try:
         tails, heads = tuple(map(int, tails)), tuple(map(int, heads))
     except ValueError:
@@ -187,10 +189,11 @@ def _check_edges(n: int, rows: Iterable[tuple[int, int, int, int, int]]) -> None
 
 
 def format_graph(graph: DualWeightGraph, comments: Iterable[str] = ()) -> str:
+    shown = {w: format_weight(Fraction(w, graph.den)) for w in {*graph.w0, *graph.w1}}
     lines = [f"# {c}" for c in comments]
-    lines.append(f"psp {graph.vertex_count} {len(graph.edges)}")
-    for tail, head, w0, w1 in graph.edges:
-        lines.append(f"e {tail} {head} {format_weight(w0)} {format_weight(w1)}")
+    lines.append(f"psp {graph.vertex_count} {len(graph.tails)}")
+    for tail, head, w0, w1 in zip(graph.tails, graph.heads, graph.w0, graph.w1):
+        lines.append(f"e {tail} {head} {shown[w0]} {shown[w1]}")
     return "\n".join(lines) + "\n"
 
 
@@ -304,11 +307,11 @@ def parse_envelope(text: str) -> ShortestPathIndex:
     cannot emit.
 
     Beyond the JSON structure, rationals must be canonical ``p/q``, the
-    segments must pass the strict segment check (tiling of [0, 1], strictly
+    segments must pass the segment check (tiling of [0, 1], strictly
     decreasing slopes, lines agreeing at breakpoints) and every vertex walk
     must be a simple path from source to target: queries answer from the
     file alone, so a tampered file would otherwise answer wrongly.  The
-    index keeps the strict check's ints as its ``query_columns``.
+    index keeps the check's ints as its ``query_columns``.
     """
     try:
         payload = json.loads(text)

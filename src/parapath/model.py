@@ -44,7 +44,7 @@ MAX_DECIMAL_EXPONENT = 1_000
 # header ``psp 1000000000 0`` asks for some 100 GB; at the cap it is 110 MB.
 MAX_VERTICES = 1_000_000
 
-# Cap on ``gen random``'s edges: at a measured 0.75 KB each, 0.8 GB in all.
+# Cap on ``gen random``'s edges: at a measured 0.5 KB each (Python 3.11), 0.5 GB in all.
 MAX_EDGES = 1_000_000
 
 # Cap on the scaled weights' size, taken as 2 * edges * bits(D).  The common
@@ -86,7 +86,9 @@ def parse_rational(text: str) -> Fraction:
     or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size.
     The spellings :func:`plain_ratio` reads are taken from it; every other
     spelling, and one it refuses, goes to ``Fraction(text)``, so values and
-    errors are ``Fraction``'s either way.
+    errors are ``Fraction``'s either way.  A token holding ``_``, or
+    whitespace once stripped, is refused as Python 3.10's ``Fraction`` refuses
+    it: later versions read ``1_000`` and ``1 / 2``, and no writer emits them.
     """
     ratio = plain_ratio(text)
     if ratio is not None:
@@ -100,6 +102,8 @@ def parse_rational(text: str) -> Fraction:
         wide = False
     if wide:
         raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
+    if "_" in text or any(map(str.isspace, text.strip())):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     return Fraction(text)
 
 
@@ -273,7 +277,7 @@ class DualWeightGraph:
     @derived
     def edges(self) -> tuple[Edge, ...]:
         """The edges with ``Fraction`` weights, one shared per distinct value:
-        derived on first use, for the references and the file writer."""
+        derived on first use, for the reference code, which no build runs."""
         shared = {w: Fraction(w, self.den) for w in {*self.w0, *self.w1}}.__getitem__
         w0, w1 = map(shared, self.w0), map(shared, self.w1)
         return tuple(map(Edge, self.tails, self.heads, w0, w1))

@@ -2,11 +2,11 @@
 
 Enumerates every simple source-to-target path outright, then builds the
 lower envelope of their cost lines geometrically: sort by slope, sweep
-with a convex-chain stack, clip to [0, 1].  It shares no search or
-bisection with the builder, so the two cannot agree by accident; only
-the model types, ``check_segments`` and the graph's adjacency are
-shared.  The oracle sums the ``Fraction`` weights of ``graph.edges``,
-not the int columns the builder sums.
+with a convex-chain stack, clip to [0, 1].  It shares no search,
+bisection or segment check with the builder, so the two cannot agree by
+accident; only the model types and the graph's adjacency are shared.
+The oracle sums the ``Fraction`` weights of ``graph.edges``, not the int
+columns the builder sums.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .envelope import EnvelopeSegment, check_segments
+from .envelope import EnvelopeSegment
 from .errors import OracleScaleError, ParallelLinesError
 from .model import (
     CostLine, DualWeightGraph, ONE, Path, ZERO, ZERO_LINE, validate_pair
@@ -138,10 +138,7 @@ def compare_envelopes(
 
     Matching means identical intervals and identical lines per position;
     witness paths are allowed to differ because tied paths share a line.
-    Both inputs must at least tile [0, 1].
     """
-    check_segments(a, strict=False)
-    check_segments(b, strict=False)
     for i, (sa, sb) in enumerate(zip(a, b)):
         if sa.lo != sb.lo or sa.hi != sb.hi:
             return (

@@ -3,7 +3,7 @@
 A query runs in ints: the index holds its segments' right-endpoint
 numerators and denominators and their scaled lines ``(m, s, d)``
 (:attr:`~parapath.envelope.ShortestPathIndex.query_columns`, kept from the
-strict check that ends its build or load).  Lookup is a binary search over
+segment check that ends its build or load).  Lookup is a binary search over
 those endpoints, instrumented so tests can pin the comparison count to the
 logarithmic bound; each comparison cross-multiplies two ints, which Python
 does in C.  At a breakpoint the two adjacent lines agree exactly; the

@@ -155,7 +155,7 @@ def test_criterion_4_structural_invariants(corpus):
     violations = 0
     for rec in corpus:
         try:
-            check_segments(rec.index.segments, strict=True)
+            check_segments(rec.index.segments)
         except ValueError:
             violations += 1
     ok = violations == 0

@@ -132,7 +132,25 @@ def test_query_lambda_out_of_range(diamond_envelope):
     assert main(["query", str(diamond_envelope), "--lambda", "1e-1001"]) == 4
 
 
-@pytest.mark.parametrize("token", ["True", "one", "2e5x"])
+@pytest.mark.parametrize("command", ["query", "sssp"])
+@pytest.mark.parametrize("token, shown", [("1.5", "3/2"), ("-0.1", "-1/10")])
+def test_lambda_out_of_range_is_one_error(
+    command, token, shown, diamond_file, diamond_envelope, capsys
+):
+    # The one range check is the library's: query's, or the search's.
+    argv = {
+        "query": ["query", str(diamond_envelope)],
+        "sssp": ["sssp", str(diamond_file), "--source", "0", "--target", "3"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--lambda", token]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: lambda {shown} outside [0, 1]\n"
+
+
+# Words with an e, and spellings with "_" that only Python 3.11 and later read.
+@pytest.mark.parametrize("token", ["True", "one", "2e5x", "1_000", "1e1_0"])
 def test_word_with_an_e_is_refused_as_fraction_refuses_it(
     token, diamond_envelope, tmp_path, capsys
 ):
@@ -150,6 +168,17 @@ def test_word_with_an_e_is_refused_as_fraction_refuses_it(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"bad weight {token!r}: Invalid literal for Fraction: {token!r}" in err
+
+
+@pytest.mark.parametrize("token", ["1 /2", "1/ 2"])
+def test_lambda_with_inner_whitespace_is_refused(token, diamond_envelope, capsys):
+    # Python 3.12 and later read these; every Python refuses them here.
+    capsys.readouterr()
+    assert main(["query", str(diamond_envelope), "--lambda", token]) == 4
+    assert capsys.readouterr().err == (
+        f"error: cannot parse lambda {token!r}: "
+        f"Invalid literal for Fraction: {token!r}\n"
+    )
 
 
 def test_query_malformed_envelope(tmp_path):
@@ -187,7 +216,7 @@ def test_parser_survives_bad_argv(diamond_envelope, capsys):
 
 def test_gen_bad_weight_bound_is_input_error(tmp_path, capsys):
     out = tmp_path / "x.psp"
-    for bound in ("abc", "1/0", "1e1001"):
+    for bound in ("abc", "1/0", "1e1001", "1_000"):
         argv = ["gen", "random", "--weight-max", bound, "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: bad weight bound ")

@@ -165,10 +165,10 @@ def test_strict_check_verdict_matches_fraction_formula(case):
     )
     want = reference_verdict(a, b, h)
     if want is None:
-        check_segments(segments, strict=True)
+        check_segments(segments)
     else:
         with pytest.raises(ValueError, match=want):
-            check_segments(segments, strict=True)
+            check_segments(segments)
 
 
 def reference_extreme_slope(graph, lam, source, target, mode):

@@ -4,7 +4,9 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
+import strategies as own
 from parapath import (
     DualWeightGraph,
     Edge,
@@ -20,7 +22,7 @@ from parapath import (
 from parapath.errors import NumberSizeError
 from parapath.generators import max_chain_blocks
 from parapath.graphio import format_graph, format_weight
-from parapath.model import MAX_EDGES, MAX_VERTICES
+from parapath.model import MAX_EDGES, MAX_VERTICES, as_rational
 
 
 def list_of_pairs_random_graph(vertices, edges, seed):
@@ -160,3 +162,78 @@ class TestChainGraph:
         assert len(segs) == blocks + 1
         # Deterministic construction: rebuilding gives the same graph.
         assert chain_graph(blocks) == graph
+
+
+# The generators and the writer as they were written over ``Fraction``
+# rows and ``graph.edges``: references for the int-column versions.
+
+
+def reference_random_graph(vertices, edges, weight_max, seed):
+    """``random_graph`` for valid parameters, its rows going through ``build``."""
+    cents = int(as_rational(weight_max) * 100)
+    rng = random.Random(seed)
+    pairs = rng.sample(range(vertices * (vertices - 1)), edges)
+    chosen = [divmod(m, vertices - 1) for m in pairs]
+    rows = [
+        (tail, r if r < tail else r + 1, F(rng.randint(1, cents), 100),
+         F(rng.randint(1, cents), 100))
+        for tail, r in chosen
+    ]
+    return DualWeightGraph.build(vertices, rows)
+
+
+def reference_chain_graph(blocks):
+    """``chain_graph`` for ``blocks >= 1``, its rows going through ``build``."""
+    rows = []
+    for i in range(blocks):
+        start = 3 * i
+        upper, lower, end = start + 1, start + 2, start + 3
+        up = F(1, 2), F(1 + 2 ** (blocks + 1 - i), 2)
+        low = F(1 + 2**i, 2), F(1, 2)
+        rows += [(start, upper, *up), (upper, end, *up)]
+        rows += [(start, lower, *low), (lower, end, *low)]
+    return DualWeightGraph.build(3 * blocks + 1, rows)
+
+
+def reference_format_graph(graph, comments=()):
+    """``format_graph`` written from the ``Fraction`` edges."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"psp {graph.vertex_count} {len(graph.edges)}")
+    for tail, head, w0, w1 in graph.edges:
+        lines.append(f"e {tail} {head} {format_weight(w0)} {format_weight(w1)}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_graph_and_text(ours, theirs):
+    # ``==`` leaves the adjacency out, so it is compared too.
+    assert ours == theirs and ours.adjacency == theirs.adjacency
+    assert format_graph(ours, ["c"]) == reference_format_graph(theirs, ["c"])
+
+
+class TestColumnsMatchBuildReference:
+    def test_chain_graph(self):
+        for blocks in range(1, 64):
+            assert_same_graph_and_text(chain_graph(blocks), reference_chain_graph(blocks))
+
+    def test_random_graph(self):
+        rng = random.Random(5)
+        bounds = ["10", "0.5", "1/3", "12.34", "0.01", F(7, 4), 1, "0.05", "100"]
+        dens = set()
+        for i in range(360):
+            vertices = rng.randint(2, 12)
+            edges = rng.randint(1, min(vertices * (vertices - 1), 40))
+            bound, seed = bounds[i % len(bounds)], rng.randrange(10**6)
+            ours = random_graph(vertices, edges, weight_max=bound, seed=seed)
+            assert_same_graph_and_text(
+                ours, reference_random_graph(vertices, edges, bound, seed)
+            )
+            dens.add(ours.den)
+        # Some draws share a factor with 100, so the denominator varies too.
+        assert len(dens) > 3
+
+    @given(own.graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_writer_leaves_the_edges_underived(self, graph):
+        text = format_graph(graph)
+        assert "edges" not in vars(graph)
+        assert text == reference_format_graph(graph)

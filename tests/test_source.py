@@ -149,3 +149,16 @@ def test_random_verify_script_runs(capsys):
     script = _load_by_path("random_verify", ROOT / "scripts" / "random_verify.py")
     assert script.main(["--instances", "20", "--seed", "1"]) == 0
     assert "verified 20 instances" in capsys.readouterr().out
+
+
+def test_output_digest_script_runs(capsys):
+    # A short sweep keeps the script in step with the library and the
+    # benchmark instances it reads; equal runs print equal digests.
+    script = _load_by_path("output_digest", ROOT / "scripts" / "output_digest.py")
+    argv = ["--chain-blocks", "3", "--grid-seeds", "1", "--instances", "5",
+            "--random-graphs", "5"]
+    assert script.main(argv) == 0
+    first = capsys.readouterr().out
+    assert re.fullmatch(r"[0-9a-f]{64}\n", first)
+    assert script.main(argv) == 0
+    assert capsys.readouterr().out == first
