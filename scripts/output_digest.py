@@ -11,7 +11,16 @@ It hashes, in this order:
 - the segments and ``dijkstra_calls`` of ``--instances`` seeded
   ``random_instance`` builds, each with pruning forced off and on;
 - ``format_graph``'s text of the same chains and of ``--random-graphs``
-  seeded ``random_graph`` parameter sets.
+  seeded ``random_graph`` parameter sets;
+- ``parapath query``'s exit code, stdout and stderr at 0, 1, every
+  breakpoint and every segment midpoint, and ``parapath export-plot``'s
+  exit code, stdout, stderr and CSV bytes, on the ``.env`` files built
+  from ``chain_graph(1)``, ``(3)`` and ``(6)`` and grid-wide seeds 1-3;
+- the same two commands on ``--edits`` seeded edits of those files: two
+  in three change one to four characters, three in four at a digit or
+  slash, the rest change one to three
+  JSON fields (a value set, a digit changed, a key removed, or a segment
+  dropped, copied or swapped).
 
 It needs only the standard library, so it runs under every supported
 interpreter.
@@ -26,6 +35,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import random
 import sys
 import tempfile
@@ -40,10 +50,15 @@ from parapath import (  # noqa: E402
     build_index_detailed, chain_endpoints, chain_graph, random_graph,
 )
 from parapath.cli import main as cli_main  # noqa: E402
-from parapath.graphio import format_graph  # noqa: E402
+from parapath.graphio import format_fraction, format_graph, read_envelope  # noqa: E402
 from random_cases import random_instance  # noqa: E402
 
 WEIGHT_BOUNDS = ("10", "0.5", "1/3", "12.34", "0.01", Fraction(7, 4), "100")
+READER_CHAINS = (1, 3, 6)
+READER_GRID_SEEDS = (1, 2, 3)
+EDIT_CHARS = '{}[]":,0123456789/ -.\nlohicvertsk'
+EDIT_VALUES = ("0/2", "2/4", "1/0", "01/2", "1/2 ", "x", "", -1, 0, 3, None, [], [0, 1])
+PLOT_SAMPLES = 17
 
 
 def load_bench_instances():
@@ -57,19 +72,91 @@ def load_bench_instances():
     return module
 
 
+def cli_outputs(argv: list[str], written: Path | None = None) -> bytes:
+    """The exit code, stdout and stderr of ``parapath`` on ``argv``, and the
+    bytes of the file it was asked to write."""
+    if written is not None:
+        written.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    result = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode()
+    if written is not None:
+        result += written.read_bytes() if written.exists() else b"<no file>"
+    return result
+
+
 def build_outputs(text: str, source: int, target: int, workdir: Path) -> bytes:
     """The exit code, stdout, stderr and ``.env`` bytes of ``parapath build``
     on ``text``."""
     graph, env = workdir / "g.psp", workdir / "g.env"
     graph.write_text(text)
-    env.unlink(missing_ok=True)
-    out, err = io.StringIO(), io.StringIO()
     argv = ["build", str(graph), "--source", str(source), "--target", str(target),
             "--out", str(env)]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    written = env.read_bytes() if env.exists() else b"<no file>"
-    return f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode() + written
+    return cli_outputs(argv, env)
+
+
+def reader_outputs(env: Path, lams: list[str], workdir: Path) -> bytes:
+    """``parapath query`` at each of ``lams`` and ``parapath export-plot`` on
+    ``env``, one after the other, with ``workdir`` named ``<workdir>``."""
+    parts = [cli_outputs(["query", str(env), "--lambda", lam]) for lam in lams]
+    csv = workdir / "plot.csv"
+    argv = ["export-plot", str(env), "--samples", str(PLOT_SAMPLES), "--out", str(csv)]
+    parts.append(cli_outputs(argv, csv))
+    return b"\n".join(parts).replace(str(workdir).encode(), b"<workdir>")
+
+
+def probe_lambdas(env: Path) -> list[str]:
+    """0, 1, every breakpoint and every segment midpoint of a built file."""
+    segments = read_envelope(env).segments
+    lams = [Fraction(0), Fraction(1), *(seg.hi for seg in segments[:-1])]
+    lams += [(seg.lo + seg.hi) / 2 for seg in segments]
+    return [format_fraction(lam) for lam in lams]
+
+
+def character_edit(rng: random.Random, text: str) -> str:
+    """``text`` with one to four characters inserted, deleted or replaced,
+    three in four at a digit or slash, so a number changes and the JSON holds."""
+    for _ in range(rng.randint(1, 4)):
+        digits = [i for i, ch in enumerate(text) if ch in "0123456789/"]
+        at = rng.choice(digits) if digits and rng.random() < 0.75 else None
+        at = rng.randint(0, len(text)) if at is None else at
+        new = rng.choice(["", *EDIT_CHARS])
+        cut = rng.randint(0, 1) if at < len(text) else 0
+        text = text[:at] + new + text[at + cut:]
+    return text
+
+
+def field_edit(rng: random.Random, text: str) -> str:
+    """``text`` with one to three JSON fields changed; values are drawn from
+    the document's own numbers too, so a ``lo`` can be spelled as some
+    other segment's ``hi``."""
+    payload = json.loads(text)
+    segments = payload["segments"]
+    numbers = sorted({seg[key] for seg in segments for key in ("lo", "hi", "c0", "c1")})
+    for _ in range(rng.randint(1, 3)):
+        action = rng.choice(["set", "set", "digit", "delete", "segments"])
+        target = rng.choice([payload, *segments, *segments])
+        key = rng.choice(sorted(target) or ["lo"])
+        if action == "set":
+            target[key] = rng.choice([rng.choice(numbers), rng.choice(EDIT_VALUES)])
+        elif action == "digit" and isinstance(target.get(key), str) and target[key]:
+            at = rng.randrange(len(target[key]))
+            value = target[key]
+            target[key] = value[:at] + rng.choice("0123456789/") + value[at + 1:]
+        elif action == "delete":
+            target.pop(key, None)
+        elif segments:
+            i = rng.randrange(len(segments))
+            edit = rng.choice(["drop", "copy", "swap"])
+            if edit == "drop":
+                del segments[i]
+            elif edit == "copy":
+                segments.insert(i, json.loads(json.dumps(segments[i])))
+            else:
+                j = rng.randrange(len(segments))
+                segments[i], segments[j] = segments[j], segments[i]
+    return json.dumps(payload, indent=rng.choice([None, 2]))
 
 
 def build_record(graph, source: int, target: int, prune: bool) -> bytes:
@@ -82,7 +169,7 @@ def build_record(graph, source: int, target: int, prune: bool) -> bytes:
 
 
 def digest(chain_blocks: int, grid_seeds: int, instances: int,
-           random_graphs: int) -> str:
+           random_graphs: int, edits: int) -> str:
     sha = hashlib.sha256()
 
     def add(part: bytes) -> None:
@@ -98,7 +185,8 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
                               *chain_endpoints(blocks), workdir))
         for seed in range(1, grid_seeds + 1):
             inst = bench.grid_instance(seed)
-            add(build_outputs(bench.format_psp(inst), inst.source, inst.target, workdir))
+            text = bench.format_psp(inst)
+            add(build_outputs(text, inst.source, inst.target, workdir))
 
     rng = random.Random(7)
     for _ in range(instances):
@@ -113,8 +201,32 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
         vertices = rng.randint(2, 40)
         edges = rng.randint(1, min(vertices * (vertices - 1), 200))
         bound = WEIGHT_BOUNDS[i % len(WEIGHT_BOUNDS)]
-        graph = random_graph(vertices, edges, weight_max=bound, seed=rng.randrange(10**6))
+        seed = rng.randrange(10**6)
+        graph = random_graph(vertices, edges, weight_max=bound, seed=seed)
         add(format_graph(graph).encode())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        bases = []  # (text, lambdas) of each built reader file
+        env = workdir / "g.env"
+        for blocks in READER_CHAINS:
+            build_outputs(format_graph(chain_graph(blocks)),
+                          *chain_endpoints(blocks), workdir)
+            bases.append((env.read_text(), probe_lambdas(env)))
+        for seed in READER_GRID_SEEDS:
+            inst = bench.grid_instance(seed)
+            build_outputs(bench.format_psp(inst), inst.source, inst.target, workdir)
+            bases.append((env.read_text(), probe_lambdas(env)))
+        edited = workdir / "edited.env"
+        for text, lams in bases:
+            edited.write_text(text)
+            add(reader_outputs(edited, lams, workdir))
+        rng = random.Random(13)
+        for i in range(edits):
+            text, lams = rng.choice(bases)
+            edit = character_edit if i % 3 else field_edit
+            edited.write_text(edit(rng, text))
+            add(reader_outputs(edited, [rng.choice(lams)], workdir))
     return sha.hexdigest()
 
 
@@ -124,8 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid-seeds", type=int, default=10)
     parser.add_argument("--instances", type=int, default=1200)
     parser.add_argument("--random-graphs", type=int, default=200)
+    parser.add_argument("--edits", type=int, default=6000)
     args = parser.parse_args(argv)
-    print(digest(args.chain_blocks, args.grid_seeds, args.instances, args.random_graphs))
+    print(digest(args.chain_blocks, args.grid_seeds, args.instances, args.random_graphs,
+                 args.edits))
     return 0
 
 

@@ -18,10 +18,10 @@ forced to prune its probes must build the same result too, both from its
 usual depth of the bisection on and from the root on, for every random
 instance and for tie-heavy 4x4 and 5x5 grids (weights 1..3), one per 100
 instances and at least two, which are also checked against the
-brute-force envelope.  Number spellings that ``Fraction`` reads on some
-Pythons only (``_`` and inner whitespace) must be refused on this one.
-Exits nonzero on the first mismatch and prints the instance so it can be
-replayed.
+brute-force envelope.  Number spellings outside Python 3.10's
+``Fraction`` grammar (``_``, inner whitespace, ``1.d``) must be refused
+with its message.  Exits nonzero on the first mismatch and prints the
+instance so it can be replayed.
 
     python3 scripts/random_verify.py --instances 5000 --seed 1
 """
@@ -60,17 +60,22 @@ sys.path.insert(0, str(TESTS_DIR))
 from random_cases import random_grid, random_instance  # noqa: E402
 
 
-# Fraction reads these on Python 3.11 or 3.12 and later; the program never does.
-REFUSED_SPELLINGS = ("1_000", "1 /2", "1/ 2", "1e1_0")
+# Fraction reads the first four on Python 3.11 or 3.12 and later, and 3.11
+# and 3.12 refuse the last two with int()'s message; the program refuses
+# each with Python 3.10's message.
+REFUSED_SPELLINGS = ("1_000", "1 /2", "1/ 2", "1e1_0", "1.d", "1.dd")
 
 
 def check_spellings() -> str | None:
-    """Why a spelling in ``REFUSED_SPELLINGS`` is read, or None."""
+    """Why a spelling in ``REFUSED_SPELLINGS`` is not refused as Python 3.10
+    refuses it, or None."""
     for token in REFUSED_SPELLINGS:
         try:
             value = parse_rational(token)
-        except ValueError:
-            continue
+        except ValueError as exc:
+            if str(exc) == f"Invalid literal for Fraction: {token!r}":
+                continue
+            return f"the number spelling {token!r} is refused with {exc}"
         return f"the number spelling {token!r} reads as {value}, not refused"
     return None
 

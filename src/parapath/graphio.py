@@ -26,28 +26,18 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import countOf, itemgetter
 from pathlib import Path as FilePath
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .envelope import EnvelopeSegment, ShortestPathIndex, check_index_invariants
 from .errors import (
-    EnvelopeFormatError,
-    GraphFormatError,
-    GraphStructureError,
-    NumberSizeError,
-    WeightDomainError,
-    WeightScaleError,
+    EnvelopeFormatError, GraphFormatError, GraphStructureError, NumberSizeError,
+    WeightDomainError, WeightScaleError,
 )
 from .model import (
-    MAX_NUMBER_CHARS,
-    MAX_VERTICES,
-    CostLine,
-    DualWeightGraph,
-    check_scale,
-    parse_rational,
-    path_vertices,
-    plain_ratio,
-    show_number,
+    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, check_scale,
+    parse_rational, plain_ratio, show_number,
 )
 
 ENVELOPE_FORMAT_VERSION = 1
@@ -216,23 +206,24 @@ def write_graph(
     FilePath(path).write_text(format_graph(graph, comments))
 
 
+def _gather(src, keys) -> Sequence:
+    """``src[key]`` for each key, by one ``itemgetter`` call for 2+ keys."""
+    return itemgetter(*keys)(src) if len(keys) > 1 else [*map(src.__getitem__, keys)]
+
+
 def document_from_index(
     index: ShortestPathIndex, graph: DualWeightGraph
 ) -> ShortestPathIndex:
-    """``index`` with each segment's vertex walk filled in, ready to write."""
-    segments = tuple(
-        EnvelopeSegment(
-            seg.lo, seg.hi, seg.path, seg.line,
-            path_vertices(graph, seg.path, source=index.source),
-        )
+    """``index`` with each segment's vertex walk, gathered from ``graph.heads``."""
+    source, heads = index.source, graph.heads
+    return ShortestPathIndex(source, index.target, tuple(
+        EnvelopeSegment(*seg[:4], (source, *_gather(heads, seg.path)))
         for seg in index.segments
-    )
-    return ShortestPathIndex(index.source, index.target, segments)
+    ))
 
 
-def _json_array(items: list[str], depth: int) -> str:
-    """Rendered ``items`` as a JSON array nested ``depth`` levels deep, laid
-    out as ``json.dumps(..., indent=2)`` lays it out."""
+def _json_array(items: Sequence[str], depth: int) -> str:
+    """``items`` as ``json.dumps(..., indent=2)`` lays out an array ``depth`` deep."""
     if not items:
         return "[]"
     inner = "\n" + "  " * (depth + 1)
@@ -242,22 +233,27 @@ def _json_array(items: list[str], depth: int) -> str:
 def format_envelope(index: ShortestPathIndex) -> str:
     """The index as ``json.dumps(payload, indent=2)`` writes it, plus a newline.
 
-    Each segment must carry its walk, as :func:`document_from_index` gives
-    it, or ValueError is raised.  The fixed layout is written directly: any
-    ``indent`` sends ``json.dumps`` to its pure-Python encoder, several
-    times slower.  Every rational goes through :func:`format_fraction`, so
-    one past the digit limit raises NumberSizeError.
+    Each segment must carry its walk, as :func:`document_from_index` gives it,
+    or ValueError is raised.  The fixed layout is written directly: any
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder, several times
+    slower.  Each walk is joined from one string per distinct vertex id, and
+    ``c0``/``c1`` from ``line.scaled()`` with one gcd each.  A rational past
+    the digit limit raises NumberSizeError.
     """
-    if any(seg.vertices is None for seg in index.segments):
+    walks = [seg.vertices for seg in index.segments]
+    if None in walks:
         raise ValueError("segments carry no vertex walk; write document_from_index()")
-    segments = [
-        f'{{\n      "lo": "{format_fraction(seg.lo)}",'
-        f'\n      "hi": "{format_fraction(seg.hi)}",'
-        f'\n      "c0": "{format_fraction(seg.c0)}",'
-        f'\n      "c1": "{format_fraction(seg.c1)}",'
-        f'\n      "vertices": {_json_array(list(map(str, seg.vertices)), 3)}\n    }}'
-        for seg in index.segments
-    ]
+    shown, segments = {v: str(v) for v in set().union(*walks)}, []
+    for seg, walk in zip(index.segments, walks):
+        m, s, d = seg.line.scaled()
+        g0, g1 = gcd(m, d), gcd(m + s, d)
+        segments.append(
+            f'{{\n      "lo": "{format_fraction(seg.lo)}",'
+            f'\n      "hi": "{format_fraction(seg.hi)}",'
+            f'\n      "c0": "{_digits(m // g0)}/{_digits(d // g0)}",'
+            f'\n      "c1": "{_digits((m + s) // g1)}/{_digits(d // g1)}",'
+            f'\n      "vertices": {_json_array(_gather(shown, walk), 3)}\n    }}'
+        )
     return (
         f'{{\n  "format": {ENVELOPE_FORMAT_VERSION},\n  "source": {index.source},'
         f'\n  "target": {index.target},\n  "k": {index.k},'
@@ -272,46 +268,50 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
-def _json_ints(values: list) -> tuple[int, ...]:
-    if type(values) is not list or not set(map(type, values)) <= {int}:
-        raise EnvelopeFormatError(
-            f"vertices must be a list of integers, got {values!r:.40}"
-        )
-    return tuple(values)
-
-
 _CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _parse_canonical(text: str) -> tuple[int, int]:
-    """``(p, q)`` of the writer's one spelling: unsigned ``p/q``, lowest terms."""
+def _parse_canonical(text: str, point: bool = False) -> tuple[int, int] | Fraction:
+    """``(p, q)`` of the writer's one spelling, unsigned ``p/q`` in lowest
+    terms; for a breakpoint (``point``) the Fraction, whose gcd is the check."""
     match = len(text) <= MAX_NUMBER_CHARS and _CANONICAL.fullmatch(text)
     if not match:
         raise ValueError(f"not a canonical p/q: {text!r:.40}")
     p, q = int(match[1]), int(match[2])
-    if gcd(p, q) != 1:
-        raise ValueError(f"{text!r:.40} is not in lowest terms")
-    return p, q
+    if point and (value := Fraction(p, q)).denominator == q:
+        return value
+    if not point and gcd(p, q) == 1:
+        return p, q
+    raise ValueError(f"{text!r:.40} is not in lowest terms")
 
 
-def _parse_segment(seg: dict) -> EnvelopeSegment:
-    """One segment record, its line scaled as ``CostLine(c0, c1)`` scales it."""
-    lo, hi = (Fraction(*_parse_canonical(seg[key])) for key in ("lo", "hi"))
-    (a, b), (c, d) = _parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])
-    line = CostLine.from_scaled(a * d, c * b - a * d, b * d)
-    return EnvelopeSegment(lo, hi, None, line, _json_ints(seg["vertices"]))
+def _parse_segments(records: list) -> tuple[EnvelopeSegment, ...]:
+    """The segment records, each line scaled as ``CostLine(c0, c1)`` scales it."""
+    segments, hi_text, hi = [], object(), None  # no JSON value equals hi_text yet
+    for seg in records:
+        lo = hi if (text := seg["lo"]) == hi_text else _parse_canonical(text, True)
+        hi = _parse_canonical(hi_text := seg["hi"], True)
+        (a, b), (c, d) = _parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])
+        line = CostLine.from_scaled(a * d, c * b - a * d, b * d)
+        walk = seg["vertices"]
+        if type(walk) is not list or countOf(map(type, walk), int) != len(walk):
+            got = f"got {walk!r:.40}"
+            raise EnvelopeFormatError(f"vertices must be a list of integers, {got}")
+        segments.append(EnvelopeSegment(lo, hi, None, line, tuple(walk)))
+    return tuple(segments)
 
 
 def parse_envelope(text: str) -> ShortestPathIndex:
-    """Load an envelope document as an index, refusing anything the writer
-    cannot emit.
+    """Load an envelope document, refusing anything the writer cannot emit.
 
     Beyond the JSON structure, rationals must be canonical ``p/q``, the
     segments must pass the segment check (tiling of [0, 1], strictly
     decreasing slopes, lines agreeing at breakpoints) and every vertex walk
     must be a simple path from source to target: queries answer from the
-    file alone, so a tampered file would otherwise answer wrongly.  The
-    index keeps the check's ints as its ``query_columns``.
+    file alone, so a tampered file would otherwise answer wrongly.  A ``lo``
+    spelled as the ``hi`` before it is that ``hi``'s Fraction, so each
+    breakpoint is parsed once and the check finds it shared.  The index
+    keeps the check's ints as its ``query_columns``.
     """
     try:
         payload = json.loads(text)
@@ -327,7 +327,7 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         source = _json_int(payload["source"], "source")
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
-        segments = tuple(map(_parse_segment, payload["segments"]))
+        segments = _parse_segments(payload["segments"])
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)

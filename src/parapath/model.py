@@ -14,6 +14,7 @@ types are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -78,6 +79,13 @@ def plain_ratio(text: str) -> tuple[int, int] | None:
     return None
 
 
+# Python 3.10's ``Fraction(str)`` grammar: no ``_``, no space inside a ratio,
+# digits after the point.  ``\d`` takes any Unicode digit, as ``int()`` does.
+_FRACTION_310 = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:e[-+]?\d+)?)\s*", re.IGNORECASE
+)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal ("0.25", "25e-2") or ratio ("1/4") string exactly.
 
@@ -86,9 +94,10 @@ def parse_rational(text: str) -> Fraction:
     or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size.
     The spellings :func:`plain_ratio` reads are taken from it; every other
     spelling, and one it refuses, goes to ``Fraction(text)``, so values and
-    errors are ``Fraction``'s either way.  A token holding ``_``, or
-    whitespace once stripped, is refused as Python 3.10's ``Fraction`` refuses
-    it: later versions read ``1_000`` and ``1 / 2``, and no writer emits them.
+    errors are ``Fraction``'s either way.  A token outside Python 3.10's
+    ``Fraction`` grammar is refused with 3.10's message: later versions read
+    ``1_000`` and ``1 / 2``, which no writer emits, and 3.11 and 3.12 refuse
+    ``1.d`` with another message.
     """
     ratio = plain_ratio(text)
     if ratio is not None:
@@ -102,7 +111,7 @@ def parse_rational(text: str) -> Fraction:
         wide = False
     if wide:
         raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
-    if "_" in text or any(map(str.isspace, text.strip())):
+    if not _FRACTION_310.fullmatch(text):
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     return Fraction(text)
 

@@ -3,6 +3,8 @@ import json
 import math
 import pickle
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from fractions import Fraction as F
 from math import lcm
@@ -28,6 +30,7 @@ from parapath import (
     query,
     random_graph,
 )
+from parapath.envelope import check_index_invariants
 from parapath.errors import NumberSizeError, WeightScaleError
 from parapath.graphio import (
     format_envelope,
@@ -294,8 +297,10 @@ def test_segment_record_cost():
 
 @pytest.mark.parametrize("name", sorted(own.TAMPERED_ENVELOPES))
 def test_tampered_envelopes_rejected(name):
-    with pytest.raises(EnvelopeFormatError):
-        parse_envelope(own.TAMPERED_ENVELOPES[name])
+    text = own.TAMPERED_ENVELOPES[name]
+    outcome = envelope_outcome(parse_envelope, text)
+    assert outcome[0] is EnvelopeFormatError
+    assert outcome == envelope_outcome(reference_parse_envelope, text)
 
 
 def test_untampered_base_document_loads():
@@ -638,3 +643,189 @@ def test_built_envelopes_match_json_reference(bench_instances):
     for graph, source, target in cases:
         doc = document_from_index(build_index(graph, source, target), graph)
         assert format_envelope(doc) == json_reference_envelope(doc)
+
+
+def test_walk_strings_are_sized_by_the_ids_in_the_walks():
+    # A string table indexed by vertex id would hold a million entries here.
+    top = MAX_VERTICES - 1
+    doc = file_index(0, top, (F(0), F(1), F(1), F(3), (0, top - 7, top)))
+    expected = json_reference_envelope(doc)
+    tracemalloc.start()
+    try:
+        text = format_envelope(doc)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == expected
+    assert peak < 16 * 1024, peak
+
+
+# -- the envelope reader before it parsed each breakpoint once -----------
+# Kept verbatim as the reference the reader must agree with.
+
+
+def _reference_json_int(value: object, what: str) -> int:
+    if type(value) is not int or value < 0:
+        raise EnvelopeFormatError(f"{what} must be an integer >= 0, got {value!r:.40}")
+    return value
+
+
+def _reference_json_ints(values: list) -> tuple[int, ...]:
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise EnvelopeFormatError(
+            f"vertices must be a list of integers, got {values!r:.40}"
+        )
+    return tuple(values)
+
+
+_REFERENCE_CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _reference_parse_canonical(text: str) -> tuple[int, int]:
+    match = len(text) <= MAX_NUMBER_CHARS and _REFERENCE_CANONICAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a canonical p/q: {text!r:.40}")
+    p, q = int(match[1]), int(match[2])
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"{text!r:.40} is not in lowest terms")
+    return p, q
+
+
+def _reference_parse_segment(seg: dict) -> EnvelopeSegment:
+    lo, hi = (Fraction(*_reference_parse_canonical(seg[key])) for key in ("lo", "hi"))
+    (a, b), (c, d) = (_reference_parse_canonical(seg[key]) for key in ("c0", "c1"))
+    line = CostLine.from_scaled(a * d, c * b - a * d, b * d)
+    return EnvelopeSegment(lo, hi, None, line, _reference_json_ints(seg["vertices"]))
+
+
+def reference_parse_envelope(text: str) -> ShortestPathIndex:
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+        raise EnvelopeFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise EnvelopeFormatError("not valid JSON: nested too deeply") from None
+    try:
+        version = _reference_json_int(payload["format"], "format")
+        if version != 1:
+            shown = show_number(version)
+            raise EnvelopeFormatError(f"unsupported format version {shown}")
+        source = _reference_json_int(payload["source"], "source")
+        target = _reference_json_int(payload["target"], "target")
+        declared_k = _reference_json_int(payload["k"], "k")
+        segments = tuple(map(_reference_parse_segment, payload["segments"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
+    index = ShortestPathIndex(source, target, segments)
+    if declared_k != len(segments):
+        raise EnvelopeFormatError(
+            f"document declares k={show_number(declared_k)} "
+            f"but holds {len(segments)} segments"
+        )
+    for i, seg in enumerate(segments):
+        walk = seg.vertices
+        simple = min(walk, default=-1) >= 0 and len(set(walk)) == len(walk)
+        if not simple or (walk[0], walk[-1]) != (source, target):
+            ends = " to ".join(map(show_number, (source, target)))
+            raise EnvelopeFormatError(
+                f"segment {i}: walk is not a simple path from {ends}"
+            )
+    try:
+        check_index_invariants(index)
+    except ValueError as exc:
+        raise EnvelopeFormatError(str(exc)) from None
+    return index
+
+
+def envelope_outcome(parse, text):
+    """The index and its query columns, or the refusal's class and message."""
+    try:
+        index = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return index, index.query_columns
+
+
+def chain_envelope(blocks: int) -> str:
+    graph = chain_graph(blocks)
+    index = build_index(graph, *chain_endpoints(blocks))
+    return format_envelope(document_from_index(index, graph))
+
+
+def test_chain_envelopes_load_as_the_reference_loads_them():
+    for blocks in range(1, 64):
+        text = chain_envelope(blocks)
+        outcome = envelope_outcome(parse_envelope, text)
+        assert outcome == envelope_outcome(reference_parse_envelope, text)
+        segments = outcome[0].segments
+        # Each breakpoint is parsed once: a segment starts at the Fraction
+        # the one before it ends at.
+        assert all(b.lo is a.hi for a, b in zip(segments, segments[1:]))
+
+
+ENVELOPE_BASES = [json.dumps(own.DIAMOND_ENVELOPE), chain_envelope(3)]
+EDIT_CHARS = '{}[]":,0123456789/ -.\nlohicvertsk'
+
+
+@st.composite
+def character_edits(draw):
+    """A base envelope text with one to four characters inserted, deleted or
+    replaced, some of them at a digit or slash."""
+    text = draw(st.sampled_from(ENVELOPE_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        digits = [i for i, ch in enumerate(text) if ch in "0123456789/"]
+        anywhere = st.integers(0, len(text))
+        at = draw(st.sampled_from(digits) | anywhere if digits else anywhere)
+        new = draw(st.sampled_from(["", *EDIT_CHARS]))
+        cut = draw(st.integers(0, 1)) if at < len(text) else 0
+        text = text[:at] + new + text[at + cut:]
+    return text
+
+
+@st.composite
+def field_edits(draw):
+    """A base envelope with one to three fields replaced, removed or
+    duplicated, drawing values from the document's own numbers too, so a
+    ``lo`` can be spelled as some other segment's ``hi``."""
+    payload = json.loads(draw(st.sampled_from(ENVELOPE_BASES)))
+    segments = payload["segments"]
+    numbers = sorted({seg[key] for seg in segments for key in ("lo", "hi", "c0", "c1")})
+    values = st.one_of(
+        st.sampled_from(numbers),
+        st.sampled_from(["0/2", "2/4", "1/0", "01/2", "1/2 ", "x", ""]),
+        st.integers(-2, 9),
+        st.none(),
+        st.lists(st.integers(0, 9), max_size=4),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["set", "set", "digit", "delete", "segments"]))
+        target = draw(st.sampled_from([payload, *segments, *segments]))
+        key = draw(st.sampled_from(sorted(target) or ["lo"]))
+        if action == "set":
+            target[key] = draw(values)
+        elif action == "digit" and isinstance(target.get(key), str) and target[key]:
+            at = draw(st.integers(0, len(target[key]) - 1))
+            new = draw(st.sampled_from("0123456789/"))
+            target[key] = target[key][:at] + new + target[key][at + 1:]
+        elif action == "delete":
+            target.pop(key, None)
+        elif segments:
+            i = draw(st.integers(0, len(segments) - 1))
+            edit = draw(st.sampled_from(["drop", "copy", "swap"]))
+            if edit == "drop":
+                del segments[i]
+            elif edit == "copy":
+                segments.insert(i, copy.deepcopy(segments[i]))
+            else:
+                j = draw(st.integers(0, len(segments) - 1))
+                segments[i], segments[j] = segments[j], segments[i]
+    return json.dumps(payload)
+
+
+@given(st.one_of(character_edits(), field_edits()))
+@settings(max_examples=400, deadline=None)
+@example(ENVELOPE_BASES[1].replace('"hi": "1/2"', '"hi": "2/4"', 1))
+def test_edited_envelopes_load_as_the_reference_loads_them(text):
+    assert envelope_outcome(parse_envelope, text) == envelope_outcome(
+        reference_parse_envelope, text
+    )
