@@ -20,7 +20,13 @@ It hashes, in this order:
   in three change one to four characters, three in four at a digit or
   slash, the rest change one to three
   JSON fields (a value set, a digit changed, a key removed, or a segment
-  dropped, copied or swapped).
+  dropped, copied or swapped);
+- library ``query`` results (type, segment index, path, scaled line, cost
+  and comparison count) on the built and the loaded index of
+  ``chain_graph(1)``, ``(3)``, ``(6)`` and ``(63)`` and grid-wide seeds 1-3,
+  at 0, 1, every breakpoint, every segment midpoint and 2**-80 either side
+  of each breakpoint, and the exception class and message ``query`` raises
+  for each of ``REFUSED_LAMBDAS``.
 
 It needs only the standard library, so it runs under every supported
 interpreter.
@@ -39,6 +45,7 @@ import json
 import random
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,10 +54,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from parapath import (  # noqa: E402
-    build_index_detailed, chain_endpoints, chain_graph, random_graph,
+    build_index, build_index_detailed, chain_endpoints, chain_graph, document_from_index,
+    query, random_graph,
 )
 from parapath.cli import main as cli_main  # noqa: E402
-from parapath.graphio import format_fraction, format_graph, read_envelope  # noqa: E402
+from parapath.graphio import (  # noqa: E402
+    format_envelope, format_fraction, format_graph, parse_envelope, parse_graph,
+    read_envelope,
+)
 from random_cases import random_instance  # noqa: E402
 
 WEIGHT_BOUNDS = ("10", "0.5", "1/3", "12.34", "0.01", Fraction(7, 4), "100")
@@ -59,6 +70,16 @@ READER_GRID_SEEDS = (1, 2, 3)
 EDIT_CHARS = '{}[]":,0123456789/ -.\nlohicvertsk'
 EDIT_VALUES = ("0/2", "2/4", "1/0", "01/2", "1/2 ", "x", "", -1, 0, 3, None, [], [0, 1])
 PLOT_SAMPLES = 17
+QUERY_CHAINS = (1, 3, 6, 63)
+TINY = Fraction(1, 2**80)
+
+
+class FractionSub(Fraction):
+    """A ``Fraction`` subclass, to hash how ``query`` refuses one."""
+
+
+REFUSED_LAMBDAS = (0.5, Decimal("0.5"), "1/2", None, Fraction(3, 2), Fraction(-1, 2),
+                   2, FractionSub(3, 2))
 
 
 def load_bench_instances():
@@ -159,6 +180,32 @@ def field_edit(rng: random.Random, text: str) -> str:
     return json.dumps(payload, indent=rng.choice([None, 2]))
 
 
+def query_outputs(graph, source: int, target: int) -> bytes:
+    """Library ``query`` on the built and the loaded index of one instance,
+    one line per answer, then one line per refused parameter."""
+    built = build_index(graph, source, target)
+    loaded = parse_envelope(format_envelope(document_from_index(built, graph)))
+    segments = built.segments
+    points = [seg.hi for seg in segments[:-1]]
+    lams = [Fraction(0), Fraction(1), *points]
+    lams += [(seg.lo + seg.hi) / 2 for seg in segments]
+    lams += [b + e for b in points for e in (-TINY, TINY)]
+    lines = []
+    for index in (built, loaded):
+        for lam in lams:
+            r = query(index, lam)
+            cost = f"{r.cost.numerator}/{r.cost.denominator}"
+            lines.append(f"{type(r).__name__} {r.segment_index} {r.path} "
+                         f"{r.line.scaled()} {cost} {r.comparisons}")
+        for lam in REFUSED_LAMBDAS:
+            try:
+                query(index, lam)
+                lines.append(f"{lam!r} accepted")
+            except Exception as exc:
+                lines.append(f"{lam!r} {type(exc).__name__}: {exc}")
+    return "\n".join(lines).encode()
+
+
 def build_record(graph, source: int, target: int, prune: bool) -> bytes:
     """The segments and search count of one build, one line each."""
     result = build_index_detailed(graph, source, target, _prune=prune)
@@ -227,6 +274,13 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
             edit = character_edit if i % 3 else field_edit
             edited.write_text(edit(rng, text))
             add(reader_outputs(edited, [rng.choice(lams)], workdir))
+
+    for blocks in QUERY_CHAINS:
+        add(query_outputs(chain_graph(blocks), *chain_endpoints(blocks)))
+    for seed in READER_GRID_SEEDS:
+        inst = bench.grid_instance(seed)
+        graph = parse_graph(bench.format_psp(inst))
+        add(query_outputs(graph, inst.source, inst.target))
     return sha.hexdigest()
 
 

@@ -129,7 +129,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     nums, dens, _ = index.query_columns
     rows: list[str] = ["lambda,cost,segment_index"]
     for lam in sorted(grid | interior):
-        pos, _ = locate_segment(nums, dens, lam)
+        pos, _ = locate_segment(nums, dens, *lam.as_integer_ratio())
         positions = [pos]
         if lam in interior:
             positions.append(pos + 1)  # breakpoint belongs to both neighbors

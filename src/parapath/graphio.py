@@ -147,9 +147,8 @@ def parse_graph(text: str) -> DualWeightGraph:
                 _check_edges(n, [(numbers[r], tails[r], heads[r], p0, p1)])
                 check_scale(lcm(den, q0, q1), len(tails))  # a multiple: raises
     if len(tails) != m:
-        raise GraphFormatError(
-            f"header declares {show_number(m)} edges, file has {len(tails)}"
-        )
+        shown = f"{show_number(m)} edges, file has {len(tails)}"
+        raise GraphFormatError(f"header declares {shown}")
     scaled = {token: p * (den // q) for token, (p, q) in ratios.items()}.__getitem__
     w0, w1 = tuple(map(scaled, t0)), tuple(map(scaled, t1))
     del t0, t1, tokens, ratios, scaled  # not held while the adjacency is built
@@ -216,6 +215,9 @@ def document_from_index(
 ) -> ShortestPathIndex:
     """``index`` with each segment's vertex walk, gathered from ``graph.heads``."""
     source, heads = index.source, graph.heads
+    if None in [seg.path for seg in index.segments]:
+        raise ValueError("segments carry no edge path; an index read from an "
+                         "envelope file already holds its walks")
     return ShortestPathIndex(source, index.target, tuple(
         EnvelopeSegment(*seg[:4], (source, *_gather(heads, seg.path)))
         for seg in index.segments
@@ -332,10 +334,8 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)
     if declared_k != len(segments):
-        raise EnvelopeFormatError(
-            f"document declares k={show_number(declared_k)} "
-            f"but holds {len(segments)} segments"
-        )
+        shown = f"k={show_number(declared_k)} but holds {len(segments)} segments"
+        raise EnvelopeFormatError(f"document declares {shown}")
     for i, seg in enumerate(segments):
         walk = seg.vertices
         simple = min(walk, default=-1) >= 0 and len(set(walk)) == len(walk)

@@ -3,12 +3,16 @@
 A query runs in ints: the index holds its segments' right-endpoint
 numerators and denominators and their scaled lines ``(m, s, d)``
 (:attr:`~parapath.envelope.ShortestPathIndex.query_columns`, kept from the
-segment check that ends its build or load).  Lookup is a binary search over
-those endpoints, instrumented so tests can pin the comparison count to the
-logarithmic bound; each comparison cross-multiplies two ints, which Python
-does in C.  At a breakpoint the two adjacent lines agree exactly; the
-leftmost containing segment is returned to keep outputs deterministic.  The
-one ``Fraction`` a query builds is its cost.
+segment check that ends its build or load).  ``lam`` is read once, as
+``p/q`` from one ``as_integer_ratio()`` when it is a ``Fraction``; any other
+type goes through :func:`~parapath.model.validate_lambda` first.  Lookup is
+a binary search over the endpoints, instrumented so tests can pin the
+comparison count to the logarithmic bound; each comparison cross-multiplies
+ints, which Python does in C.  At a breakpoint the two adjacent lines agree
+exactly; the leftmost containing segment is returned to keep outputs
+deterministic.  The one ``Fraction`` a query builds is its cost, and its
+:class:`QueryResult` is filled in by ``tuple.__new__``, as
+``namedtuple._make`` does, with no Python-level constructor.
 """
 
 from __future__ import annotations
@@ -33,18 +37,20 @@ class QueryResult(NamedTuple):
     comparisons: int
 
 
+_new = tuple.__new__  # builds a QueryResult from its five fields, as ``_make`` does
+
+
 def locate_segment(
-    nums: Sequence[int], dens: Sequence[int], lam: Fraction
+    nums: Sequence[int], dens: Sequence[int], p: int, q: int
 ) -> tuple[int, int]:
-    """Index of the leftmost segment whose interval contains ``lam``.
+    """Index of the leftmost segment whose interval contains ``p/q``.
 
     The segment right endpoints, strictly increasing and the last being
     1, are ``nums[i] / dens[i]`` with ``dens[i] > 0``, as
-    ``ShortestPathIndex.query_columns`` holds them.  Each comparison is
-    ``p * dens[i] <= nums[i] * q`` for ``lam = p/q``.  Returns (index,
+    ``ShortestPathIndex.query_columns`` holds them, and ``q > 0``.  Each
+    comparison is ``p * dens[i] <= nums[i] * q``.  Returns (index,
     comparison count).
     """
-    p, q = lam.numerator, lam.denominator
     lo, hi = 0, len(nums) - 1
     comparisons = 0
     while lo < hi:
@@ -63,14 +69,17 @@ def query(index: ShortestPathIndex, lam: Fraction) -> QueryResult:
     Raises as :func:`~parapath.model.validate_lambda` does for a ``lam``
     that is not an exact rational in [0, 1].
     """
-    validate_lambda(lam)
+    # A Fraction in [0, 1] is read once; any other value is checked first.
+    p, q = lam.as_integer_ratio() if type(lam) is Fraction else (-1, 0)
+    if not 0 <= p <= q:
+        validate_lambda(lam)
+        p, q = lam.numerator, lam.denominator
     nums, dens, lines = index.query_columns
-    pos, comparisons = locate_segment(nums, dens, lam)
+    pos, comparisons = locate_segment(nums, dens, p, q)
     m, s, d = lines[pos]
-    p, q = lam.numerator, lam.denominator
     seg = index.segments[pos]
-    cost = Fraction(q * m + p * s, q * d)
-    return QueryResult(pos, seg.path, seg.line, cost, comparisons)
+    return _new(QueryResult, (pos, seg.path, seg.line,
+                              Fraction(q * m + p * s, q * d), comparisons))
 
 
 def breakpoints(index: ShortestPathIndex) -> tuple[Fraction, ...]:

@@ -124,7 +124,7 @@ def test_locate_segment_matches_linear_scan(case):
     bounds, lam = case
     nums = [b.numerator for b in bounds]
     dens = [b.denominator for b in bounds]
-    index, comparisons = locate_segment(nums, dens, lam)
+    index, comparisons = locate_segment(nums, dens, *lam.as_integer_ratio())
     assert index == next(i for i, b in enumerate(bounds) if lam <= b)
     assert (index, comparisons) == reference_locate(bounds, lam)
 

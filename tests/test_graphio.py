@@ -213,6 +213,16 @@ def test_writing_a_built_index_names_document_from_index(diamond, tmp_path):
     assert not out.exists()
 
 
+def test_documenting_a_loaded_index_names_the_missing_paths():
+    # A loaded index already holds its walks, and its segments have no
+    # edge path to gather them from: one ValueError says so.
+    graph = chain_graph(2)
+    built = build_index(graph, *chain_endpoints(2))
+    loaded = parse_envelope(format_envelope(document_from_index(built, graph)))
+    with pytest.raises(ValueError, match=r"^segments carry no edge path; [^\n]*walks$"):
+        document_from_index(loaded, graph)
+
+
 def roundtrip_cases():
     cases = [(chain_graph(b), *chain_endpoints(b)) for b in range(1, 9)]
     rng = random.Random(13)

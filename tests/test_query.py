@@ -1,4 +1,5 @@
 import math
+import numbers
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from parapath import (
 )
 from parapath.envelope import EnvelopeSegment, ShortestPathIndex
 from parapath.graphio import format_envelope, parse_envelope
+from parapath.model import validate_lambda
 from parapath.query import locate_segment
 
 
@@ -102,7 +104,8 @@ def test_breakpoint_resolves_to_leftmost_segment():
     index = synthetic_index(8)
     for i, bp in enumerate(breakpoints(index)):
         assert query(index, bp).segment_index == i
-        assert locate_segment(*index.query_columns[:2], bp) == (i, 3)
+        nums, dens, _ = index.query_columns
+        assert locate_segment(nums, dens, *bp.as_integer_ratio()) == (i, 3)
 
 
 @given(own.graphs_with_pair(max_vertices=6, max_edges=12), own.lambdas)
@@ -139,11 +142,15 @@ def test_cost_function_is_concave(instance):
     assert c2 >= ((l3 - l2) * c1 + (l2 - l1) * c3) / (l3 - l1)
 
 
-def chain7_indexes() -> tuple[ShortestPathIndex, ShortestPathIndex]:
-    """``chain_graph(7)``'s index as built and as read back from its file."""
-    graph, (source, target) = chain_graph(7), chain_endpoints(7)
+def built_and_loaded(graph, source, target):
+    """The index as built and as read back from its file."""
     built = build_index(graph, source, target)
     return built, parse_envelope(format_envelope(document_from_index(built, graph)))
+
+
+def chain7_indexes() -> tuple[ShortestPathIndex, ShortestPathIndex]:
+    """``chain_graph(7)``'s index as built and as read back from its file."""
+    return built_and_loaded(chain_graph(7), *chain_endpoints(7))
 
 
 def test_built_and_loaded_indexes_hold_their_query_columns(three_route):
@@ -194,3 +201,100 @@ def test_query_result_is_an_immutable_named_tuple():
             hit.cost = F(0)
         assert hit.path is not None
         assert query(loaded, lam) == hit._replace(path=None)
+
+
+def reference_locate_segment(nums, dens, lam):
+    """``locate_segment`` as it was written, reading ``lam`` itself."""
+    p, q = lam.numerator, lam.denominator
+    lo, hi = 0, len(nums) - 1
+    comparisons = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        comparisons += 1
+        if p * dens[mid] <= nums[mid] * q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, comparisons
+
+
+def reference_query(index, lam):
+    """``query`` as it was written: ``validate_lambda`` on every call,
+    ``numerator``/``denominator`` read twice, ``QueryResult``'s constructor."""
+    validate_lambda(lam)
+    nums, dens, lines = index.query_columns
+    pos, comparisons = reference_locate_segment(nums, dens, lam)
+    m, s, d = lines[pos]
+    p, q = lam.numerator, lam.denominator
+    seg = index.segments[pos]
+    cost = F(q * m + p * s, q * d)
+    return QueryResult(pos, seg.path, seg.line, cost, comparisons)
+
+
+class FractionSub(F):
+    """A ``Fraction`` subclass, which ``query`` reads through ``validate_lambda``."""
+
+
+class PlainRational:
+    """A ``numbers.Rational`` with a numerator and a denominator and nothing
+    else: no ``as_integer_ratio``."""
+
+    def __init__(self, value):
+        self.numerator, self.denominator = value.numerator, value.denominator
+
+
+numbers.Rational.register(PlainRational)
+
+TINY = F(1, 2**80)
+REFUSED = (0.5, Decimal("0.5"), "1/2", None, F(3, 2), F(-1, 2), 2, FractionSub(3, 2))
+
+
+def spellings(lam):
+    """``lam`` as each exact type a caller may pass it as."""
+    out = [lam, FractionSub(lam), PlainRational(lam)]
+    if lam in (0, 1):
+        out += [int(lam), bool(lam)]
+    return out
+
+
+def assert_query_agrees(index, lam):
+    """``query`` answers, or refuses, ``lam`` exactly as ``reference_query`` does."""
+    try:
+        ref = reference_query(index, lam)
+    except (TypeError, LambdaRangeError) as exc:
+        with pytest.raises(type(exc)) as refused:
+            query(index, lam)
+        assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+        return
+    hit = query(index, lam)
+    assert type(hit) is QueryResult
+    assert (hit.segment_index, hit.comparisons) == (ref.segment_index, ref.comparisons)
+    assert hit.path is ref.path or hit.path == ref.path
+    assert hit.line.scaled() == ref.line.scaled()
+    assert type(hit.cost) is F
+    assert hit.cost.as_integer_ratio() == ref.cost.as_integer_ratio()
+
+
+def edge_lambdas(index):
+    """0, 1, every breakpoint, and 2**-80 either side of each of them."""
+    points = [F(0), *breakpoints(index), F(1)]
+    return [b + e for b in points for e in (-TINY, 0, TINY)]
+
+
+@pytest.mark.parametrize("blocks", range(1, 16))
+def test_query_equals_reference_on_chains(blocks):
+    for index in built_and_loaded(chain_graph(blocks), *chain_endpoints(blocks)):
+        for lam in edge_lambdas(index):
+            for spelled in spellings(lam):
+                assert_query_agrees(index, spelled)
+        for bad in REFUSED:
+            assert_query_agrees(index, bad)
+
+
+@given(own.graphs_with_pair(), own.lambdas)
+@settings(max_examples=100, deadline=None)
+def test_query_equals_reference_on_random_graphs(instance, lam):
+    for index in built_and_loaded(*instance):
+        for point in (lam, *edge_lambdas(index)):
+            for spelled in spellings(point):
+                assert_query_agrees(index, spelled)

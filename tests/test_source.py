@@ -59,7 +59,8 @@ def test_benchmark_trace_targets_resolve():
 
 def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     # A layer the program no longer looks up through the traced module
-    # global (say ``envelope.cost_line``) would read 0 in a traced run.
+    # global (say ``envelope.cost_line``, or ``query.locate_segment`` in a
+    # library query) would read 0 in a traced run.
     tracing = _load_by_path("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     modules = {name: importlib.import_module(f"parapath.{name}")
                for name in ("graphio", "cli", "envelope", "query")}
@@ -67,12 +68,15 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     graph_file, env_file = tmp_path / "chain.psp", tmp_path / "chain.env"
     write_graph(chain_graph(3), graph_file)
     source, target = chain_endpoints(3)
+    index = build_index(chain_graph(3), source, target)
     with tracer.installed():
         with tracer.op("build") as build_op:
             assert main(["build", str(graph_file), "--source", str(source),
                          "--target", str(target), "--out", str(env_file)]) == 0
         with tracer.op("cli_query"):
             assert main(["query", str(env_file), "--lambda", "1/2"]) == 0
+        with tracer.op("query"):
+            query(index, Fraction(1, 2))
     _totals, searches, _rest, problems = tracer.summary()
     assert problems == []
     calls = re.search(r"dijkstra_calls=(\d+)", capsys.readouterr().out)
