@@ -50,16 +50,10 @@ from .model import (
     Path,
     as_rational,
     cost_line,
-    interpolate_weight,
     path_vertices,
     validate_graph,
 )
-from .oracle import (
-    compare_envelopes,
-    enumerate_paths,
-    envelope_of_lines,
-    intersect_lines,
-)
+from .oracle import compare_envelopes, enumerate_paths, envelope_of_lines
 from .query import QueryResult, breakpoints, query
 
 __version__ = "0.1.0"
@@ -100,8 +94,6 @@ __all__ = [
     "document_from_index",
     "enumerate_paths",
     "envelope_of_lines",
-    "interpolate_weight",
-    "intersect_lines",
     "path_vertices",
     "query",
     "random_graph",

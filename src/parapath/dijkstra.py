@@ -8,6 +8,17 @@ for the builder's pruning.  Both are one plain Dijkstra over int labels,
 :func:`_dijkstra`, in which an edge adds ``a * W0 + b * W1`` for a pair
 ``(a, b)`` fixed per search.
 
+The slope-extremal search comes in two parts, which the builder calls
+apart.  :func:`extreme_slope_search` is its int entry: it takes
+``lam = p/q`` as two ints and the mode as a sign, checks none of them,
+and returns the search's predecessor edges and its target line's
+numerators ``(m, s)``; it raises UnreachableError, and nothing else.
+:func:`walk_back` turns predecessor edges into a path and holds the
+guard: a vertex on the way without a predecessor edge is a broken search
+tree, a RuntimeError.  ``dijkstra_extreme_slope`` is the checked wrapper
+over the two, for callers that hold a ``Fraction`` and want a
+``CostLine``.
+
 The searches run on the graph's int columns: weights ``W = w * D`` over
 their common denominator ``D``.  At ``lam = p/q`` an edge adds
 ``(q - p) * W0 + p * W1`` to a length and ``W1 - W0`` to a slope, which
@@ -127,6 +138,57 @@ def _dijkstra(
     return prev_edge
 
 
+def extreme_slope_search(
+    graph: DualWeightGraph, p: int, q: int, source: int, target: int, sign: int,
+    dead: list[bool] | None, labels: list[int | None] | None,
+) -> tuple[list[int], int, int]:
+    """The slope-extremal search at ``lam = p/q``, unchecked: ``0 <= p <= q``,
+    ``q >= 1``, a valid pair and ``sign`` 1 (minimal slope) or -1 (maximal).
+
+    Returns the search's predecessor edges, for :func:`walk_back`, and the
+    numerators ``(m, s)`` of the target's line, worth ``(m + lam*s) / D`` at
+    ``lam``.  ``dead`` and ``labels`` are as :func:`dijkstra_extreme_slope`
+    takes them; None asks for fresh ones.  Raises UnreachableError when the
+    search does not reach the target.
+    """
+    bound, shift, vb = graph.slope_bound, graph.label_shift, graph.vertex_bits
+    top, step = shift + vb, sign << vb
+    labels = [None] * graph.vertex_count if labels is None else labels
+    settled = [False] * graph.vertex_count if dead is None else dead
+    prev_edge = _dijkstra(
+        graph.adjacency, ((q - p) << top) - step, (p << top) + step,
+        (bound << vb) | source, vb, target, settled, labels,
+    )
+    entry = labels[target]
+    if entry is None:  # a reached vertex is settled once the heap runs dry
+        raise UnreachableError(f"vertex {target} not reachable from {source}")
+    label = entry >> vb
+    length = label >> shift
+    slope = sign * (label - (length << shift) - bound)
+    return prev_edge, (length - p * slope) // q, slope
+
+
+def walk_back(
+    graph: DualWeightGraph, prev_edge: list[int], source: int, target: int
+) -> Path:
+    """The edge ids of the search tree's path from ``source`` to ``target``.
+
+    Raises RuntimeError if a vertex on the way lacks a predecessor edge,
+    which only the source may: the guard against a broken search tree.
+    """
+    tails = graph.tails
+    edges: list[int] = []
+    v = target
+    while v != source:
+        eid = prev_edge[v]
+        if eid < 0:
+            raise RuntimeError(f"settled vertex {v} has no predecessor edge")
+        edges.append(eid)
+        v = tails[eid]
+    edges.reverse()
+    return tuple(edges)
+
+
 def dijkstra_extreme_slope(
     graph: DualWeightGraph,
     lam: Fraction,
@@ -167,55 +229,32 @@ def dijkstra_extreme_slope(
         raise ValueError(f"unknown slope mode {mode!r:.40}")
     if source == target:
         return (), CostLine.from_scaled(0, 0, graph.den)
-
-    bound, shift, vb = graph.slope_bound, graph.label_shift, graph.vertex_bits
-    top, step = shift + vb, sign << vb
-    labels = [None] * n if labels is None else labels
-    settled = [False] * n if dead is None else dead
-    prev_edge = _dijkstra(
-        graph.adjacency, ((q - p) << top) - step, (p << top) + step,
-        (bound << vb) | source, vb, target, settled, labels,
+    prev_edge, m, s = extreme_slope_search(
+        graph, p, q, source, target, sign, dead, labels
     )
-    if not settled[target]:
-        raise UnreachableError(f"vertex {target} not reachable from {source}")
-
-    tails = graph.tails
-    edges: list[int] = []
-    v = target
-    while v != source:
-        eid = prev_edge[v]
-        if eid < 0:  # only the source lacks a predecessor
-            raise RuntimeError(f"settled vertex {v} has no predecessor edge")
-        edges.append(eid)
-        v = tails[eid]
-    edges.reverse()
-    label = labels[target] >> vb
-    length = label >> shift
-    slope = sign * (label - (length << shift) - bound)
-    line = CostLine.from_scaled((length - p * slope) // q, slope, graph.den)
-    return tuple(edges), line
+    path = walk_back(graph, prev_edge, source, target)
+    return path, CostLine.from_scaled(m, s, graph.den)
 
 
 def reverse_lengths(
     graph: DualWeightGraph,
-    lam: Fraction,
+    p: int,
+    q: int,
     source: int,
     target: int,
     dead: list[bool] | None = None,
 ) -> list[int | None]:
-    """Plain lengths ``d(v, target)`` at ``lam``, from a search over reversed edges.
+    """Plain lengths ``d(v, target)`` at ``lam = p/q``, over reversed edges.
 
     Returns the search's heap entries ``(length << vb) | v``, for ``vb``
     the graph's ``vertex_bits``, so ``entry >> vb`` is a length.  Lengths
-    are scaled by ``q * D`` at ``lam = p/q``, as the slope-extremal labels'
-    are, and ``dead`` marks vertices the search never enters, as it does
-    there, and receives the settled marks.  The search stops once
-    ``source`` is settled, so a length is exact over the unmarked vertices
-    for a settled vertex and at least the source's for any other reached
-    vertex; an unreached vertex keeps None.  The caller checks ``lam`` and
-    the pair.
+    are scaled by ``q * D``, as the slope-extremal labels' are, and
+    ``dead`` marks vertices the search never enters, as it does there, and
+    receives the settled marks.  The search stops once ``source`` is
+    settled, so a length is exact over the unmarked vertices for a settled
+    vertex and at least the source's for any other reached vertex; an
+    unreached vertex keeps None.  The caller checks ``p``, ``q`` and the pair.
     """
-    p, q = lam.as_integer_ratio()
     n, vb = graph.vertex_count, graph.vertex_bits
     entries: list[int | None] = [None] * n
     settled = [False] * n if dead is None else dead

@@ -21,13 +21,17 @@ at most ``max(2, 2k - 1)`` searches.  The right end of [0, 1] still
 takes the maximal-slope path: a line that is optimal only at 1 would
 cost extra splits.
 
-Each search returns its path's cost line over the graph's one weight
-denominator ``D``, so lines compare by their numerators alone: the
-base-case test, the crossing, its bounds check and the fusing of equal
-lines are int arithmetic with no denominator in it.  A ``Fraction`` is
-built only for each crossing, the next probe's parameter.  The cost line
-of each output segment's witness is then walked once with
-:func:`cost_line`, and must equal the line its search returned.
+The builder talks to the search in ints, through its int entry: a probe
+passes its parameter as ``p/q`` in lowest terms and gets back its
+search's predecessor edges and the numerators of its path's cost line
+over the graph's one weight denominator ``D``, so lines compare by their
+numerators alone: the base-case test, the crossing, its bounds check and
+the fusing of equal lines are int arithmetic with no denominator in it.
+A crossing ``num / gap`` is reduced with one gcd to the next probe's
+``p/q``.  Only a probe that starts an output segment is walked back to a
+path, and only a segment end becomes a ``Fraction``: ``k - 1`` of them.
+Each witness is then walked once with :func:`cost_line`, and its line
+must equal the one its search returned.
 
 Interval pruning.  A probe inside ``[lo, hi]`` need only search the
 vertices that can lie on a shortest path somewhere in the interval.  For
@@ -90,11 +94,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
-from .dijkstra import (
-    MAX_SLOPE, MIN_SLOPE, SlopeMode, dijkstra_extreme_slope, reverse_lengths,
-)
+# The int entry keeps the old name: perfbench's ``dijkstra.search`` span and
+# test_every_probe_and_walk_goes_through_the_module_names pin it (ROADMAP item 6).
+from .dijkstra import extreme_slope_search as dijkstra_extreme_slope
+from .dijkstra import reverse_lengths, walk_back
 from .model import (
     CostLine,
     DualWeightGraph,
@@ -105,6 +111,7 @@ from .model import (
     derived,
     show_number,
     validate_graph,
+    validate_pair,
 )
 
 Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]
@@ -213,6 +220,9 @@ def check_index_invariants(index: ShortestPathIndex) -> None:
     object.__setattr__(index, "query_columns", check_segments(index.segments))
 
 
+# Builds an EnvelopeSegment from its five fields, as ``_make`` does.
+_segment = tuple.__new__
+
 # Intervals shallower than this, the root and its two halves, probe every
 # vertex: the reverse searches over the whole graph that pruning them takes
 # would cost more than their probes save.  Tests lower it to reach the
@@ -242,7 +252,8 @@ class _Bounds:
     which is the larger of its ends' depths.
     """
 
-    lam: Fraction
+    p: int
+    q: int
     live: Sequence[int]
     labels: list | None
     depth: int
@@ -256,7 +267,7 @@ class _Bounds:
             top = graph.label_shift + vb  # an entry's length sits above it
             opt = labels[target] >> top
             back = reverse_lengths(
-                graph, self.lam, source, target, _dead(graph.vertex_count, live)
+                graph, self.p, self.q, source, target, _dead(graph.vertex_count, live)
             )
             self._slack = {
                 v: (opt if (f := labels[v]) is None or (f := f >> top) > opt else f)
@@ -296,59 +307,61 @@ def build_index_detailed(
     """
     validate_graph(graph)
     den, n = graph.den, graph.vertex_count
-
-    def probe(lam: Fraction, mode: SlopeMode, live, depth, labels=None) -> tuple:
-        """lam, its numerator and denominator, the search's path, the
-        numerators (m, s) of its line, worth (m + lam*s) / den, and its
-        _Bounds over ``live`` (None: search every vertex, keep no bounds,
-        and leave the search's labels in ``labels`` if given)."""
-        dead = bounds = None
-        if live is not None:
-            labels, dead = [None] * n, _dead(n, live)
-            bounds = _Bounds(lam, live, labels, depth)
-        # Positional, as a call with keywords costs more.
-        path, line = dijkstra_extreme_slope(
-            graph, lam, source, target, mode, dead, labels
-        )
-        m, s, _ = line.scaled()
-        p, q = lam.as_integer_ratio()
-        return lam, p, q, path, m, s, bounds
+    if not (0 <= source < n and 0 <= target < n):
+        validate_pair(graph, source, target)
 
     # The sweep keeps the left end of the current interval in locals and
-    # the right ends still ahead on a stack, nearest on top; each is a probe.
-    # The root probes keep their labels, and get bounds once the gate,
-    # which needs their paths, turns pruning on.
+    # the right ends still ahead on a stack, nearest on top.  A probe is
+    # (p, q, predecessor edges, m, s, bounds): lam = p/q in lowest terms,
+    # its line worth (m + lam*s) / den, and its _Bounds, or None unpruned.
+    # The root probes search every vertex and keep their labels, and get
+    # bounds once the gate, which needs their paths, turns pruning on.  A
+    # probe's path is walked back only if it starts a segment; the left
+    # root's always does.
     everything = range(n)
     roots = [None] * n, [None] * n
-    lo, pl, ql, p_lo, ma, sa, b_lo = probe(ZERO, MIN_SLOPE, None, 0, roots[0])
-    stack = [probe(ONE, MAX_SLOPE, None, 0, roots[1])]
+    prev_lo, ma, sa = dijkstra_extreme_slope(
+        graph, 0, 1, source, target, 1, None, roots[0]
+    )
+    prev_hi, mb, sb = dijkstra_extreme_slope(
+        graph, 1, 1, source, target, -1, None, roots[1]
+    )
     calls = 2
+    witness = walk_back(graph, prev_lo, source, target)
     prune = _prune
-    if prune is None:
-        prune = 2 * (len(p_lo) + len(stack[0][3]) + 2) < n
+    if prune is None:  # the left root's path alone may close the gate
+        prune = 2 * (len(witness) + 2) < n and 2 * (
+            len(witness) + len(walk_back(graph, prev_hi, source, target)) + 2
+        ) < n
+    pl, ql, b_lo, b_hi = 0, 1, None, None
     if prune:
-        b_lo = _Bounds(ZERO, everything, roots[0], 0)
-        stack[0] = (*stack[0][:-1], _Bounds(ONE, everything, roots[1], 0))
+        b_lo = _Bounds(0, 1, everything, roots[0], 0)
+        b_hi = _Bounds(1, 1, everything, roots[1], 0)
+    stack = [(1, 1, prev_hi, mb, sb, b_hi)]
     segments: list[EnvelopeSegment] = []
-    last = None  # the (m, s) of the pending segment, built once its end is known
+    lm = ls = None  # the (m, s) of the pending segment, built once its end is known
     while stack:
-        hi, ph, qh, _, mb, sb, b_hi = stack[-1]
+        ph, qh, _, mb, sb, b_hi = stack[-1]
         if qh * ma + ph * sa == qh * mb + ph * sb:
             # The left line is optimal at both ends, hence on all of [lo, hi].
             # A probe interior to one optimal stretch splits it in two; the
             # halves fuse, keeping the leftmost witness path.
-            if (ma, sa) != last:
-                if last is not None:  # the pending segment ends here
-                    segments.append(EnvelopeSegment(start, lo, witness, line))
+            if ma != lm or sa != ls:
+                lo = ZERO
+                if lm is not None:  # the pending segment ends here
+                    lo = Fraction(pl, ql)
+                    seg = start, lo, witness, line, None
+                    segments.append(_segment(EnvelopeSegment, seg))
+                    witness = walk_back(graph, prev_lo, source, target)
                 # One walk per output segment, which must give the search's line.
-                line = cost_line(graph, p_lo)
+                line = cost_line(graph, witness)
                 if line.scaled() != (ma, sa, den):
                     raise RuntimeError(
-                        f"witness {p_lo} has line {line}, but its search "
+                        f"witness {witness} has line {line}, but its search "
                         f"gave {CostLine.from_scaled(ma, sa, den)}"
                     )
-                start, witness, last = lo, p_lo, (ma, sa)
-            lo, pl, ql, p_lo, ma, sa, b_lo = stack.pop()
+                start, lm, ls = lo, ma, sa
+            pl, ql, prev_lo, ma, sa, b_lo = stack.pop()
             continue
         # The lines cross at r = num / gap.  By the endpoint invariant the
         # left slope is the larger and r lies strictly inside [lo, hi],
@@ -358,22 +371,30 @@ def build_index_detailed(
         x, y = num * ql - pl * gap, ph * gap - num * qh
         if not (gap > 0 and x > 0 and y > 0):
             raise RuntimeError(
-                f"bisection invariant broken on [{lo}, {hi}]: lines "
-                f"{(ma, sa)} and {(mb, sb)} over {den} do not cross inside it"
+                f"bisection invariant broken on [{Fraction(pl, ql)}, "
+                f"{Fraction(ph, qh)}]: lines {(ma, sa)} and {(mb, sb)} over "
+                f"{den} do not cross inside it"
             )
         # The probe at r becomes the right end of [lo, r] and, once that is
         # done, the left end of [r, hi].
-        live = depth = None
+        g = gcd(num, gap)
+        p, q = num // g, gap // g
+        dead = labels = bounds = None
         if prune:
             depth = max(b_lo.depth, b_hi.depth) + 1
             live = everything
             if depth > _PRUNE_FROM_DEPTH:
                 slack_lo = b_lo.slack(graph, source, target)
                 live = _live(slack_lo, b_hi.slack(graph, source, target), x, y)
-        stack.append(probe(Fraction(num, gap), MIN_SLOPE, live, depth))
+            labels, dead = [None] * n, _dead(n, live)
+            bounds = _Bounds(p, q, live, labels, depth)
+        prev, m, s = dijkstra_extreme_slope(
+            graph, p, q, source, target, 1, dead, labels
+        )
+        stack.append((p, q, prev, m, s, bounds))
         calls += 1
 
-    segments.append(EnvelopeSegment(start, ONE, witness, line))
+    segments.append(_segment(EnvelopeSegment, (start, ONE, witness, line, None)))
     index = ShortestPathIndex(source, target, tuple(segments))
     check_index_invariants(index)
     return BuildResult(index, calls)

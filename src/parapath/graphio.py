@@ -151,7 +151,6 @@ def parse_graph(text: str) -> DualWeightGraph:
         raise GraphFormatError(f"header declares {shown}")
     scaled = {token: p * (den // q) for token, (p, q) in ratios.items()}.__getitem__
     w0, w1 = tuple(map(scaled, t0)), tuple(map(scaled, t1))
-    del t0, t1, tokens, ratios, scaled  # not held while the adjacency is built
     try:
         return DualWeightGraph(n, den, tails, heads, w0, w1)
     except (GraphStructureError, WeightDomainError):

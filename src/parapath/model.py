@@ -5,21 +5,22 @@ Blending them with a parameter ``lam`` in [0, 1] yields the interpolated
 weight ``(1 - lam) * w0 + lam * w1``, so the cost of any fixed path, the
 tuple of its edge ids, is a linear function of ``lam``.  A graph holds its
 edges as int columns: endpoints, and both weights as ints over their least
-common denominator ``D``, plus one adjacency; the constructor checks the
-columns, and ``build`` converts ``Edge`` rows into them.  Searches and cost
-lines sum those ints exactly, without a gcd per addition, and return lines
-over ``D``; the ``Fraction`` edges are derived only when asked for.  All
-types are immutable after construction and safe to share between threads.
+common denominator ``D``, plus one adjacency built on first use; the
+constructor checks the columns, and ``build`` converts ``Edge`` rows into
+them.  Searches and cost lines sum those ints exactly, without a gcd per
+addition, and return lines over ``D``; the ``Fraction`` edges are derived
+only when asked for.  All types are immutable after construction and safe
+to share between threads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, log10
-from operator import countOf
+from operator import countOf, itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -187,7 +188,6 @@ class DualWeightGraph:
     heads: Ints
     w0: Ints
     w1: Ints
-    adjacency: Adjacency = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n, den = self.vertex_count, self.den
@@ -215,25 +215,27 @@ class DualWeightGraph:
                 bad = next(type(x).__name__ for x in column if type(x) is not int)
                 error = WeightDomainError if name[0] == "w" else GraphStructureError
                 raise error(f"edge column {name} holds a {bad:.40}, not only ints")
-        out: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-        for eid, (tail, head, a, b) in enumerate(zip(*columns)):
-            if not (0 <= tail < n and 0 <= head < n):
-                raise GraphStructureError(
-                    f"edge {eid}: endpoint ({tail}, {head}) outside 0..{n - 1}"
-                )
-            if a <= 0 or b <= 0:
-                got = ", ".join(show_number(Fraction(w, den)) for w in (a, b))
-                raise WeightDomainError(
-                    f"edge {eid}: weights must be strictly positive, got ({got})"
-                )
-            out[tail].append((head, a, b, eid))
+        tails, heads, w0, w1 = columns
+        if lengths[0] and not (
+            0 <= min(tails) and max(tails) < n and 0 <= min(heads) and max(heads) < n
+            and min(w0) > 0 and min(w1) > 0
+        ):  # a column is at fault: name its first edge
+            for eid, (tail, head, a, b) in enumerate(zip(*columns)):
+                if not (0 <= tail < n and 0 <= head < n):
+                    raise GraphStructureError(
+                        f"edge {eid}: endpoint ({tail}, {head}) outside 0..{n - 1}"
+                    )
+                if a <= 0 or b <= 0:
+                    got = ", ".join(show_number(Fraction(w, den)) for w in (a, b))
+                    raise WeightDomainError(
+                        f"edge {eid}: weights must be strictly positive, got ({got})"
+                    )
         check_scale(den, lengths[0])
-        if den > 1 and gcd(den, *columns[2], *columns[3]) > 1:
+        if den > 1 and gcd(den, *w0, *w1) > 1:
             raise WeightDomainError(
                 f"weight denominator {show_number(den)} is not the weights' "
                 "least common denominator"
             )
-        object.__setattr__(self, "adjacency", tuple(map(tuple, out)))
 
     @classmethod
     def build(cls, vertex_count: int, rows: Iterable[Row]) -> "DualWeightGraph":
@@ -247,6 +249,17 @@ class DualWeightGraph:
         tails, heads, *weights = zip(*rows) if rows else ((),) * 4
         w0, w1 = ([w.numerator * (den // w.denominator) for w in ws] for ws in weights)
         return cls(vertex_count, den, tails, heads, tuple(w0), tuple(w1))
+
+    @derived
+    def adjacency(self) -> Adjacency:
+        """``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges
+        leaving ``v`` in edge-id order: built on first use, so a graph that
+        is only written out never pays for it."""
+        out: list[list[tuple]] = [[] for _ in range(self.vertex_count)]
+        entries = zip(self.heads, self.w0, self.w1, range(len(self.tails)))
+        for tail, entry in zip(self.tails, entries):
+            out[tail].append(entry)
+        return tuple(map(tuple, out))
 
     @derived
     def reverse_adjacency(self) -> Adjacency:
@@ -386,7 +399,7 @@ class CostLine:
     def from_scaled(m: int, s: int, d: int) -> "CostLine":
         """The line worth ``(m + lam*s) / d`` at ``lam``, for ``d > 0``.
 
-        A static method: every search and cost-line walk makes one, and a
+        A static method: every cost-line walk and checked search makes one, and a
         class method's binding costs about a fifth of the call."""
         line = object.__new__(CostLine)
         line._scaled = (m, s, d)
@@ -432,15 +445,6 @@ class CostLine:
 ZERO_LINE = CostLine(ZERO, ZERO)
 
 
-def interpolate_weight(graph: DualWeightGraph, edge_id: int, lam: Fraction) -> Fraction:
-    """Exact blended weight of one edge at parameter ``lam`` in [0, 1]."""
-    validate_lambda(lam)
-    if not (0 <= edge_id < len(graph.edges)):
-        raise GraphStructureError(f"edge id {edge_id} out of range")
-    edge = graph.edges[edge_id]
-    return (ONE - lam) * edge.w0 + lam * edge.w1
-
-
 def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
     """Sum the endpoint weights along ``path`` into its cost line.
 
@@ -448,7 +452,26 @@ def cost_line(graph: DualWeightGraph, path: Path) -> CostLine:
     a malformed edge sequence would silently produce a meaningless line
     otherwise.  Sums the graph's int weights, so the line comes out
     scaled by their common denominator.
+
+    A path of two or more edges is checked with C-level gathers: one
+    ``itemgetter`` call per column, a slice comparison for contiguity and
+    one set for simplicity.  On any failure, an exception from a gather
+    too, the edge-by-edge loop runs and names the first fault.  Any
+    iterable of edge ids is read once, as a tuple.
     """
+    path = tuple(path)
+    if len(path) > 1:
+        try:
+            gather = itemgetter(*path)
+            tails, heads = gather(graph.tails), gather(graph.heads)
+            walk = set(heads)
+            walk.add(tails[0])
+            simple = min(path) >= 0 and len(walk) > len(path)
+        except (IndexError, TypeError):
+            simple = False
+        if simple and tails[1:] == heads[:-1]:
+            c0 = sum(gather(graph.w0))
+            return CostLine.from_scaled(c0, sum(gather(graph.w1)) - c0, graph.den)
     tails, heads = graph.tails, graph.heads
     count = len(tails)
     seen: set[int] = set()

@@ -26,7 +26,7 @@ from parapath import (
     random_graph,
     shortest_path_length,
 )
-from parapath.dijkstra import reverse_lengths
+from parapath.dijkstra import extreme_slope_search, reverse_lengths, walk_back
 
 
 @pytest.fixture
@@ -305,7 +305,7 @@ def assert_packed_matches_tuple_heap(graph, source, target, lam, seed):
             want_settled, want_lengths,
         )
         got_settled = None if dead is None else list(dead)
-        got = reverse_lengths(graph, lam, source, target, got_settled)
+        got = reverse_lengths(graph, p, q, source, target, got_settled)
         assert unpacked(got, graph) == want_lengths
         if dead is not None:
             assert got_settled == want_settled
@@ -348,3 +348,35 @@ def test_packed_heap_entries_at_vertex_bit_boundaries(n):
     for source, target in {(0, n - 1), (n - 1, 0), (n // 2, n - 1)}:
         for lam in (F(0), F(1, 3), F(1, 2), F(1)):
             assert_packed_matches_tuple_heap(graph, source, target, lam, n)
+
+
+@given(own.graphs_with_pair(), own.lambdas, seeds)
+@settings(max_examples=200, deadline=None)
+def test_int_entry_and_walk_back_are_the_checked_search(instance, lam, seed):
+    # The builder calls the int entry and walks back only witness paths;
+    # together they must be the public search, labels and settled marks too.
+    graph, source, target = instance
+    p, q = lam.as_integer_ratio()
+    n = graph.vertex_count
+    for dead in dead_masks(graph, source, target, seed):
+        for mode, sign in ((MIN_SLOPE, 1), (MAX_SLOPE, -1)):
+            want_dead = None if dead is None else list(dead)
+            got_dead = None if dead is None else list(dead)
+            want_labels, got_labels = [None] * n, [None] * n
+            try:
+                path, line = dijkstra_extreme_slope(
+                    graph, lam, source, target, mode, want_dead, want_labels
+                )
+            except UnreachableError as exc:
+                with pytest.raises(UnreachableError, match=str(exc)):
+                    extreme_slope_search(
+                        graph, p, q, source, target, sign, got_dead, got_labels
+                    )
+                continue
+            prev_edge, m, s = extreme_slope_search(
+                graph, p, q, source, target, sign, got_dead, got_labels
+            )
+            assert walk_back(graph, prev_edge, source, target) == path
+            assert (m, s, graph.den) == line.scaled()
+            if source != target:  # the wrapper answers a pair (v, v) unsearched
+                assert (got_labels, got_dead) == (want_labels, want_dead)

@@ -24,11 +24,11 @@ from parapath import (
     dijkstra_extreme_slope,
     enumerate_paths,
     envelope_of_lines,
-    intersect_lines,
     query,
     shortest_path_length,
 )
 from parapath.envelope import EnvelopeSegment, ShortestPathIndex
+from parapath.oracle import intersect_lines
 
 
 @pytest.mark.parametrize(

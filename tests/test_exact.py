@@ -25,9 +25,9 @@ from parapath import (
     UnreachableError,
     cost_line,
     dijkstra_extreme_slope,
-    intersect_lines,
 )
 from parapath.envelope import EnvelopeSegment, check_segments
+from parapath.oracle import intersect_lines
 from parapath.query import locate_segment
 
 BIG = 2**125

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as own
+from reference import cost_line_loop, interpolate_weight
 from parapath import (
     CostLine,
     DualWeightGraph,
@@ -20,7 +22,6 @@ from parapath import (
     as_rational,
     build_index,
     cost_line,
-    interpolate_weight,
     path_vertices,
     validate_graph,
 )
@@ -475,6 +476,71 @@ def test_cost_line_additive_under_concatenation(graph_and_path, cut):
     front = cost_line(graph, Path(tuple(edge_ids[:cut])))
     back = cost_line(graph, Path(tuple(edge_ids[cut:])))
     assert (front.c0 + back.c0, front.c1 + back.c1) == (whole.c0, whole.c1)
+
+
+def chain_with_back_edges(links):
+    """Edges ``i``: ``i -> i + 1`` for ``i < links``, then ``links + i``:
+    ``i + 1 -> i``, then a self-loop on 0, so a walk can repeat a vertex
+    without a break in contiguity."""
+    rows = [(i, i + 1, 1 + i % 3, 3 - i % 3) for i in range(links)]
+    rows += [(i + 1, i, 2, 2) for i in range(links)] + [(0, 0, 1, 1)]
+    return DualWeightGraph.build(links + 1, rows)
+
+
+def mutated(kind, path, count, rng):
+    """``path`` with one fault of ``kind`` in it, on a graph of ``count``
+    edges built by :func:`chain_with_back_edges`."""
+    path, links = list(path), len(path)
+    at = rng.randrange(links + 1)
+    if kind == "out of range":
+        path.insert(at, count + rng.randrange(3))
+    elif kind == "negative":
+        path.insert(at, -rng.randint(1, count + 1))
+    elif kind == "float":
+        path.insert(at, float(rng.randrange(count)))
+    elif kind == "break":
+        if links >= 3:
+            del path[rng.randrange(1, links - 1)]
+        else:
+            path = [count - 2, count - 1, *path]
+    elif kind == "repeat":
+        if links:
+            at = rng.randrange(links)
+            path[at + 1:at + 1] = [links + at, at]  # back to ``at`` and on again
+        else:
+            path = [count - 1, count - 1]
+    return tuple(path)
+
+
+def outcome(walk, graph, path):
+    try:
+        return walk(graph, path).scaled()
+    except Exception as exc:  # the refusal is compared, class and message
+        return type(exc), str(exc)
+
+
+KINDS = ("out of range", "negative", "float", "break", "repeat")
+
+
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_cost_line_matches_the_edge_by_edge_loop(links, seed):
+    # Every path the fast check takes or refuses gets the loop's line, or
+    # its class and message, also with two faults on one path, and also
+    # when the path comes as an iterator.
+    rng = random.Random(seed)
+    graph = chain_with_back_edges(links)
+    count = len(graph.tails)
+    start = rng.randrange(links + 1)
+    paths = [tuple(range(start, links)), tuple(range(rng.randrange(links + 1)))]
+    for kind in KINDS:
+        paths.append(mutated(kind, paths[0], count, rng))
+        first, second = rng.sample(KINDS, 2)
+        paths.append(mutated(second, mutated(first, paths[0], count, rng), count, rng))
+    for path in paths:
+        expected = outcome(cost_line_loop, graph, path)
+        assert outcome(cost_line, graph, path) == expected, path
+        assert outcome(cost_line, graph, iter(path)) == expected, path
 
 
 @given(own.chain_with_path(), own.lambdas)

@@ -116,10 +116,10 @@ def probes(graph, source, target, prune):
     seen = []
     search = parapath.envelope.dijkstra_extreme_slope
 
-    def recording(graph, lam, source, target, mode, dead=None, labels=None):
+    def recording(graph, p, q, source, target, sign, dead, labels):
         mask = dead or [False] * graph.vertex_count
-        seen.append((lam, {v for v, gone in enumerate(mask) if not gone}))
-        return search(graph, lam, source, target, mode, dead, labels)
+        seen.append((Fraction(p, q), {v for v, gone in enumerate(mask) if not gone}))
+        return search(graph, p, q, source, target, sign, dead, labels)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parapath.envelope, "dijkstra_extreme_slope", recording)
@@ -196,7 +196,7 @@ def test_gate_prunes_grid_wide_and_never_chains(bench_instances):
 def test_reverse_lengths_are_exact_up_to_the_source(instance, lam):
     graph, source, target = instance
     scale = lam.denominator * graph.den
-    entries = reverse_lengths(graph, lam, source, target)
+    entries = reverse_lengths(graph, *lam.as_integer_ratio(), source, target)
     vb = graph.vertex_bits  # an entry holds its length above the vertex bits
     got = [None if e is None else e >> vb for e in entries]
     exact = distances(graph, lam, target, False)

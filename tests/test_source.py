@@ -166,3 +166,14 @@ def test_output_digest_script_runs(capsys):
     assert re.fullmatch(r"[0-9a-f]{64}\n", first)
     assert script.main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_criterion8_pairs_script_runs(capsys):
+    # One round with the repository as both trees: each side's reading and
+    # median are printed, whether or not the test's 3x gate held.
+    script = _load_by_path("criterion8_pairs", ROOT / "scripts" / "criterion8_pairs.py")
+    assert script.main([str(ROOT), str(ROOT), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out
+    for side in ("parent", "change"):
+        assert re.search(rf"^round 1 {side}: \d+\.\d\d$", out, re.M), out
+        assert re.search(rf"^{side}: median \d+\.\d\d over \[\d+\.\d\d\]$", out, re.M), out
