@@ -25,7 +25,9 @@ It hashes, in this order:
   and comparison count) on the built and the loaded index of
   ``chain_graph(1)``, ``(3)``, ``(6)`` and ``(63)`` and grid-wide seeds 1-3,
   at 0, 1, every breakpoint, every segment midpoint and 2**-80 either side
-  of each breakpoint, and the exception class and message ``query`` raises
+  of each breakpoint, with the cost's type and ``hash`` and the result
+  line's ``c0``, ``c1``, ``slope`` and ``value(lam)``, each with its type
+  and ``hash``, and the exception class and message ``query`` raises
   for each of ``REFUSED_LAMBDAS``.
 
 It needs only the standard library, so it runs under every supported
@@ -180,6 +182,12 @@ def field_edit(rng: random.Random, text: str) -> str:
     return json.dumps(payload, indent=rng.choice([None, 2]))
 
 
+def exact(value) -> str:
+    """A rational's type, value and ``hash``, which a digest compares."""
+    kind = f"{type(value).__module__}.{type(value).__qualname__}"
+    return f"{kind}:{value.numerator}/{value.denominator}#{hash(value)}"
+
+
 def query_outputs(graph, source: int, target: int) -> bytes:
     """Library ``query`` on the built and the loaded index of one instance,
     one line per answer, then one line per refused parameter."""
@@ -194,9 +202,10 @@ def query_outputs(graph, source: int, target: int) -> bytes:
     for index in (built, loaded):
         for lam in lams:
             r = query(index, lam)
-            cost = f"{r.cost.numerator}/{r.cost.denominator}"
+            line = r.line
+            values = map(exact, (r.cost, line.c0, line.c1, line.slope, line.value(lam)))
             lines.append(f"{type(r).__name__} {r.segment_index} {r.path} "
-                         f"{r.line.scaled()} {cost} {r.comparisons}")
+                         f"{line.scaled()} {' '.join(values)} {r.comparisons}")
         for lam in REFUSED_LAMBDAS:
             try:
                 query(index, lam)

@@ -23,7 +23,7 @@ from .errors import (
     ParapathError,
     UnreachableError,
 )
-from .model import parse_rational, path_vertices, validate_graph
+from .model import _fraction, parse_rational, path_vertices, validate_graph
 from .query import locate_segment, query
 
 EXIT_OK = 0
@@ -124,7 +124,7 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     if not 2 <= args.samples <= MAX_PLOT_SAMPLES:
         return _fail(EXIT_INPUT, f"--samples must be in 2..{MAX_PLOT_SAMPLES}")
     index = graphio.read_envelope(args.envelope)
-    grid = {Fraction(j, args.samples - 1) for j in range(args.samples)}
+    grid = {_fraction(j, args.samples - 1) for j in range(args.samples)}
     interior = {seg.hi for seg in index.segments[:-1]}
     nums, dens, _ = index.query_columns
     rows: list[str] = ["lambda,cost,segment_index"]

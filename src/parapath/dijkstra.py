@@ -220,7 +220,8 @@ def dijkstra_extreme_slope(
     # Inline int checks, so a probe calls no validator; they name a failure.
     n = graph.vertex_count
     p, q = lam.as_integer_ratio() if type(lam) is Fraction else (-1, 0)
-    if not (0 <= p <= q and 0 <= source < n and 0 <= target < n):
+    if not (0 <= p <= q and type(source) is type(target) is int
+            and 0 <= source < n and 0 <= target < n):
         validate_lambda(lam)
         validate_pair(graph, source, target)
         p, q = lam.numerator, lam.denominator

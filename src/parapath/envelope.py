@@ -107,6 +107,7 @@ from .model import (
     ONE,
     Path,
     ZERO,
+    _fraction,
     cost_line,
     derived,
     show_number,
@@ -296,7 +297,8 @@ def build_index_detailed(
 ) -> BuildResult:
     """Build the full shortest-path map over [0, 1], reporting search count.
 
-    Raises GraphStructureError for a source or target outside the graph
+    Raises GraphStructureError for a source or target that is not an int
+    vertex of the graph, as :func:`~parapath.model.validate_pair` does,
     and UnreachableError when the target cannot be reached (positive
     weights make reachability independent of the parameter).  Intervals
     wait on an explicit stack, because the number of segments (and hence
@@ -307,7 +309,9 @@ def build_index_detailed(
     """
     validate_graph(graph)
     den, n = graph.den, graph.vertex_count
-    if not (0 <= source < n and 0 <= target < n):
+    # Both ids exactly ints and in range, or validate_pair names the fault.
+    if not (type(source) is type(target) is int
+            and 0 <= source < n and 0 <= target < n):
         validate_pair(graph, source, target)
 
     # The sweep keeps the left end of the current interval in locals and
@@ -349,7 +353,7 @@ def build_index_detailed(
             if ma != lm or sa != ls:
                 lo = ZERO
                 if lm is not None:  # the pending segment ends here
-                    lo = Fraction(pl, ql)
+                    lo = _fraction(pl, ql)
                     seg = start, lo, witness, line, None
                     segments.append(_segment(EnvelopeSegment, seg))
                     witness = walk_back(graph, prev_lo, source, target)

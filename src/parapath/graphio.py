@@ -36,8 +36,8 @@ from .errors import (
     WeightDomainError, WeightScaleError,
 )
 from .model import (
-    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, check_scale,
-    parse_rational, plain_ratio, show_number,
+    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, _fraction,
+    check_scale, parse_rational, plain_ratio, show_number,
 )
 
 ENVELOPE_FORMAT_VERSION = 1
@@ -274,16 +274,14 @@ _CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
 
 def _parse_canonical(text: str, point: bool = False) -> tuple[int, int] | Fraction:
     """``(p, q)`` of the writer's one spelling, unsigned ``p/q`` in lowest
-    terms; for a breakpoint (``point``) the Fraction, whose gcd is the check."""
+    terms; for a breakpoint (``point``) the Fraction."""
     match = len(text) <= MAX_NUMBER_CHARS and _CANONICAL.fullmatch(text)
     if not match:
         raise ValueError(f"not a canonical p/q: {text!r:.40}")
     p, q = int(match[1]), int(match[2])
-    if point and (value := Fraction(p, q)).denominator == q:
-        return value
-    if not point and gcd(p, q) == 1:
-        return p, q
-    raise ValueError(f"{text!r:.40} is not in lowest terms")
+    if gcd(p, q) != 1:
+        raise ValueError(f"{text!r:.40} is not in lowest terms")
+    return _fraction(p, q) if point else (p, q)
 
 
 def _parse_segments(records: list) -> tuple[EnvelopeSegment, ...]:

@@ -16,7 +16,7 @@ to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, log10
@@ -56,6 +56,29 @@ MAX_EDGES = 1_000_000
 # weights take about 32 MB.
 MAX_SCALED_WEIGHT_BITS = 2**28
 
+_new_object = object.__new__
+
+
+def _fraction(p: int, q: int) -> Fraction:
+    """The ``Fraction`` ``p/q`` for ints ``p`` and ``q > 0``, reduced by one gcd.
+
+    Equal to ``Fraction(p, q)`` in type, value, hash, repr and pickle, at
+    about two thirds of its cost: ``Fraction.__new__`` dispatches on its
+    arguments' types in Python before it reaches the gcd.  It relies on
+    ``Fraction`` keeping its value in the two slots ``_numerator`` and
+    ``_denominator``, in lowest terms with the denominator positive, which
+    holds on every supported Python (3.12's ``Fraction._from_coprime_ints``
+    builds the same way).  Callers guarantee the int types and the sign of
+    ``q``: every number a library result is built from here is an int sum
+    or product over positive denominators.  Error messages, the oracle and
+    the reference search keep ``Fraction(...)``, so they stay independent.
+    """
+    g = gcd(p, q)
+    value = _new_object(Fraction)
+    value._numerator = p // g
+    value._denominator = q // g
+    return value
+
 
 def plain_ratio(text: str) -> tuple[int, int] | None:
     """``(p, q)``, ``q > 0`` and not reduced, for the spellings the writers
@@ -93,16 +116,16 @@ def parse_rational(text: str) -> Fraction:
     Raises ValueError (ZeroDivisionError for a zero denominator) like
     ``Fraction`` does, and also for a token longer than ``MAX_NUMBER_CHARS``
     or with a decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size.
-    The spellings :func:`plain_ratio` reads are taken from it; every other
-    spelling, and one it refuses, goes to ``Fraction(text)``, so values and
-    errors are ``Fraction``'s either way.  A token outside Python 3.10's
-    ``Fraction`` grammar is refused with 3.10's message: later versions read
-    ``1_000`` and ``1 / 2``, which no writer emits, and 3.11 and 3.12 refuse
-    ``1.d`` with another message.
+    The spellings :func:`plain_ratio` reads are taken from it and reduced
+    by :func:`_fraction`; every other spelling, and one it refuses, goes to
+    ``Fraction(text)``, so values and errors are ``Fraction``'s either way.
+    A token outside Python 3.10's ``Fraction`` grammar is refused with
+    3.10's message: later versions read ``1_000`` and ``1 / 2``, which no
+    writer emits, and 3.11 and 3.12 refuse ``1.d`` with another message.
     """
     ratio = plain_ratio(text)
     if ratio is not None:
-        return Fraction(*ratio)
+        return _fraction(*ratio)
     if len(text) > MAX_NUMBER_CHARS:
         raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters")
     _mantissa, marker, exponent = text.lower().partition("e")
@@ -180,6 +203,11 @@ class DualWeightGraph:
     :func:`check_scale` does, then WeightDomainError for a ``den`` that is
     not the weights' least common denominator, so one edge set has one set
     of columns.
+
+    ``slope_bound``, ``label_shift`` and ``vertex_bits`` are set once the
+    checks pass: plain attributes, which every search probe reads at field
+    speed, kept out of ``__init__``, ``==`` and ``repr``.  The adjacencies
+    and ``edges`` are built on first use.
     """
 
     vertex_count: int
@@ -188,6 +216,19 @@ class DualWeightGraph:
     heads: Ints
     w0: Ints
     w1: Ints
+    # ``(vertex_count - 1) * Wmax``, for ``Wmax`` the largest scaled weight:
+    # at least the scaled slope's absolute value on any simple path, which
+    # has at most ``vertex_count - 1`` edges, each changing the slope by
+    # ``w1 - w0``, less than ``Wmax`` in absolute value.  A breakpoint's
+    # reduced denominator divides a difference of two such slopes, so it is
+    # at most twice the bound.
+    slope_bound: int = field(init=False, repr=False, compare=False)
+    # How far a slope-extremal search's label shifts its length: the bit
+    # length of ``2 * slope_bound``, as ``parapath.dijkstra`` lays labels out.
+    label_shift: int = field(init=False, repr=False, compare=False)
+    # The low bits a search's heap entry keeps for its vertex: the bit
+    # length of ``vertex_count``.
+    vertex_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, den = self.vertex_count, self.den
@@ -236,6 +277,10 @@ class DualWeightGraph:
                 f"weight denominator {show_number(den)} is not the weights' "
                 "least common denominator"
             )
+        bound = (n - 1) * max(max(w0, default=0), max(w1, default=0))
+        object.__setattr__(self, "slope_bound", bound)
+        object.__setattr__(self, "label_shift", (2 * bound).bit_length())
+        object.__setattr__(self, "vertex_bits", n.bit_length())
 
     @classmethod
     def build(cls, vertex_count: int, rows: Iterable[Row]) -> "DualWeightGraph":
@@ -271,30 +316,6 @@ class DualWeightGraph:
         for head, entry in zip(self.heads, entries):
             into[head].append(entry)
         return tuple(map(tuple, into))
-
-    @derived
-    def slope_bound(self) -> int:
-        """``(vertex_count - 1) * Wmax``, for ``Wmax`` the largest scaled
-        weight: at least the scaled slope's absolute value on any simple
-        path, which has at most ``vertex_count - 1`` edges, each changing
-        the slope by ``w1 - w0``, less than ``Wmax`` in absolute value.
-        A breakpoint's reduced denominator divides a difference of two
-        such slopes, so it is at most twice the bound."""
-        wmax = max(max(self.w0, default=0), max(self.w1, default=0))
-        return (self.vertex_count - 1) * wmax
-
-    @derived
-    def label_shift(self) -> int:
-        """How far a slope-extremal search's label shifts its length: the
-        bit length of ``2 * slope_bound``, as ``parapath.dijkstra`` lays
-        labels out."""
-        return (2 * self.slope_bound).bit_length()
-
-    @derived
-    def vertex_bits(self) -> int:
-        """The low bits a search's heap entry keeps for its vertex: the bit
-        length of ``vertex_count``."""
-        return self.vertex_count.bit_length()
 
     @derived
     def edges(self) -> tuple[Edge, ...]:
@@ -334,13 +355,20 @@ def show_number(value: int | Fraction) -> str:
 
 
 def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
-    """Reject a source or target outside ``0..vertex_count - 1``.
+    """Reject a source or target that is not an int in ``0..vertex_count - 1``.
 
-    Without this a negative id would silently index from the end of the
-    per-vertex arrays.
+    Both raise GraphStructureError, the source checked first.  An id must be
+    exactly an ``int``, as the graph's own columns must: a bool or another
+    int subclass is refused like a float, since a search packs the id into
+    its heap entries' low bits.  Without the range check a negative id
+    would silently index from the end of the per-vertex arrays.
     """
     n = graph.vertex_count
     for role, vertex in (("source", source), ("target", target)):
+        if type(vertex) is not int:
+            raise GraphStructureError(
+                f"{role} vertex is a {type(vertex).__name__:.40}, not an int"
+            )
         if not 0 <= vertex < n:
             raise GraphStructureError(
                 f"{role} vertex {show_number(vertex)} outside 0..{n - 1}"
@@ -408,17 +436,17 @@ class CostLine:
     @property
     def c0(self) -> Fraction:
         m, _s, d = self._scaled
-        return Fraction(m, d)
+        return _fraction(m, d)
 
     @property
     def c1(self) -> Fraction:
         m, s, d = self._scaled
-        return Fraction(m + s, d)
+        return _fraction(m + s, d)
 
     @property
     def slope(self) -> Fraction:
         _m, s, d = self._scaled
-        return Fraction(s, d)
+        return _fraction(s, d)
 
     def scaled(self) -> tuple[int, int, int]:
         """Integers ``(m, s, d)``, ``d > 0``, with ``value(lam) = (m + lam*s) / d``."""
@@ -427,7 +455,7 @@ class CostLine:
     def value(self, lam: Fraction) -> Fraction:
         m, s, d = self._scaled
         p, q = lam.numerator, lam.denominator
-        return Fraction(q * m + p * s, q * d)
+        return _fraction(q * m + p * s, q * d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostLine):

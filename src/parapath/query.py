@@ -10,9 +10,11 @@ a binary search over the endpoints, instrumented so tests can pin the
 comparison count to the logarithmic bound; each comparison cross-multiplies
 ints, which Python does in C.  At a breakpoint the two adjacent lines agree
 exactly; the leftmost containing segment is returned to keep outputs
-deterministic.  The one ``Fraction`` a query builds is its cost, and its
-:class:`QueryResult` is filled in by ``tuple.__new__``, as
-``namedtuple._make`` does, with no Python-level constructor.
+deterministic.  The one ``Fraction`` a query builds is its cost,
+``(q*m + p*s) / (q*d)`` reduced by one gcd in
+:func:`~parapath.model._fraction`, which skips ``Fraction``'s argument
+dispatch, and its :class:`QueryResult` is filled in by ``tuple.__new__``,
+as ``namedtuple._make`` does: no Python-level constructor runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .model import CostLine, Path, validate_lambda
+from .model import CostLine, Path, _fraction, validate_lambda
 from .envelope import ShortestPathIndex
 
 
@@ -79,7 +81,7 @@ def query(index: ShortestPathIndex, lam: Fraction) -> QueryResult:
     m, s, d = lines[pos]
     seg = index.segments[pos]
     return _new(QueryResult, (pos, seg.path, seg.line,
-                              Fraction(q * m + p * s, q * d), comparisons))
+                              _fraction(q * m + p * s, q * d), comparisons))
 
 
 def breakpoints(index: ShortestPathIndex) -> tuple[Fraction, ...]:

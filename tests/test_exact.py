@@ -6,7 +6,10 @@ keeps the ``Fraction`` formula the code used to run as its reference,
 over lambdas at 0, at 1, at breakpoints and with 125-bit denominators.
 """
 
+import copy
 import heapq
+import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +30,7 @@ from parapath import (
     dijkstra_extreme_slope,
 )
 from parapath.envelope import EnvelopeSegment, check_segments
+from parapath.model import _fraction
 from parapath.oracle import intersect_lines
 from parapath.query import locate_segment
 
@@ -54,6 +58,41 @@ def reference_value(line, lam):
 
 def reference_slope(line):
     return line.c1 - line.c0
+
+
+numerators = st.one_of(st.integers(-300, 300), st.integers(-(2**260), 2**260))
+helper_denominators = st.one_of(st.just(1), st.integers(1, 300), st.integers(1, 2**260))
+
+
+@given(numerators, helper_denominators, rationals)
+@example(0, 1, F(1, 3))
+@example(0, 2**201, F(-5, 2))
+@example(-6, 4, F(3, 2))
+@example(2**201 + 1, 1, F(0))
+@example(-(3 * 2**201), 2**201, F(2**210, 3))
+@settings(max_examples=400, deadline=None)
+def test_fraction_helper_is_fraction(p, q, other):
+    got, want = _fraction(p, q), F(p, q)
+    assert type(got) is F
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want) and str(got) == str(want)
+    for back in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+        assert type(back) is F
+        assert back.as_integer_ratio() == want.as_integer_ratio()
+    for a, b in ((got, other), (other, got), (got, p), (got, want)):
+        a2, b2 = (want if x is got else x for x in (a, b))
+        assert (a == b, a < b, a <= b, a > b, a >= b) == (
+            a2 == b2, a2 < b2, a2 <= b2, a2 > b2, a2 >= b2
+        )
+        assert (a + b, a - b, a * b) == (a2 + b2, a2 - b2, a2 * b2)
+        if b2:
+            assert (a / b, a // b, a % b) == (a2 / b2, a2 // b2, a2 % b2)
+    assert (-got, abs(got), got**2, int(got), round(got), math.floor(got)) == (
+        -want, abs(want), want**2, int(want), round(want), math.floor(want)
+    )
 
 
 @given(cost_lines, unit_rationals)

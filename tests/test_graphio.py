@@ -832,6 +832,14 @@ def field_edits(draw):
     return json.dumps(payload)
 
 
+def test_breakpoint_not_in_lowest_terms_is_refused():
+    text = ENVELOPE_BASES[0].replace('"hi": "1/2"', '"hi": "2/4"', 1)
+    assert text != ENVELOPE_BASES[0]
+    with pytest.raises(EnvelopeFormatError) as caught:
+        parse_envelope(text)
+    assert str(caught.value) == "malformed envelope document: '2/4' is not in lowest terms"
+
+
 @given(st.one_of(character_edits(), field_edits()))
 @settings(max_examples=400, deadline=None)
 @example(ENVELOPE_BASES[1].replace('"hi": "1/2"', '"hi": "2/4"', 1))

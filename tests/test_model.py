@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -15,14 +18,21 @@ from parapath import (
     Edge,
     GraphStructureError,
     LambdaRangeError,
+    MAX_SLOPE,
+    MIN_SLOPE,
     MalformedPathError,
     Path,
     WeightDomainError,
     WeightScaleError,
     as_rational,
     build_index,
+    build_index_detailed,
+    chain_graph,
     cost_line,
+    dijkstra_extreme_slope,
+    enumerate_paths,
     path_vertices,
+    shortest_path_length,
     validate_graph,
 )
 from parapath.graphio import parse_graph
@@ -187,6 +197,65 @@ def test_validate_pair():
     for source, target in ((-1, 0), (0, 3), (3, 0), (0, -3)):
         with pytest.raises(GraphStructureError, match="outside 0..2"):
             validate_pair(graph, source, target)
+
+
+ENTRY_POINTS = {
+    "build_index": lambda g, s, t: build_index(g, s, t),
+    "build_index_detailed": lambda g, s, t: build_index_detailed(g, s, t),
+    "min-slope search": lambda g, s, t: dijkstra_extreme_slope(g, F(1, 2), s, t, MIN_SLOPE),
+    "max-slope search": lambda g, s, t: dijkstra_extreme_slope(g, F(1, 2), s, t, MAX_SLOPE),
+    "shortest_path_length": lambda g, s, t: shortest_path_length(g, F(1, 2), s, t),
+    "enumerate_paths": lambda g, s, t: enumerate_paths(g, s, t),
+    "validate_pair": validate_pair,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad, shown", [
+    (0.0, "float"), (6.0, "float"), ("0", "str"), (None, "NoneType"), (True, "bool"),
+    (F(0), "Fraction"),
+])
+def test_vertex_ids_that_are_not_ints_are_refused(entry, bad, shown):
+    # Unchecked, a float or a str ended in Python's own TypeError or was
+    # read as an int (the oracle took target 6.0), and True built from vertex 1.
+    graph, call = chain_graph(2), ENTRY_POINTS[entry]
+    for role, pair in (("source", (bad, 6)), ("target", (0, bad)), ("source", (bad, bad))):
+        with pytest.raises(GraphStructureError) as caught:
+            call(graph, *pair)
+        assert str(caught.value) == f"{role} vertex is a {shown}, not an int"
+
+
+def test_search_attributes_are_plain_fields_outside_init_eq_and_repr():
+    """``slope_bound``, ``label_shift`` and ``vertex_bits`` are set by the
+    constructor, as fields that ``__init__``, ``==``, ``hash`` and ``repr``
+    leave out; pickles, copies and ``replace`` keep or recompute them."""
+    kept = {"slope_bound", "label_shift", "vertex_bits"}
+    flags = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(DualWeightGraph)}
+    assert {name for name, on in flags.items() if on != (True, True, True)} == kept
+    assert all(flags[name] == (False, False, False) for name in kept)
+    graph = chain_graph(3)
+    assert kept <= set(vars(graph)) and not {"adjacency", "edges"} & set(vars(graph))
+    wmax = max(*graph.w0, *graph.w1)
+    assert graph.slope_bound == (graph.vertex_count - 1) * wmax
+    assert graph.label_shift == (2 * graph.slope_bound).bit_length()
+    assert graph.vertex_bits == graph.vertex_count.bit_length()
+    assert repr(graph) == (
+        f"DualWeightGraph(vertex_count={graph.vertex_count}, den={graph.den}, "
+        f"tails={graph.tails}, heads={graph.heads}, w0={graph.w0}, w1={graph.w1})"
+    )
+    columns = (graph.vertex_count, graph.den, graph.tails, graph.heads, graph.w0, graph.w1)
+    twin = DualWeightGraph(*columns)
+    assert twin == graph and hash(twin) == hash(graph)
+    graph.adjacency  # a built cache travels with a pickle or a copy, as before
+    for other in (pickle.loads(pickle.dumps(graph)), copy.copy(graph),
+                  copy.deepcopy(graph), dataclasses.replace(graph)):
+        assert other == graph and hash(other) == hash(graph)
+        assert [getattr(other, name) for name in sorted(kept)] == [
+            getattr(graph, name) for name in sorted(kept)
+        ]
+        assert build_index(other, 0, 9).segments == build_index(graph, 0, 9).segments
+    wider = dataclasses.replace(graph, w0=(100, *graph.w0[1:]))
+    assert wider.slope_bound == (graph.vertex_count - 1) * 100
 
 
 @pytest.mark.parametrize(

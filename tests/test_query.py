@@ -165,6 +165,39 @@ def test_built_and_loaded_indexes_hold_their_query_columns(three_route):
         assert vars(index)["query_columns"] == (nums, dens, lines)
 
 
+def assert_reduced(value, p, q):
+    """``value`` is exactly ``Fraction(p, q)``: a plain one, in lowest terms."""
+    want = F(p, q)
+    assert type(value) is F
+    assert type(value.numerator) is int and type(value.denominator) is int
+    assert (value.numerator, value.denominator) == (want.numerator, want.denominator)
+    assert hash(value) == hash(want)
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 6])
+def test_costs_and_line_endpoints_are_reduced_fractions(blocks, three_route):
+    """The query cost, the segment ends and every ``CostLine`` read on built
+    and loaded indexes are plain ``Fraction``s in lowest terms."""
+    for index in (*built_and_loaded(chain_graph(blocks), *chain_endpoints(blocks)),
+                  *built_and_loaded(three_route, 0, 4)):
+        mids = [(seg.lo + seg.hi) / 2 for seg in index.segments]
+        for seg in index.segments:
+            assert_reduced(seg.lo, *seg.lo.as_integer_ratio())
+            assert_reduced(seg.hi, *seg.hi.as_integer_ratio())
+            m, s, d = seg.line.scaled()
+            assert_reduced(seg.line.c0, m, d)
+            assert_reduced(seg.line.c1, m + s, d)
+            assert_reduced(seg.line.slope, s, d)
+            for lam in (F(0), F(1), seg.lo, seg.hi, *mids):
+                assert_reduced(seg.line.value(lam), lam.denominator * m
+                               + lam.numerator * s, lam.denominator * d)
+        for lam in (F(0), F(1), *breakpoints(index), *mids):
+            hit = query(index, lam)
+            m, s, d = hit.line.scaled()
+            p, q = lam.as_integer_ratio()
+            assert_reduced(hit.cost, q * m + p * s, q * d)
+
+
 def test_point_queries_compare_no_fractions(monkeypatch):
     """Lookup and cost run on the index's int columns: with every
     ``Fraction`` comparison raising, a built and a loaded index (each
