@@ -70,7 +70,10 @@ WEIGHT_BOUNDS = ("10", "0.5", "1/3", "12.34", "0.01", Fraction(7, 4), "100")
 READER_CHAINS = (1, 3, 6)
 READER_GRID_SEEDS = (1, 2, 3)
 EDIT_CHARS = '{}[]":,0123456789/ -.\nlohicvertsk'
-EDIT_VALUES = ("0/2", "2/4", "1/0", "01/2", "1/2 ", "x", "", -1, 0, 3, None, [], [0, 1])
+# Non-ASCII digits (``int()`` reads "\u0661" as 1) and a sign reach the reader's
+# str-method check as well as its regex.
+EDIT_VALUES = ("0/2", "2/4", "1/0", "01/2", "1/2 ", "x", "", -1, 0, 3, None, [], [0, 1],
+               "\u0661/\u0662", "\u00b2/3", "\uff11/\uff12", "+1/2")
 PLOT_SAMPLES = 17
 QUERY_CHAINS = (1, 3, 6, 63)
 TINY = Fraction(1, 2**80)

@@ -83,7 +83,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     index = graphio.read_envelope(args.envelope)
     hit = query(index, _parse_lambda(args.lam))
     seg = index.segments[hit.segment_index]
-    verts = ",".join(str(v) for v in seg.vertices)
+    verts = ",".join(map(str, seg.vertices))
     print(
         f"cost={graphio.format_fraction(hit.cost)} path={verts} "
         f"segment=[{graphio.format_fraction(seg.lo)},{graphio.format_fraction(seg.hi)}]"

@@ -17,6 +17,9 @@ and its witness's vertex walk.  A document is written from, and read
 back as, a :class:`ShortestPathIndex`; a read one answers
 :func:`~parapath.query.query` like a built one, but its segments have no
 edge-id ``path``, because a vertex walk cannot tell parallel edges apart.
+The reader checks each record in one pass with ``str`` methods and builds
+its objects without their Python-level constructors; only a token that is
+not canonical meets the regex, which names the refusal.
 """
 
 from __future__ import annotations
@@ -30,13 +33,15 @@ from operator import countOf, itemgetter
 from pathlib import Path as FilePath
 from typing import Iterable, Sequence
 
-from .envelope import EnvelopeSegment, ShortestPathIndex, check_index_invariants
+from .envelope import (
+    EnvelopeSegment, ShortestPathIndex, _segment, check_index_invariants,
+)
 from .errors import (
     EnvelopeFormatError, GraphFormatError, GraphStructureError, NumberSizeError,
     WeightDomainError, WeightScaleError,
 )
 from .model import (
-    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, _fraction,
+    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, _new_object,
     check_scale, parse_rational, plain_ratio, show_number,
 )
 
@@ -272,32 +277,57 @@ def _json_int(value: object, what: str) -> int:
 _CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _parse_canonical(text: str, point: bool = False) -> tuple[int, int] | Fraction:
+def _parse_canonical(text: object) -> tuple[int, int]:
     """``(p, q)`` of the writer's one spelling, unsigned ``p/q`` in lowest
-    terms; for a breakpoint (``point``) the Fraction."""
+    terms, checked by ``str`` methods: one ``/`` between ASCII digits, no
+    leading zero but a lone ``0``, coprime.  Any other token meets the
+    regex, which names the refusal with the class and text it always had."""
+    if type(text) is str and len(text) <= MAX_NUMBER_CHARS and text.isascii():
+        num, _slash, den = text.partition("/")
+        if num.isdigit() and den.isdigit() and den[0] != "0" and (
+            num[0] != "0" or num == "0"
+        ):
+            p, q = int(num), int(den)
+            if gcd(p, q) == 1:
+                return p, q
     match = len(text) <= MAX_NUMBER_CHARS and _CANONICAL.fullmatch(text)
     if not match:
         raise ValueError(f"not a canonical p/q: {text!r:.40}")
     p, q = int(match[1]), int(match[2])
     if gcd(p, q) != 1:
         raise ValueError(f"{text!r:.40} is not in lowest terms")
-    return _fraction(p, q) if point else (p, q)
+    return p, q
 
 
-def _parse_segments(records: list) -> tuple[EnvelopeSegment, ...]:
-    """The segment records, each line scaled as ``CostLine(c0, c1)`` scales it."""
-    segments, hi_text, hi = [], object(), None  # no JSON value equals hi_text yet
+def _point(text: object) -> Fraction:
+    """The breakpoint ``text`` spells, its coprime ints set in ``Fraction``'s
+    two slots as :func:`~parapath.model._fraction` sets them."""
+    value = _new_object(Fraction)
+    value._numerator, value._denominator = _parse_canonical(text)
+    return value
+
+
+def _parse_segments(records: list, source: int, target: int) -> tuple[tuple, int | None]:
+    """The segments, lines scaled as ``CostLine(c0, c1)`` scales them and
+    filled in as ``from_scaled`` and ``_make`` fill them, and the index of the
+    first walk that is not a simple path from source to target, else None."""
+    # No JSON value equals hi_text before the first record.
+    segments, hi_text, hi, bad = [], object(), None, None
     for seg in records:
-        lo = hi if (text := seg["lo"]) == hi_text else _parse_canonical(text, True)
-        hi = _parse_canonical(hi_text := seg["hi"], True)
+        lo = hi if (text := seg["lo"]) == hi_text else _point(text)
+        hi = _point(hi_text := seg["hi"])
         (a, b), (c, d) = _parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])
-        line = CostLine.from_scaled(a * d, c * b - a * d, b * d)
+        line = _new_object(CostLine)
+        line._scaled = (m := a * d, c * b - m, b * d)
         walk = seg["vertices"]
         if type(walk) is not list or countOf(map(type, walk), int) != len(walk):
             got = f"got {walk!r:.40}"
             raise EnvelopeFormatError(f"vertices must be a list of integers, {got}")
-        segments.append(EnvelopeSegment(lo, hi, None, line, tuple(walk)))
-    return tuple(segments)
+        if bad is None and not (walk and walk[0] == source and walk[-1] == target
+                                and min(walk) >= 0 and len(set(walk)) == len(walk)):
+            bad = len(segments)
+        segments.append(_segment(EnvelopeSegment, (lo, hi, None, line, tuple(walk))))
+    return tuple(segments), bad
 
 
 def parse_envelope(text: str) -> ShortestPathIndex:
@@ -307,10 +337,14 @@ def parse_envelope(text: str) -> ShortestPathIndex:
     segments must pass the segment check (tiling of [0, 1], strictly
     decreasing slopes, lines agreeing at breakpoints) and every vertex walk
     must be a simple path from source to target: queries answer from the
-    file alone, so a tampered file would otherwise answer wrongly.  A ``lo``
-    spelled as the ``hi`` before it is that ``hi``'s Fraction, so each
-    breakpoint is parsed once and the check finds it shared.  The index
-    keeps the check's ints as its ``query_columns``.
+    file alone, so a tampered file would otherwise answer wrongly.  Records
+    are read, and walks tested, in one pass with no regex and no
+    Python-level constructor; only a token that is not canonical meets the
+    ``_CANONICAL`` regex, which names the refusal.  Refused first is the
+    JSON, then a header field, a record, ``k``, a walk, the segment check.
+    A ``lo`` spelled as the ``hi`` before it is that ``hi``'s Fraction, so
+    each breakpoint is parsed once and the check finds it shared.  The
+    index keeps the check's ints as its ``query_columns``.
     """
     try:
         payload = json.loads(text)
@@ -326,21 +360,16 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         source = _json_int(payload["source"], "source")
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
-        segments = _parse_segments(payload["segments"])
+        segments, bad = _parse_segments(payload["segments"], source, target)
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)
     if declared_k != len(segments):
         shown = f"k={show_number(declared_k)} but holds {len(segments)} segments"
         raise EnvelopeFormatError(f"document declares {shown}")
-    for i, seg in enumerate(segments):
-        walk = seg.vertices
-        simple = min(walk, default=-1) >= 0 and len(set(walk)) == len(walk)
-        if not simple or (walk[0], walk[-1]) != (source, target):
-            ends = " to ".join(map(show_number, (source, target)))
-            raise EnvelopeFormatError(
-                f"segment {i}: walk is not a simple path from {ends}"
-            )
+    if bad is not None:
+        ends = " to ".join(map(show_number, (source, target)))
+        raise EnvelopeFormatError(f"segment {bad}: walk is not a simple path from {ends}")
     try:
         check_index_invariants(index)
     except ValueError as exc:

@@ -375,6 +375,16 @@ def validate_pair(graph: DualWeightGraph, source: int, target: int) -> None:
             )
 
 
+def _exact_ratio(lam: Fraction) -> tuple[int, int]:
+    """``lam``'s numerator and denominator, or TypeError for a value
+    without them, such as a float, a ``Decimal`` or a str."""
+    try:
+        return lam.numerator, lam.denominator
+    except AttributeError:
+        name = type(lam).__name__
+        raise TypeError(f"lambda must be an exact rational, not {name}") from None
+
+
 def validate_lambda(lam: Fraction) -> None:
     """Reject a parameter that is not an exact rational in [0, 1].
 
@@ -382,11 +392,7 @@ def validate_lambda(lam: Fraction) -> None:
     such as a float or a ``Decimal``, like :func:`as_rational`, and
     LambdaRangeError outside [0, 1]; values are never clamped.
     """
-    try:
-        p, q = lam.numerator, lam.denominator
-    except AttributeError:
-        name = type(lam).__name__
-        raise TypeError(f"lambda must be an exact rational, not {name}") from None
+    p, q = _exact_ratio(lam)
     if not 0 <= p <= q:
         raise LambdaRangeError(f"lambda {show_number(lam)} outside [0, 1]")
 
@@ -453,8 +459,9 @@ class CostLine:
         return self._scaled
 
     def value(self, lam: Fraction) -> Fraction:
+        """The line at any exact rational ``lam``, TypeError as validate_lambda."""
         m, s, d = self._scaled
-        p, q = lam.numerator, lam.denominator
+        p, q = _exact_ratio(lam)
         return _fraction(q * m + p * s, q * d)
 
     def __eq__(self, other: object) -> bool:

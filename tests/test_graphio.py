@@ -774,6 +774,13 @@ def test_chain_envelopes_load_as_the_reference_loads_them():
 
 
 ENVELOPE_BASES = [json.dumps(own.DIAMOND_ENVELOPE), chain_envelope(3)]
+# Tokens that are near the writer's spelling: digits that are not ASCII
+# (``int()`` reads "\u0661" as 1 and refuses "\u00b2"), signs, spaces, stray
+# slashes, zeros, and a length one past the cap.
+ODD_SPELLINGS = [
+    "\u0661/\u0662", "\u00b2/3", "\uff11/\uff12", "+1/2", " 1/2", "1 /2", "1//2", "/2",
+    "1/", "00/1", "0/0", "1/" + "1" * (MAX_NUMBER_CHARS - 1),
+]
 EDIT_CHARS = '{}[]":,0123456789/ -.\nlohicvertsk'
 
 
@@ -802,7 +809,7 @@ def field_edits(draw):
     numbers = sorted({seg[key] for seg in segments for key in ("lo", "hi", "c0", "c1")})
     values = st.one_of(
         st.sampled_from(numbers),
-        st.sampled_from(["0/2", "2/4", "1/0", "01/2", "1/2 ", "x", ""]),
+        st.sampled_from(["0/2", "2/4", "1/0", "01/2", "1/2 ", "x", "", *ODD_SPELLINGS]),
         st.integers(-2, 9),
         st.none(),
         st.lists(st.integers(0, 9), max_size=4),
@@ -843,6 +850,18 @@ def test_breakpoint_not_in_lowest_terms_is_refused():
 @given(st.one_of(character_edits(), field_edits()))
 @settings(max_examples=400, deadline=None)
 @example(ENVELOPE_BASES[1].replace('"hi": "1/2"', '"hi": "2/4"', 1))
+@example(own._tampered(seg0_hi="\u0661/\u0662"))
+@example(own._tampered(seg0_c1="\u00b2/3"))
+@example(own._tampered(seg1_lo="\uff11/\uff12"))
+@example(own._tampered(seg0_c0="+1/2"))
+@example(own._tampered(seg0_hi=" 1/2"))
+@example(own._tampered(seg1_c1="1 /2"))
+@example(own._tampered(seg1_hi="1//2"))
+@example(own._tampered(seg0_c0="/2"))
+@example(own._tampered(seg0_c1="1/"))
+@example(own._tampered(seg0_lo="00/1"))
+@example(own._tampered(seg0_lo="0/0"))
+@example(own._tampered(seg1_c0="1/" + "1" * (MAX_NUMBER_CHARS - 1)))
 def test_edited_envelopes_load_as_the_reference_loads_them(text):
     assert envelope_outcome(parse_envelope, text) == envelope_outcome(
         reference_parse_envelope, text

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,7 @@ from parapath.model import (
     MAX_NUMBER_CHARS,
     MAX_SCALED_WEIGHT_BITS,
     parse_rational,
+    validate_lambda,
     validate_pair,
 )
 
@@ -315,6 +317,22 @@ class TestCostLine:
 )
 def test_eval_cost(line, lam, expected):
     assert line.value(lam) == expected
+
+
+@pytest.mark.parametrize(
+    "lam", [0.5, Decimal("0.5"), "1/2"], ids=lambda lam: type(lam).__name__
+)
+def test_line_value_refuses_an_inexact_lambda_as_validate_lambda_does(lam):
+    line = CostLine(F(1), F(3))
+    with pytest.raises(TypeError) as caught:
+        line.value(lam)
+    with pytest.raises(TypeError) as expected:
+        validate_lambda(lam)
+    name = type(lam).__name__
+    assert str(caught.value) == str(expected.value)
+    assert str(caught.value) == f"lambda must be an exact rational, not {name}"
+    # A line is defined outside [0, 1]: no range check.
+    assert line.value(F(3, 2)) == F(4) and line.value(-1) == F(-1)
 
 
 class TestValidateGraph:
