@@ -28,9 +28,12 @@ It hashes, in this order:
   of each breakpoint, with the cost's type and ``hash`` and the result
   line's ``c0``, ``c1``, ``slope`` and ``value(lam)``, each with its type
   and ``hash``, and the exception class and message ``query`` raises
-  for each of ``REFUSED_LAMBDAS``.
+  for each of ``REFUSED_LAMBDAS``;
+- ``parapath``'s exit code, stdout, stderr and written file on each argv of
+  ``cli_corpus``: ``-h`` before and after each command, one valid call of
+  each command, and the usage errors around it.
 
-It needs only the standard library, so it runs under every supported
+Help text is laid out for ``COLUMNS=80``, whatever the terminal.  It needs only the standard library, so it runs under every supported
 interpreter.
 
     python3 scripts/output_digest.py
@@ -44,6 +47,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -87,6 +91,37 @@ REFUSED_LAMBDAS = (0.5, Decimal("0.5"), "1/2", None, Fraction(3, 2), Fraction(-1
                    2, FractionSub(3, 2))
 
 
+def cli_corpus(graph: str, env: str, out: str) -> list[list[str]]:
+    """Argvs around one valid call of each command, on a graph file whose
+    path runs from vertex 0 to 3, its envelope file, and a file to write:
+    no command, an unknown one, ``-h`` before and after each command, the
+    call itself, with ``-h`` added, with its last (required) option left
+    out, with an unknown option, with an extra positional, with ``--``
+    before and after its arguments, and ``--lam`` for ``--lambda``."""
+    pair = ["--source", "0", "--target", "3"]
+    calls = {
+        "build": [graph, *pair, "--out", out],
+        "query": [env, "--lambda", "1/2"],
+        "verify": [graph, *pair],
+        "gen": ["random", "--out", out],
+        "export-plot": [env, "--samples", "3", "--out", out],
+        "sssp": [graph, *pair, "--lambda", "1/2"],
+    }
+    argvs = [[], ["-h"], ["--help"], ["bench"], ["bench", "-h"], ["--bogus", "query"]]
+    for name, args in calls.items():
+        argvs += [
+            [name], [name, "-h"], ["-h", name], [name, *args], [name, *args, "-h"],
+            [name, *args[:-2]], [name, *args, "--bogus"], [name, "--bogus", "1", *args],
+            [name, *args, "extra"], [name, "extra", *args], [name, "--", *args],
+            [name, *args, "--"],
+        ]
+    argvs += [["query", env, "--lam", "1/2"], ["query", env, "--lambda"],
+              ["sssp", graph, *pair, "--lam", "0", "--mode", "max"],
+              ["build", graph, "--source", "x", "--target", "3", "--out", out],
+              ["gen", "nope", "--out", out], ["export-plot", env, "--samples", "two"]]
+    return argvs
+
+
 def load_bench_instances():
     """``perfbench/instances.py`` as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
@@ -105,7 +140,10 @@ def cli_outputs(argv: list[str], written: Path | None = None) -> bytes:
         written.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # a usage error or a help text
+            code = exc.code
     result = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode()
     if written is not None:
         result += written.read_bytes() if written.exists() else b"<no file>"
@@ -287,6 +325,11 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
             edited.write_text(edit(rng, text))
             add(reader_outputs(edited, [rng.choice(lams)], workdir))
 
+        build_outputs(format_graph(chain_graph(1)), *chain_endpoints(1), workdir)
+        out = workdir / "out"
+        for argv in cli_corpus(str(workdir / "g.psp"), str(env), str(out)):
+            add(cli_outputs(argv, out).replace(str(workdir).encode(), b"<workdir>"))
+
     for blocks in QUERY_CHAINS:
         add(query_outputs(chain_graph(blocks), *chain_endpoints(blocks)))
     for seed in READER_GRID_SEEDS:
@@ -304,6 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--random-graphs", type=int, default=200)
     parser.add_argument("--edits", type=int, default=6000)
     args = parser.parse_args(argv)
+    os.environ["COLUMNS"] = "80"  # argparse lays help out for the terminal's width
     print(digest(args.chain_blocks, args.grid_seeds, args.instances, args.random_graphs,
                  args.edits))
     return 0

@@ -13,7 +13,6 @@ import decimal
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path as FilePath
 
 from . import envelope, generators, graphio, oracle
 from .dijkstra import MAX_SLOPE, MIN_SLOPE, dijkstra_extreme_slope
@@ -136,7 +135,8 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
         for p in positions:
             cost = index.segments[p].line.value(lam)
             rows.append(f"{_twelve_digits(lam)},{_twelve_digits(cost)},{p}")
-    FilePath(args.out).write_text("\n".join(rows) + "\n")
+    with open(args.out, "w") as file:
+        file.write("\n".join(rows) + "\n")
     print(f"wrote {args.out} rows={len(rows) - 1}")
     return EXIT_OK
 
@@ -155,17 +155,60 @@ def cmd_sssp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--source", type=_int, required=True, help="source vertex id")
-    parser.add_argument("--target", type=_int, required=True, help="target vertex id")
+_PAIR = (("--source", dict(type=_int, required=True, help="source vertex id")),
+         ("--target", dict(type=_int, required=True, help="target vertex id")))
+_LAMBDA = dict(dest="lam", required=True)
+
+# Each command's help line, handler and arguments (``add_argument``'s name
+# and keywords), in the order ``-h`` lists them.
+COMMANDS = {
+    "build": ("build the envelope index for a graph file", cmd_build, (
+        ("graph", {}), *_PAIR,
+        ("--out", dict(required=True, help="envelope file to write")),
+    )),
+    "query": ("evaluate an envelope file at one parameter", cmd_query, (
+        ("envelope", {}), ("--lambda", dict(_LAMBDA, help="parameter in [0, 1]")),
+    )),
+    "verify": ("cross-check the builder against enumeration", cmd_verify, (
+        ("graph", {}), *_PAIR,
+    )),
+    "gen": ("write a generated instance to a graph file", cmd_gen, (
+        ("kind", dict(choices=["random", "gadget-chain"])),
+        ("--out", dict(required=True)),
+        ("--seed", dict(type=_int, default=0)),
+        ("--vertices", dict(type=_int, default=6, help="random: vertex count")),
+        ("--edges", dict(type=_int, default=10, help="random: edge count")),
+        ("--weight-max", dict(default="10", help="random: weight upper bound")),
+        ("--blocks", dict(type=_int, default=1, help="gadget-chain: block count")),
+    )),
+    "export-plot": ("sample an envelope file to CSV for plotting", cmd_export_plot, (
+        ("envelope", {}), ("--samples", dict(type=_int, required=True)),
+        ("--out", dict(required=True)),
+    )),
+    "sssp": ("debug: one slope-extremal shortest-path run", cmd_sssp, (
+        ("graph", {}), *_PAIR, ("--lambda", _LAMBDA),
+        ("--mode", dict(choices=[MIN_SLOPE, MAX_SLOPE], default=MIN_SLOPE)),
+    )),
+}
+# The arguments that name files.  The OS cannot open a name holding NUL.
+PATH_ARGUMENTS = ("graph", "envelope", "out")
+
+
+def _define(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _help, handler, arguments = COMMANDS[name]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+    """The full argument parser, one subparser per command, built once per process.
 
-    Building it costs about as much as a whole ``parapath query``, and
-    parsing leaves it unchanged, so in-process callers share one.
+    ``main`` needs it only for ``-h`` before a command, a missing or unknown
+    command, ``--``, or arguments a command's own parser leaves over: it
+    writes those help texts and usage errors.
     """
     parser = argparse.ArgumentParser(
         prog="parapath",
@@ -175,53 +218,39 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="build the envelope index for a graph file")
-    p.add_argument("graph")
-    _add_pair_arguments(p)
-    p.add_argument("--out", required=True, help="envelope file to write")
-    p.set_defaults(handler=cmd_build)
-
-    p = sub.add_parser("query", help="evaluate an envelope file at one parameter")
-    p.add_argument("envelope")
-    p.add_argument("--lambda", dest="lam", required=True, help="parameter in [0, 1]")
-    p.set_defaults(handler=cmd_query)
-
-    p = sub.add_parser("verify", help="cross-check the builder against enumeration")
-    p.add_argument("graph")
-    _add_pair_arguments(p)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("gen", help="write a generated instance to a graph file")
-    p.add_argument("kind", choices=["random", "gadget-chain"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--vertices", type=_int, default=6, help="random: vertex count")
-    p.add_argument("--edges", type=_int, default=10, help="random: edge count")
-    p.add_argument("--weight-max", default="10", help="random: weight upper bound")
-    p.add_argument("--blocks", type=_int, default=1, help="gadget-chain: block count")
-    p.set_defaults(handler=cmd_gen)
-
-    p = sub.add_parser(
-        "export-plot", help="sample an envelope file to CSV for plotting"
-    )
-    p.add_argument("envelope")
-    p.add_argument("--samples", type=_int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_export_plot)
-
-    p = sub.add_parser("sssp", help="debug: one slope-extremal shortest-path run")
-    p.add_argument("graph")
-    _add_pair_arguments(p)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mode", choices=[MIN_SLOPE, MAX_SLOPE], default=MIN_SLOPE)
-    p.set_defaults(handler=cmd_sssp)
-
+    for name, (help_line, _handler, _arguments) in COMMANDS.items():
+        _define(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, built on first use.
+
+    It equals ``build_parser()``'s subparser for ``name``, so it writes the
+    same help and the same errors, and building it takes a fraction of the
+    time the full tree takes.
+    """
+    return _define(argparse.ArgumentParser(prog=f"parapath {name}"), name)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, through the command's own parser
+    when ``argv`` starts with a command name and holds no ``--``, whose path
+    to a subparser has changed between Python releases."""
+    if argv and argv[0] in COMMANDS and "--" not in argv:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    # The full tree names what is left over, with its own usage line.
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    for path in map(vars(args).get, PATH_ARGUMENTS):
+        if path is not None and "\0" in path:
+            return _fail(EXIT_INPUT, f"a path cannot hold a NUL byte: {path!r:.40}")
     try:
         return args.handler(args)
     except UnreachableError as exc:

@@ -190,9 +190,17 @@ def format_graph(graph: DualWeightGraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open(path: str | FilePath, mode: str = "r"):
+    """``open(path, mode)`` for a ``str`` or ``os.PathLike`` path.  Any other
+    type goes to ``pathlib.Path``, which refuses it with the class and text it
+    always did, so an int is never opened as a file descriptor."""
+    return open(path if type(path) is str else FilePath(path), mode)
+
+
 def _read_text(path: str | FilePath, error: type[Exception]) -> str:
     try:
-        return FilePath(path).read_text()
+        with _open(path) as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise error(
             f"{str(path)!r:.40} is not text: {exc.reason} at byte {exc.start}"
@@ -206,7 +214,9 @@ def read_graph(path: str | FilePath) -> DualWeightGraph:
 def write_graph(
     graph: DualWeightGraph, path: str | FilePath, comments: Iterable[str] = ()
 ) -> None:
-    FilePath(path).write_text(format_graph(graph, comments))
+    text = format_graph(graph, comments)
+    with _open(path, "w") as file:
+        file.write(text)
 
 
 def _gather(src, keys) -> Sequence:
@@ -382,4 +392,6 @@ def read_envelope(path: str | FilePath) -> ShortestPathIndex:
 
 
 def write_envelope(index: ShortestPathIndex, path: str | FilePath) -> None:
-    FilePath(path).write_text(format_envelope(index))
+    text = format_envelope(index)
+    with _open(path, "w") as file:
+        file.write(text)

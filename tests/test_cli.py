@@ -1,7 +1,12 @@
+import argparse
 import decimal
+import importlib.util
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,8 @@ from parapath import (
     build_index, chain_endpoints, chain_graph, graphio, query, read_envelope,
     write_graph,
 )
-from parapath.cli import build_parser, main
+from parapath import cli
+from parapath.cli import COMMANDS, PATH_ARGUMENTS, build_parser, command_parser, main
 from parapath.model import MAX_EDGES, MAX_VERTICES
 
 DIAMOND_TEXT = """\
@@ -498,3 +504,106 @@ def test_cli_query_agrees_with_library(tmp_path, capsys):
             want = query(index, lam).cost
             assert printed.startswith(f"cost={want.numerator}/{want.denominator} ")
         assert doc.k == index.k
+
+
+# -- each command's own parser -------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cli_corpus():
+    """``cli_corpus`` of ``scripts/output_digest.py``, which hashes the same argvs."""
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "scripts" / "output_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cli_corpus
+
+
+@pytest.fixture
+def chain_files(tmp_path):
+    """``chain_graph(1)``'s graph file (a path from 0 to 3), its envelope
+    file, and a name to write to."""
+    graph, env = tmp_path / "chain.psp", tmp_path / "chain.env"
+    write_graph(chain_graph(1), graph)
+    argv = ["build", str(graph), "--source", "0", "--target", "3", "--out", str(env)]
+    assert main(argv) == 0
+    return str(graph), str(env), tmp_path / "out"
+
+
+def _outputs(argv, written):
+    """Exit code, stdout, stderr and the bytes written to ``written``."""
+    written.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error or a help text
+            code = exc.code
+    data = written.read_bytes() if written.exists() else None
+    return code, out.getvalue(), err.getvalue(), data
+
+
+def test_command_parsers_match_the_full_tree():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(COMMANDS)
+    for name, full in subparsers.choices.items():
+        own_parser = command_parser(name)
+        assert own_parser is command_parser(name)
+        assert own_parser.format_help() == full.format_help()
+        assert own_parser.format_usage() == full.format_usage()
+
+
+def test_direct_parse_matches_the_full_tree(chain_files, monkeypatch, capsys):
+    graph, env, out = chain_files
+    corpus = _cli_corpus()(graph, env, str(out))
+    direct = [_outputs(argv, out) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    full = [_outputs(argv, out) for argv in corpus]
+    assert [argv for argv, a, b in zip(corpus, direct, full) if a != b] == []
+    # The corpus reaches every way out: runs, help, usage errors, run errors.
+    assert {code for code, *_ in direct} == {0, 2}
+    assert any(err.startswith("usage: parapath [-h]") for _, _, err, _ in direct)
+    assert any(err.startswith("usage: parapath query") for _, _, err, _ in direct)
+
+
+def test_valid_calls_never_build_the_full_tree(chain_files, capsys):
+    graph, env, out = chain_files
+    build_parser.cache_clear()
+    assert main(["query", env, "--lambda", "1/2"]) == 0
+    argv = ["build", graph, "--source", "0", "--target", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert build_parser.cache_info().misses == 0
+
+
+# One valid call of each command, with its file names as placeholders.
+VALID_CALLS = {
+    "build": ["GRAPH", "--source", "0", "--target", "3", "--out", "OUT"],
+    "query": ["ENV", "--lambda", "1/2"],
+    "verify": ["GRAPH", "--source", "0", "--target", "3"],
+    "gen": ["random", "--out", "OUT"],
+    "export-plot": ["ENV", "--samples", "3", "--out", "OUT"],
+    "sssp": ["GRAPH", "--source", "0", "--target", "3", "--lambda", "1/2"],
+}
+
+
+def test_nul_byte_in_any_path_is_one_error(chain_files, capsys):
+    # ``open`` raises ValueError for such a name, which was a traceback.
+    graph, env, out = chain_files
+    files = {"GRAPH": graph, "ENV": env, "OUT": str(out)}
+    assert list(VALID_CALLS) == list(COMMANDS)
+    for name, call in VALID_CALLS.items():
+        slots = [at for at, token in enumerate(call) if token in files]
+        dests = {action.dest for action in command_parser(name)._actions}
+        assert len(slots) == len(dests & set(PATH_ARGUMENTS)), name
+        assert main([name, *[files.get(token, token) for token in call]]) == 0
+        capsys.readouterr()
+        for at in slots:
+            argv = [name, *[files.get(token, token) for token in call]]
+            argv[1 + at] = argv[1 + at][:-3] + "\0" + "x" * 50
+            code, stdout, stderr, written = _outputs(argv, out)
+            assert (code, stdout, written) == (2, "", None), argv
+            assert stderr.startswith("error: a path cannot hold a NUL byte: ")
+            assert len(stderr.splitlines()) == 1 and len(stderr) < 100

@@ -30,9 +30,10 @@ e 0 2 1.5 0.5
 e 2 3 1.5 0.5
 """
 
-# Command-line text cannot hold NUL, and Linux hands undecodable bytes to
-# Python as lone surrogates, which hypothesis's default alphabet leaves out.
-free_text = st.text(st.characters(blacklist_characters="\0"), max_size=12)
+# Linux hands undecodable bytes to Python as lone surrogates, which
+# hypothesis's default alphabet leaves out.  A NUL, which no OS argv holds,
+# stays in: ``main`` refuses it in a path with one line.
+free_text = st.text(max_size=12)
 small_ints = st.integers(-3, 50).map(str)
 counts = st.integers(1, 50).map(str)
 number_tokens = st.sampled_from(

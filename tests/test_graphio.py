@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import pickle
 import random
 import re
@@ -8,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,7 @@ from parapath.graphio import (
     read_envelope,
     read_graph,
     write_envelope,
+    write_graph,
 )
 from parapath.model import (
     MAX_NUMBER_CHARS,
@@ -326,6 +329,52 @@ def test_undecodable_files_are_format_errors(tmp_path):
         read_graph(binary)
     with pytest.raises(EnvelopeFormatError, match="not text"):
         read_envelope(binary)
+
+
+@pytest.mark.parametrize("kind", [str, Path])
+def test_files_are_named_by_str_or_path(kind, diamond, tmp_path):
+    graph_file, env_file = kind(tmp_path / "d.psp"), kind(tmp_path / "d.env")
+    write_graph(diamond, graph_file)
+    assert read_graph(graph_file) == diamond
+    document = document_from_index(build_index(diamond, 0, 3), diamond)
+    write_envelope(document, env_file)
+    assert format_envelope(read_envelope(env_file)) == format_envelope(document)
+
+
+def _file_calls(diamond):
+    document = document_from_index(build_index(diamond, 0, 3), diamond)
+    return {
+        "read_graph": read_graph,
+        "read_envelope": read_envelope,
+        "write_graph": lambda path: write_graph(diamond, path),
+        "write_envelope": lambda path: write_envelope(document, path),
+    }
+
+
+@pytest.mark.parametrize("name", [b"d.psp", 0, 1, 7])
+def test_bytes_and_int_names_are_refused_as_pathlib_refuses_them(name, diamond):
+    with pytest.raises(TypeError) as refusal:
+        Path(name)
+    for call in _file_calls(diamond).values():
+        with pytest.raises(type(refusal.value)) as info:
+            call(name)
+        assert str(info.value) == str(refusal.value)
+
+
+def test_an_int_is_never_a_file_descriptor(diamond, tmp_path):
+    graph_file = tmp_path / "d.psp"
+    write_graph(diamond, graph_file)
+    before = graph_file.read_bytes()
+    fd = os.open(graph_file, os.O_RDWR)
+    try:
+        for name, call in _file_calls(diamond).items():
+            with pytest.raises(TypeError):
+                call(fd)
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0, name  # nothing read
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert graph_file.read_bytes() == before
 
 
 def reference_parse_graph(text: str) -> DualWeightGraph:
