@@ -21,6 +21,16 @@ It hashes, in this order:
   slash, the rest change one to three
   JSON fields (a value set, a digit changed, a key removed, or a segment
   dropped, copied or swapped);
+- ``parapath``'s exit code, stdout, stderr and written file on each argv of
+  ``cli_corpus``: ``-h`` before and after each command, one valid call of
+  each command, and the usage errors around it;
+- ``parapath query`` on each of ``refused_envelopes``, edits of
+  ``chain_graph(1)``'s file that once gave Python's own error text (a value
+  of the wrong JSON type, a JSON syntax error, an int or a token past the
+  int digit limit); ``parapath query`` at a ``--lambda``, and ``parapath
+  build`` on a weight, one digit past that limit; and the exception class and
+  message ``dijkstra_extreme_slope`` raises in each mode for each of
+  ``REFUSED_SEARCHES``;
 - library ``query`` results (type, segment index, path, scaled line, cost
   and comparison count) on the built and the loaded index of
   ``chain_graph(1)``, ``(3)``, ``(6)`` and ``(63)`` and grid-wide seeds 1-3,
@@ -28,10 +38,7 @@ It hashes, in this order:
   of each breakpoint, with the cost's type and ``hash`` and the result
   line's ``c0``, ``c1``, ``slope`` and ``value(lam)``, each with its type
   and ``hash``, and the exception class and message ``query`` raises
-  for each of ``REFUSED_LAMBDAS``;
-- ``parapath``'s exit code, stdout, stderr and written file on each argv of
-  ``cli_corpus``: ``-h`` before and after each command, one valid call of
-  each command, and the usage errors around it.
+  for each of ``REFUSED_LAMBDAS``.
 
 Help text is laid out for ``COLUMNS=80``, whatever the terminal.  It needs only the standard library, so it runs under every supported
 interpreter.
@@ -64,6 +71,7 @@ from parapath import (  # noqa: E402
     query, random_graph,
 )
 from parapath.cli import main as cli_main  # noqa: E402
+from parapath.dijkstra import MAX_SLOPE, MIN_SLOPE, dijkstra_extreme_slope  # noqa: E402
 from parapath.graphio import (  # noqa: E402
     format_envelope, format_fraction, format_graph, parse_envelope, parse_graph,
     read_envelope,
@@ -89,6 +97,9 @@ class FractionSub(Fraction):
 
 REFUSED_LAMBDAS = (0.5, Decimal("0.5"), "1/2", None, Fraction(3, 2), Fraction(-1, 2),
                    2, FractionSub(3, 2))
+# (lam, source, target) on chain_graph(1), whose vertices are 0..3.
+REFUSED_SEARCHES = ((0.5, 0, 3), (Fraction(3, 2), 0, 3), (Fraction(1, 2), True, 3),
+                    (Fraction(1, 2), 0, 4), (Fraction(1, 2), 0.0, 3))
 
 
 def cli_corpus(graph: str, env: str, out: str) -> list[list[str]]:
@@ -120,6 +131,30 @@ def cli_corpus(graph: str, env: str, out: str) -> list[list[str]]:
               ["build", graph, "--source", "x", "--target", "3", "--out", out],
               ["gen", "nope", "--out", out], ["export-plot", env, "--samples", "two"]]
     return argvs
+
+
+def refused_envelopes(text: str) -> list[str]:
+    """Edits of the envelope ``text`` that the reader refuses: values of the
+    wrong JSON type where a document, a list, a record, a token or a header
+    int belongs, a trailing comma, and an int and a token past Python's int
+    digit limit."""
+    huge = "1" * (sys.get_int_max_str_digits() + 1)
+    texts = [json.dumps(value) for value in ([1, 2], "doc", 3, None)]
+    for key, value in (("segments", "abc"), ("segments", {"lo": "0/1"}),
+                       ("segments", 3), ("format", {}), ("k", [2])):
+        texts.append(json.dumps({**json.loads(text), key: value}))
+    for field, value in (("record", "abc"), ("record", [1]), ("lo", [0, 1]),
+                         ("hi", 1), ("c0", None), ("c1", {"p": 1}), ("lo", 0.5),
+                         ("c0", huge + "/1"), ("c1", "1/" + huge)):
+        payload = json.loads(text)
+        if field == "record":
+            payload["segments"][0] = value
+        else:
+            payload["segments"][0][field] = value
+        texts.append(json.dumps(payload))
+    texts.append(text.replace("]", ",]", 1))
+    texts.append(text.replace('"vertices": [', f'"vertices": [{huge}, ', 1))
+    return texts
 
 
 def load_bench_instances():
@@ -329,6 +364,21 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
         out = workdir / "out"
         for argv in cli_corpus(str(workdir / "g.psp"), str(env), str(out)):
             add(cli_outputs(argv, out).replace(str(workdir).encode(), b"<workdir>"))
+
+        for text in refused_envelopes(bases[0][0]):
+            edited.write_text(text)
+            add(reader_outputs(edited, ["1/4"], workdir))
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        add(reader_outputs(env, [f"{huge}/3"], workdir))
+        add(build_outputs(f"psp 2 1\ne 0 1 1 {huge}\n", 0, 1, workdir))
+    graph = chain_graph(1)
+    for lam, source, target in REFUSED_SEARCHES:
+        for mode in (MIN_SLOPE, MAX_SLOPE):
+            try:
+                dijkstra_extreme_slope(graph, lam, source, target, mode)
+                add(b"accepted")
+            except Exception as exc:
+                add(f"{type(exc).__name__}: {exc}".encode())
 
     for blocks in QUERY_CHAINS:
         add(query_outputs(chain_graph(blocks), *chain_endpoints(blocks)))

@@ -217,14 +217,9 @@ def dijkstra_extreme_slope(
     vertices for a settled vertex, at least the target's for any other
     reached vertex, and None for an unreached one.
     """
-    # Inline int checks, so a probe calls no validator; they name a failure.
-    n = graph.vertex_count
-    p, q = lam.as_integer_ratio() if type(lam) is Fraction else (-1, 0)
-    if not (0 <= p <= q and type(source) is type(target) is int
-            and 0 <= source < n and 0 <= target < n):
-        validate_lambda(lam)
-        validate_pair(graph, source, target)
-        p, q = lam.numerator, lam.denominator
+    validate_lambda(lam)
+    validate_pair(graph, source, target)
+    p, q = lam.numerator, lam.denominator
     sign = 1 if mode == MIN_SLOPE else -1 if mode == MAX_SLOPE else 0
     if not sign:
         raise ValueError(f"unknown slope mode {mode!r:.40}")

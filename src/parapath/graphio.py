@@ -17,15 +17,13 @@ and its witness's vertex walk.  A document is written from, and read
 back as, a :class:`ShortestPathIndex`; a read one answers
 :func:`~parapath.query.query` like a built one, but its segments have no
 edge-id ``path``, because a vertex walk cannot tell parallel edges apart.
-The reader checks each record in one pass with ``str`` methods and builds
-its objects without their Python-level constructors; only a token that is
-not canonical meets the regex, which names the refusal.
+The reader checks each record in one pass with ``str`` methods, builds its
+objects without their Python-level constructors and words every refusal.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -284,29 +282,23 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
-_CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
-
-
 def _parse_canonical(text: object) -> tuple[int, int]:
     """``(p, q)`` of the writer's one spelling, unsigned ``p/q`` in lowest
-    terms, checked by ``str`` methods: one ``/`` between ASCII digits, no
-    leading zero but a lone ``0``, coprime.  Any other token meets the
-    regex, which names the refusal with the class and text it always had."""
+    terms: one ``/`` between ASCII digits, no leading zero but a lone ``0``,
+    each side within Python's int digit limit.  Any other value is not."""
     if type(text) is str and len(text) <= MAX_NUMBER_CHARS and text.isascii():
         num, _slash, den = text.partition("/")
         if num.isdigit() and den.isdigit() and den[0] != "0" and (
             num[0] != "0" or num == "0"
         ):
-            p, q = int(num), int(den)
+            try:
+                p, q = int(num), int(den)
+            except ValueError:  # a side past Python's int digit limit
+                raise ValueError(f"not a canonical p/q: {text!r:.40}") from None
             if gcd(p, q) == 1:
                 return p, q
-    match = len(text) <= MAX_NUMBER_CHARS and _CANONICAL.fullmatch(text)
-    if not match:
-        raise ValueError(f"not a canonical p/q: {text!r:.40}")
-    p, q = int(match[1]), int(match[2])
-    if gcd(p, q) != 1:
-        raise ValueError(f"{text!r:.40} is not in lowest terms")
-    return p, q
+            raise ValueError(f"{text!r:.40} is not in lowest terms")
+    raise ValueError(f"not a canonical p/q: {text!r:.40}")
 
 
 def _point(text: object) -> Fraction:
@@ -321,6 +313,9 @@ def _parse_segments(records: list, source: int, target: int) -> tuple[tuple, int
     """The segments, lines scaled as ``CostLine(c0, c1)`` scales them and
     filled in as ``from_scaled`` and ``_make`` fill them, and the index of the
     first walk that is not a simple path from source to target, else None."""
+    if type(records) is not list or countOf(map(type, records), dict) != len(records):
+        got = f"got {records!r:.40}"
+        raise EnvelopeFormatError(f"segments must be a list of objects, {got}")
     # No JSON value equals hi_text before the first record.
     segments, hi_text, hi, bad = [], object(), None, None
     for seg in records:
@@ -348,20 +343,24 @@ def parse_envelope(text: str) -> ShortestPathIndex:
     decreasing slopes, lines agreeing at breakpoints) and every vertex walk
     must be a simple path from source to target: queries answer from the
     file alone, so a tampered file would otherwise answer wrongly.  Records
-    are read, and walks tested, in one pass with no regex and no
-    Python-level constructor; only a token that is not canonical meets the
-    ``_CANONICAL`` regex, which names the refusal.  Refused first is the
-    JSON, then a header field, a record, ``k``, a walk, the segment check.
-    A ``lo`` spelled as the ``hi`` before it is that ``hi``'s Fraction, so
-    each breakpoint is parsed once and the check finds it shared.  The
-    index keeps the check's ints as its ``query_columns``.
+    are read, and walks tested, in one pass with no Python-level
+    constructor.  Refused first, in parapath's words, is the JSON, then the
+    document's type, a header field, the record types, a record, ``k``, a
+    walk, the segment check.  A ``lo`` spelled as the ``hi`` before it is
+    that ``hi``'s Fraction, so each breakpoint is parsed once and the check
+    finds it shared.  The index keeps the check's ints as its ``query_columns``.
     """
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
-        raise EnvelopeFormatError(f"not valid JSON: {exc}") from None
+    except json.JSONDecodeError:
+        raise EnvelopeFormatError("not valid JSON") from None
+    except ValueError:  # the one other: an int past Python's digit limit
+        over = f"over {sys.get_int_max_str_digits()} digits"
+        raise EnvelopeFormatError(f"document holds an integer {over}") from None
     except RecursionError:
         raise EnvelopeFormatError("not valid JSON: nested too deeply") from None
+    if type(payload) is not dict:
+        raise EnvelopeFormatError(f"document must be an object, got {payload!r:.40}")
     try:
         version = _json_int(payload["format"], "format")
         if version != ENVELOPE_FORMAT_VERSION:
@@ -371,7 +370,7 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
         segments, bad = _parse_segments(payload["segments"], source, target)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # a missing field, or a bad token
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)
     if declared_k != len(segments):

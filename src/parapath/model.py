@@ -16,6 +16,7 @@ to share between threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -122,6 +123,7 @@ def parse_rational(text: str) -> Fraction:
     A token outside Python 3.10's ``Fraction`` grammar is refused with
     3.10's message: later versions read ``1_000`` and ``1 / 2``, which no
     writer emits, and 3.11 and 3.12 refuse ``1.d`` with another message.
+    A number past the int digit limit is refused as ``number over 4300 digits``.
     """
     ratio = plain_ratio(text)
     if ratio is not None:
@@ -137,7 +139,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}")
     if not _FRACTION_310.fullmatch(text):
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # the one refusal left: a number past the int digit limit
+        raise ValueError(f"number over {sys.get_int_max_str_digits()} digits") from None
 
 
 def as_rational(value: int | str | Fraction) -> Fraction:

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -202,6 +203,59 @@ def test_query_tampered_envelope_is_input_error(name, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+# One case from each place that once put Python's own text into a refusal:
+# a TypeError, ``json``'s message, and the int digit limit's message, whose
+# wording differs between Python versions.  ``{huge}`` stands for an int one
+# digit past the limit.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps({**own.DIAMOND_ENVELOPE, "segments": ["abc"]}),
+         "segments must be a list of objects, got ['abc']"),
+        (own._tampered(seg0_lo=[0, 1]),
+         "malformed envelope document: not a canonical p/q: [0, 1]"),
+        ("[1, 2]", "document must be an object, got [1, 2]"),
+        (own._tampered().replace("]", ",]", 1), "not valid JSON"),
+        (own._tampered(seg0_vertices=[0, "{huge}", 3]),
+         "document holds an integer over {limit} digits"),
+        (own._tampered(seg0_c0="{huge}/1"),
+         "malformed envelope document: not a canonical p/q: '{head}"),
+    ],
+    ids=["segment-string", "lo-list", "document-array", "trailing-comma",
+         "vertex-past-digit-limit", "token-past-digit-limit"],
+)
+def test_envelope_refusals_are_worded_by_parapath(text, message, tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    huge = "1" * (limit + 1)
+    env = tmp_path / "edited.env"
+    env.write_text(text.replace('"{huge}"', huge).replace("{huge}", huge))
+    capsys.readouterr()
+    assert main(["query", str(env), "--lambda", "1/4"]) == 2
+    shown = message.format(limit=limit, head=huge[:39])
+    assert capsys.readouterr() == ("", f"error: {shown}\n")
+
+
+def test_numbers_past_the_digit_limit_are_refused_in_one_wording(
+    diamond_envelope, tmp_path, capsys
+):
+    # Python words this refusal differently in 3.10 and 3.11 and later.
+    limit = sys.get_int_max_str_digits()
+    huge = "1" * (limit + 1)
+    over = f"number over {limit} digits"
+    capsys.readouterr()
+    assert main(["query", str(diamond_envelope), "--lambda", f"{huge}/3"]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: cannot parse lambda '{huge[:39]}: {over}\n"
+    )
+    graph = tmp_path / "huge.psp"
+    graph.write_text(f"psp 2 1\ne 0 1 1 {huge}\n")
+    out = str(tmp_path / "huge.env")
+    assert main(["build", str(graph), "--source", "0", "--target", "1", "--out", out]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: line 2: bad weight '{huge[:39]}: {over}\n"
+    )
 
 
 def test_parser_survives_bad_argv(diamond_envelope, capsys):

@@ -27,6 +27,7 @@ from parapath import (
     shortest_path_length,
 )
 from parapath.dijkstra import extreme_slope_search, reverse_lengths, walk_back
+from parapath.model import validate_lambda, validate_pair
 
 
 @pytest.fixture
@@ -85,17 +86,27 @@ def test_unreachable_raises():
         (F(1, 2), 0, -1, GraphStructureError),
         (F(1, 2), -3, 2, GraphStructureError),
         (F(1, 2), 5, 5, GraphStructureError),
+        (F(3, 2), 0, 2, LambdaRangeError),
+        (F(1, 2), True, 2, GraphStructureError),
+        (F(1, 2), 0, 3, GraphStructureError),
     ],
     ids=["above-1", "below-0", "float", "decimal", "target-negative",
-         "source-negative", "pair-outside"],
+         "source-negative", "pair-outside", "three-halves", "bool-source",
+         "target-outside"],
 )
 def test_search_checks_its_inputs(lam, source, target, error):
     # Unchecked, lam = 2 would give length -3, target -1 the answer for
-    # vertex 2, source -3 a RuntimeError and (5, 5) an empty path.
+    # vertex 2, source -3 a RuntimeError and (5, 5) an empty path.  The
+    # search refuses with the validators' exact class and text.
     graph = DualWeightGraph.build(3, [(0, 1, 1, 2), (1, 2, 1, 2)])
+    with pytest.raises(error) as expected:
+        validate_lambda(lam)
+        validate_pair(graph, source, target)
     for mode in (MIN_SLOPE, MAX_SLOPE):
-        with pytest.raises(error):
+        with pytest.raises(error) as caught:
             dijkstra_extreme_slope(graph, lam, source, target, mode)
+        assert type(caught.value) is type(expected.value)
+        assert str(caught.value) == str(expected.value)
     with pytest.raises(error):
         shortest_path_length(graph, lam, source, target)
 

@@ -5,6 +5,7 @@ import os
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from fractions import Fraction as F
@@ -720,7 +721,10 @@ def test_walk_strings_are_sized_by_the_ids_in_the_walks():
 
 
 # -- the envelope reader before it parsed each breakpoint once -----------
-# Kept verbatim as the reference the reader must agree with.
+# Kept as the reference the reader must agree with: verbatim but for the
+# refusals that once carried Python's own text (a JSON syntax error, an int
+# past the digit limit, a value of the wrong JSON type), which it words as
+# the reader does.
 
 
 def _reference_json_int(value: object, what: str) -> int:
@@ -741,10 +745,14 @@ _REFERENCE_CANONICAL = re.compile(r"(0|[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def _reference_parse_canonical(text: str) -> tuple[int, int]:
-    match = len(text) <= MAX_NUMBER_CHARS and _REFERENCE_CANONICAL.fullmatch(text)
+    match = (type(text) is str and len(text) <= MAX_NUMBER_CHARS
+             and _REFERENCE_CANONICAL.fullmatch(text))
     if not match:
         raise ValueError(f"not a canonical p/q: {text!r:.40}")
-    p, q = int(match[1]), int(match[2])
+    try:
+        p, q = int(match[1]), int(match[2])
+    except ValueError:  # past Python's int digit limit
+        raise ValueError(f"not a canonical p/q: {text!r:.40}") from None
     if math.gcd(p, q) != 1:
         raise ValueError(f"{text!r:.40} is not in lowest terms")
     return p, q
@@ -760,10 +768,16 @@ def _reference_parse_segment(seg: dict) -> EnvelopeSegment:
 def reference_parse_envelope(text: str) -> ShortestPathIndex:
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
-        raise EnvelopeFormatError(f"not valid JSON: {exc}") from None
+    except json.JSONDecodeError:
+        raise EnvelopeFormatError("not valid JSON") from None
+    except ValueError:  # an int past Python's digit limit
+        raise EnvelopeFormatError(
+            f"document holds an integer over {sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:
         raise EnvelopeFormatError("not valid JSON: nested too deeply") from None
+    if type(payload) is not dict:
+        raise EnvelopeFormatError(f"document must be an object, got {payload!r:.40}")
     try:
         version = _reference_json_int(payload["format"], "format")
         if version != 1:
@@ -772,7 +786,12 @@ def reference_parse_envelope(text: str) -> ShortestPathIndex:
         source = _reference_json_int(payload["source"], "source")
         target = _reference_json_int(payload["target"], "target")
         declared_k = _reference_json_int(payload["k"], "k")
-        segments = tuple(map(_reference_parse_segment, payload["segments"]))
+        records = payload["segments"]
+        if type(records) is not list or not set(map(type, records)) <= {dict}:
+            raise EnvelopeFormatError(
+                f"segments must be a list of objects, got {records!r:.40}"
+            )
+        segments = tuple(map(_reference_parse_segment, records))
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)
