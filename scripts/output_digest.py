@@ -31,6 +31,9 @@ It hashes, in this order:
   build`` on a weight, one digit past that limit; and the exception class and
   message ``dijkstra_extreme_slope`` raises in each mode for each of
   ``REFUSED_SEARCHES``;
+- ``parapath query`` and ``parapath export-plot`` on ``unknown_field_edits``
+  of each reader file: one edit adds a field the writer never writes to the
+  document, and one more per record adds one to that record;
 - library ``query`` results (type, segment index, path, scaled line, cost
   and comparison count) on the built and the loaded index of
   ``chain_graph(1)``, ``(3)``, ``(6)`` and ``(63)`` and grid-wide seeds 1-3,
@@ -154,6 +157,18 @@ def refused_envelopes(text: str) -> list[str]:
         texts.append(json.dumps(payload))
     texts.append(text.replace("]", ",]", 1))
     texts.append(text.replace('"vertices": [', f'"vertices": [{huge}, ', 1))
+    return texts
+
+
+def unknown_field_edits(text: str) -> list[str]:
+    """The envelope ``text`` with a field the writer never writes added:
+    ``"note": "x"`` to the document, then ``"x": null`` to each record alone."""
+    payload = json.loads(text)
+    texts = [json.dumps({**payload, "note": "x"})]
+    for seg in payload["segments"]:
+        seg["x"] = None
+        texts.append(json.dumps(payload))
+        del seg["x"]
     return texts
 
 
@@ -371,6 +386,10 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
         huge = "1" * (sys.get_int_max_str_digits() + 1)
         add(reader_outputs(env, [f"{huge}/3"], workdir))
         add(build_outputs(f"psp 2 1\ne 0 1 1 {huge}\n", 0, 1, workdir))
+        for text, lams in bases:
+            for edit in unknown_field_edits(text):
+                edited.write_text(edit)
+                add(reader_outputs(edited, lams[:1], workdir))
     graph = chain_graph(1)
     for lam, source, target in REFUSED_SEARCHES:
         for mode in (MIN_SLOPE, MAX_SLOPE):

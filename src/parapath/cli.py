@@ -23,6 +23,8 @@ from .errors import (
     UnreachableError,
 )
 from .model import _fraction, parse_rational, path_vertices, validate_graph
+# No command calls ``locate_segment``; perfbench's tracer wraps
+# ``cli.locate_segment``, which pins the name here (ROADMAP item 6).
 from .query import locate_segment, query
 
 EXIT_OK = 0
@@ -125,16 +127,13 @@ def cmd_export_plot(args: argparse.Namespace) -> int:
     index = graphio.read_envelope(args.envelope)
     grid = {_fraction(j, args.samples - 1) for j in range(args.samples)}
     interior = {seg.hi for seg in index.segments[:-1]}
-    nums, dens, _ = index.query_columns
     rows: list[str] = ["lambda,cost,segment_index"]
     for lam in sorted(grid | interior):
-        pos, _ = locate_segment(nums, dens, *lam.as_integer_ratio())
-        positions = [pos]
-        if lam in interior:
-            positions.append(pos + 1)  # breakpoint belongs to both neighbors
-        for p in positions:
-            cost = index.segments[p].line.value(lam)
-            rows.append(f"{_twelve_digits(lam)},{_twelve_digits(cost)},{p}")
+        hit = query(index, lam)
+        row = f"{_twelve_digits(lam)},{_twelve_digits(hit.cost)},"
+        rows.append(f"{row}{hit.segment_index}")
+        if lam in interior:  # a breakpoint belongs to both neighbors, which agree there
+            rows.append(f"{row}{hit.segment_index + 1}")
     with open(args.out, "w") as file:
         file.write("\n".join(rows) + "\n")
     print(f"wrote {args.out} rows={len(rows) - 1}")

@@ -147,9 +147,14 @@ def extreme_slope_search(
 
     Returns the search's predecessor edges, for :func:`walk_back`, and the
     numerators ``(m, s)`` of the target's line, worth ``(m + lam*s) / D`` at
-    ``lam``.  ``dead`` and ``labels`` are as :func:`dijkstra_extreme_slope`
-    takes them; None asks for fresh ones.  Raises UnreachableError when the
-    search does not reach the target.
+    ``lam``.  Raises UnreachableError when the search does not reach the
+    target.
+
+    ``dead``, the search's settled mask, marks the vertices it never enters
+    and receives its settled marks; the source and target must not be
+    marked.  ``labels``, ``vertex_count`` Nones, receives the heap entries,
+    laid out as the module docstring says and exact as :func:`_dijkstra`
+    says.  None asks for a fresh mask or list.
     """
     bound, shift, vb = graph.slope_bound, graph.label_shift, graph.vertex_bits
     top, step = shift + vb, sign << vb
@@ -195,8 +200,6 @@ def dijkstra_extreme_slope(
     source: int,
     target: int,
     mode: SlopeMode,
-    dead: list[bool] | None = None,
-    labels: list[int | None] | None = None,
 ) -> tuple[Path, CostLine]:
     """Shortest source->target path at ``lam`` with extremal cost-line slope.
 
@@ -207,15 +210,6 @@ def dijkstra_extreme_slope(
     settled.  Raises UnreachableError when no path exists, ValueError for a
     ``mode`` other than ``MIN_SLOPE`` or ``MAX_SLOPE``, and as
     ``validate_lambda`` and ``validate_pair`` do for a bad ``lam`` or pair.
-
-    ``dead`` marks vertices the search never enters: it serves as the
-    search's settled mask, and the search marks the vertices it settles in
-    it.  The source and target must not be marked.  ``labels``, a list of
-    ``vertex_count`` Nones, receives the heap entries laid out as the module
-    docstring says, whose lengths are ``entry >> (shift + vb)`` for the
-    graph's ``label_shift`` and ``vertex_bits``: exact over the unmarked
-    vertices for a settled vertex, at least the target's for any other
-    reached vertex, and None for an unreached one.
     """
     validate_lambda(lam)
     validate_pair(graph, source, target)
@@ -225,9 +219,7 @@ def dijkstra_extreme_slope(
         raise ValueError(f"unknown slope mode {mode!r:.40}")
     if source == target:
         return (), CostLine.from_scaled(0, 0, graph.den)
-    prev_edge, m, s = extreme_slope_search(
-        graph, p, q, source, target, sign, dead, labels
-    )
+    prev_edge, m, s = extreme_slope_search(graph, p, q, source, target, sign, None, None)
     path = walk_back(graph, prev_edge, source, target)
     return path, CostLine.from_scaled(m, s, graph.den)
 

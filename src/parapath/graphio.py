@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import countOf, itemgetter
 from pathlib import Path as FilePath
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .envelope import (
     EnvelopeSegment, ShortestPathIndex, _segment, check_index_invariants,
@@ -39,11 +39,13 @@ from .errors import (
     WeightDomainError, WeightScaleError,
 )
 from .model import (
-    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, _new_object,
+    MAX_NUMBER_CHARS, MAX_VERTICES, CostLine, DualWeightGraph, _fraction,
     check_scale, parse_rational, plain_ratio, show_number,
 )
 
 ENVELOPE_FORMAT_VERSION = 1
+_DOCUMENT_FIELDS = ("format", "source", "target", "k", "segments")
+_RECORD_FIELDS = ("lo", "hi", "c0", "c1", "vertices")
 
 
 def _digits(value: int) -> str:
@@ -301,29 +303,21 @@ def _parse_canonical(text: object) -> tuple[int, int]:
     raise ValueError(f"not a canonical p/q: {text!r:.40}")
 
 
-def _point(text: object) -> Fraction:
-    """The breakpoint ``text`` spells, its coprime ints set in ``Fraction``'s
-    two slots as :func:`~parapath.model._fraction` sets them."""
-    value = _new_object(Fraction)
-    value._numerator, value._denominator = _parse_canonical(text)
-    return value
-
-
 def _parse_segments(records: list, source: int, target: int) -> tuple[tuple, int | None]:
-    """The segments, lines scaled as ``CostLine(c0, c1)`` scales them and
-    filled in as ``from_scaled`` and ``_make`` fill them, and the index of the
-    first walk that is not a simple path from source to target, else None."""
+    """The segments, breakpoints built by ``_fraction`` and lines scaled as
+    ``CostLine(c0, c1)`` scales them, and the index of the first walk that
+    is not a simple path from source to target, else None."""
     if type(records) is not list or countOf(map(type, records), dict) != len(records):
         got = f"got {records!r:.40}"
         raise EnvelopeFormatError(f"segments must be a list of objects, {got}")
     # No JSON value equals hi_text before the first record.
     segments, hi_text, hi, bad = [], object(), None, None
     for seg in records:
-        lo = hi if (text := seg["lo"]) == hi_text else _point(text)
-        hi = _point(hi_text := seg["hi"])
+        text = seg["lo"]
+        lo = hi if text == hi_text else _fraction(*_parse_canonical(text))
+        hi = _fraction(*_parse_canonical(hi_text := seg["hi"]))
         (a, b), (c, d) = _parse_canonical(seg["c0"]), _parse_canonical(seg["c1"])
-        line = _new_object(CostLine)
-        line._scaled = (m := a * d, c * b - m, b * d)
+        line = CostLine.from_scaled(m := a * d, c * b - m, b * d)
         walk = seg["vertices"]
         if type(walk) is not list or countOf(map(type, walk), int) != len(walk):
             got = f"got {walk!r:.40}"
@@ -346,9 +340,10 @@ def parse_envelope(text: str) -> ShortestPathIndex:
     are read, and walks tested, in one pass with no Python-level
     constructor.  Refused first, in parapath's words, is the JSON, then the
     document's type, a header field, the record types, a record, ``k``, a
-    walk, the segment check.  A ``lo`` spelled as the ``hi`` before it is
-    that ``hi``'s Fraction, so each breakpoint is parsed once and the check
-    finds it shared.  The index keeps the check's ints as its ``query_columns``.
+    walk, the segment check, and last a field the writer does not write.  A
+    ``lo`` spelled as the ``hi`` before it is that ``hi``'s Fraction, so each
+    breakpoint is parsed once and the check finds it shared.  The index
+    keeps the check's ints as its ``query_columns``.
     """
     try:
         payload = json.loads(text)
@@ -383,7 +378,18 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         check_index_invariants(index)
     except ValueError as exc:
         raise EnvelopeFormatError(str(exc)) from None
+    records = payload["segments"]  # each object's five fields were read
+    if len(payload) != 5 or countOf(map(len, records), 5) != len(records):
+        key, where = next(_unknown_fields(payload, records))
+        raise EnvelopeFormatError(f"unknown field {key!r:.40} in {where}")
     return index
+
+
+def _unknown_fields(payload: dict, records: list[dict]) -> Iterator[tuple[str, str]]:
+    """Each field the writer does not write, and where it is, document first."""
+    yield from ((key, "the document") for key in payload if key not in _DOCUMENT_FIELDS)
+    for i, seg in enumerate(records):
+        yield from ((key, f"segment {i}") for key in seg if key not in _RECORD_FIELDS)
 
 
 def read_envelope(path: str | FilePath) -> ShortestPathIndex:

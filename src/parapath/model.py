@@ -305,22 +305,22 @@ class DualWeightGraph:
         """``adjacency[v]`` lists ``(head, w0, w1, edge id)`` for the edges
         leaving ``v`` in edge-id order: built on first use, so a graph that
         is only written out never pays for it."""
-        out: list[list[tuple]] = [[] for _ in range(self.vertex_count)]
-        entries = zip(self.heads, self.w0, self.w1, range(len(self.tails)))
-        for tail, entry in zip(self.tails, entries):
-            out[tail].append(entry)
-        return tuple(map(tuple, out))
+        return self._edge_lists(self.tails, self.heads)
 
     @derived
     def reverse_adjacency(self) -> Adjacency:
         """``reverse_adjacency[v]`` lists ``(tail, w0, w1, edge id)`` for the
         edges entering ``v`` in edge-id order, the shape of ``adjacency``:
         built on first use, for searches toward a target."""
-        into: list[list[tuple]] = [[] for _ in range(self.vertex_count)]
-        entries = zip(self.tails, self.w0, self.w1, range(len(self.tails)))
-        for head, entry in zip(self.heads, entries):
-            into[head].append(entry)
-        return tuple(map(tuple, into))
+        return self._edge_lists(self.heads, self.tails)
+
+    def _edge_lists(self, ends: Ints, others: Ints) -> Adjacency:
+        """Per vertex, ``(others[e], w0[e], w1[e], e)`` for its edges in ``ends``."""
+        lists: list[list[tuple]] = [[] for _ in range(self.vertex_count)]
+        entries = zip(others, self.w0, self.w1, range(len(ends)))
+        for end, entry in zip(ends, entries):
+            lists[end].append(entry)
+        return tuple(map(tuple, lists))
 
     @derived
     def edges(self) -> tuple[Edge, ...]:

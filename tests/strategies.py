@@ -140,6 +140,9 @@ TAMPERED_ENVELOPES = {
     "c0-not-lowest-terms": _tampered(seg0_c0="2/2"),
     "c1-not-lowest-terms": _tampered(seg0_c1="6/2"),
     "c1-non-ascii-digits": _tampered(seg1_c1="\u0661/\u0661"),
+    # The writer writes five fields per object, and no other.
+    "unknown-document-field": _tampered(note="x"),
+    "unknown-record-field": _tampered(seg1_x=None),
     "all-at-once": _tampered(
         source=0.9, target="3", seg0_vertices=[0, 1.7, True], seg1_c0="4/1"
     ),

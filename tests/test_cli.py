@@ -207,8 +207,9 @@ def test_query_tampered_envelope_is_input_error(name, tmp_path, capsys):
 
 # One case from each place that once put Python's own text into a refusal:
 # a TypeError, ``json``'s message, and the int digit limit's message, whose
-# wording differs between Python versions.  ``{huge}`` stands for an int one
-# digit past the limit.
+# wording differs between Python versions; then fields the writer never
+# writes, which the reader once took in silence.  ``{huge}`` stands for an
+# int one digit past the limit.
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -222,9 +223,19 @@ def test_query_tampered_envelope_is_input_error(name, tmp_path, capsys):
          "document holds an integer over {limit} digits"),
         (own._tampered(seg0_c0="{huge}/1"),
          "malformed envelope document: not a canonical p/q: '{head}"),
+        (own._tampered(note="x"), "unknown field 'note' in the document"),
+        (own._tampered(seg1_x=None), "unknown field 'x' in segment 1"),
+        (own._tampered(**{"n" * 50: 1}), f"unknown field '{'n' * 39} in the document"),
+        (own._tampered(note="@").replace('"@"', "[" * 200 + "]" * 200),
+         "unknown field 'note' in the document"),
+        # The field check runs last, so a file with another fault keeps its line.
+        (own._tampered(note="x", seg1_c0="4/1"),
+         "lines disagree at breakpoint 1/2 between 0 and 1"),
     ],
     ids=["segment-string", "lo-list", "document-array", "trailing-comma",
-         "vertex-past-digit-limit", "token-past-digit-limit"],
+         "vertex-past-digit-limit", "token-past-digit-limit", "unknown-document-field",
+         "unknown-record-field", "unknown-long-field", "unknown-nested-field",
+         "unknown-field-after-segment-check"],
 )
 def test_envelope_refusals_are_worded_by_parapath(text, message, tmp_path, capsys):
     limit = sys.get_int_max_str_digits()
@@ -276,10 +287,15 @@ def test_parser_survives_bad_argv(diamond_envelope, capsys):
 
 def test_gen_bad_weight_bound_is_input_error(tmp_path, capsys):
     out = tmp_path / "x.psp"
-    for bound in ("abc", "1/0", "1e1001", "1_000"):
+    for bound, message in (
+        ("abc", "bad weight bound "), ("1/0", "bad weight bound "),
+        ("1e1001", "bad weight bound "), ("1_000", "bad weight bound "),
+        ("0", "weight bound must be positive\n"), ("-1", "weight bound must be positive\n"),
+        ("0.001", "weight bound below 0.01\n"),
+    ):
         argv = ["gen", "random", "--weight-max", bound, "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: bad weight bound ")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 

@@ -252,8 +252,6 @@ def tuple_heap_search(graph, lam, source, target, mode, settled):
     bound = graph.slope_bound
     shift = (2 * bound).bit_length()
     labels = [None] * graph.vertex_count
-    if source == target:
-        return (), (0, 0, graph.den), labels
     prev_edge = tuple_heap_kernel(
         graph.adjacency, ((q - p) << shift) - sign, (p << shift) + sign,
         source, bound, target, settled, labels,
@@ -288,27 +286,28 @@ def dead_masks(graph, source, target, seed):
 
 
 def assert_packed_matches_tuple_heap(graph, source, target, lam, seed):
+    p, q = lam.as_integer_ratio()
+    n = graph.vertex_count
     for dead in dead_masks(graph, source, target, seed):
-        for mode in (MIN_SLOPE, MAX_SLOPE):
-            want_settled = [False] * graph.vertex_count if dead is None else list(dead)
+        for mode, sign in ((MIN_SLOPE, 1), (MAX_SLOPE, -1)):
+            want_settled = [False] * n if dead is None else list(dead)
             want = tuple_heap_search(graph, lam, source, target, mode, want_settled)
             got_settled = None if dead is None else list(dead)
-            labels = [None] * graph.vertex_count
+            labels = [None] * n
+            search = (graph, p, q, source, target, sign, got_settled, labels)
             if want is None:
                 with pytest.raises(UnreachableError):
-                    dijkstra_extreme_slope(
-                        graph, lam, source, target, mode, got_settled, labels
-                    )
+                    extreme_slope_search(*search)
             else:
-                path, line = dijkstra_extreme_slope(
-                    graph, lam, source, target, mode, got_settled, labels
-                )
-                assert (path, line.scaled(), unpacked(labels, graph)) == want
+                prev_edge, m, s = extreme_slope_search(*search)
+                path = walk_back(graph, prev_edge, source, target)
+                assert (path, (m, s, graph.den), unpacked(labels, graph)) == want
             if dead is not None:
                 assert got_settled == want_settled
+            elif want is not None:  # the checked search, which takes no mask
+                path, line = dijkstra_extreme_slope(graph, lam, source, target, mode)
+                assert (path, line.scaled()) == want[:2]
         # The reverse search: plain lengths toward the target.
-        p, q = lam.as_integer_ratio()
-        n = graph.vertex_count
         want_settled = [False] * n if dead is None else list(dead)
         want_lengths = [None] * n
         tuple_heap_kernel(
@@ -364,8 +363,9 @@ def test_packed_heap_entries_at_vertex_bit_boundaries(n):
 @given(own.graphs_with_pair(), own.lambdas, seeds)
 @settings(max_examples=200, deadline=None)
 def test_int_entry_and_walk_back_are_the_checked_search(instance, lam, seed):
-    # The builder calls the int entry and walks back only witness paths;
-    # together they must be the public search, labels and settled marks too.
+    # The builder calls the int entry and walks back only witness paths.
+    # Unmasked, together they must be the public search on path and line;
+    # under a mask, two searches must agree, labels and settled marks too.
     graph, source, target = instance
     p, q = lam.as_integer_ratio()
     n = graph.vertex_count
@@ -374,20 +374,22 @@ def test_int_entry_and_walk_back_are_the_checked_search(instance, lam, seed):
             want_dead = None if dead is None else list(dead)
             got_dead = None if dead is None else list(dead)
             want_labels, got_labels = [None] * n, [None] * n
+            want_search = (graph, p, q, source, target, sign, want_dead, want_labels)
+            got_search = (graph, p, q, source, target, sign, got_dead, got_labels)
             try:
-                path, line = dijkstra_extreme_slope(
-                    graph, lam, source, target, mode, want_dead, want_labels
-                )
+                prev_edge, m, s = extreme_slope_search(*want_search)
             except UnreachableError as exc:
                 with pytest.raises(UnreachableError, match=str(exc)):
-                    extreme_slope_search(
-                        graph, p, q, source, target, sign, got_dead, got_labels
-                    )
+                    extreme_slope_search(*got_search)
+                if dead is None:
+                    with pytest.raises(UnreachableError, match=str(exc)):
+                        dijkstra_extreme_slope(graph, lam, source, target, mode)
                 continue
-            prev_edge, m, s = extreme_slope_search(
-                graph, p, q, source, target, sign, got_dead, got_labels
-            )
+            path = walk_back(graph, prev_edge, source, target)
+            if dead is None:
+                checked = dijkstra_extreme_slope(graph, lam, source, target, mode)
+                assert (path, (m, s, graph.den)) == (checked[0], checked[1].scaled())
+            prev_edge, *line = extreme_slope_search(*got_search)
             assert walk_back(graph, prev_edge, source, target) == path
-            assert (m, s, graph.den) == line.scaled()
-            if source != target:  # the wrapper answers a pair (v, v) unsearched
-                assert (got_labels, got_dead) == (want_labels, want_dead)
+            assert line == [m, s]
+            assert (got_labels, got_dead) == (want_labels, want_dead)

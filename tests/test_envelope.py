@@ -188,7 +188,7 @@ def test_invariant_checker_rejects_bad_tilings(diamond):
     )
     for segments, match in (
         (gap, "gap"), (shared, "share a line"),
-        (both, r"^gap between segments 0 and 1$"),
+        (both, r"^gap between segments 0 and 1$"), ((), r"^segment array is empty$"),
     ):
         bad = ShortestPathIndex(0, 3, segments)
         with pytest.raises(ValueError, match=match):

@@ -812,6 +812,14 @@ def reference_parse_envelope(text: str) -> ShortestPathIndex:
         check_index_invariants(index)
     except ValueError as exc:
         raise EnvelopeFormatError(str(exc)) from None
+    # Last, a field outside the five the writer writes per object.
+    objects = [("the document", payload, {"format", "source", "target", "k", "segments"})]
+    objects += [(f"segment {i}", seg, {"lo", "hi", "c0", "c1", "vertices"})
+                for i, seg in enumerate(records)]
+    for where, fields, known in objects:
+        unknown = [key for key in fields if key not in known]
+        if unknown:
+            raise EnvelopeFormatError(f"unknown field {unknown[0]!r:.40} in {where}")
     return index
 
 
@@ -869,7 +877,7 @@ def character_edits(draw):
 
 @st.composite
 def field_edits(draw):
-    """A base envelope with one to three fields replaced, removed or
+    """A base envelope with one to three fields replaced, removed, added or
     duplicated, drawing values from the document's own numbers too, so a
     ``lo`` can be spelled as some other segment's ``hi``."""
     payload = json.loads(draw(st.sampled_from(ENVELOPE_BASES)))
@@ -883,11 +891,14 @@ def field_edits(draw):
         st.lists(st.integers(0, 9), max_size=4),
     )
     for _ in range(draw(st.integers(1, 3))):
-        action = draw(st.sampled_from(["set", "set", "digit", "delete", "segments"]))
+        actions = ["set", "set", "digit", "delete", "add", "segments"]
+        action = draw(st.sampled_from(actions))
         target = draw(st.sampled_from([payload, *segments, *segments]))
         key = draw(st.sampled_from(sorted(target) or ["lo"]))
         if action == "set":
             target[key] = draw(values)
+        elif action == "add":  # a field the writer never writes
+            target[draw(st.sampled_from(["note", "x", "lo ", "K"]))] = draw(values)
         elif action == "digit" and isinstance(target.get(key), str) and target[key]:
             at = draw(st.integers(0, len(target[key]) - 1))
             new = draw(st.sampled_from("0123456789/"))
