@@ -34,6 +34,9 @@ It hashes, in this order:
 - ``parapath query`` and ``parapath export-plot`` on ``unknown_field_edits``
   of each reader file: one edit adds a field the writer never writes to the
   document, and one more per record adds one to that record;
+- the same two commands on ``nested_documents``, lists nested ``NEST_DEPTHS``
+  deep as the document and as its ``format``, and on each reader file with
+  one id of its last walk made negative, the file's only ``-``;
 - library ``query`` results (type, segment index, path, scaled line, cost
   and comparison count) on the built and the loaded index of
   ``chain_graph(1)``, ``(3)``, ``(6)`` and ``(63)`` and grid-wide seeds 1-3,
@@ -90,6 +93,8 @@ EDIT_CHARS = '{}[]":,0123456789/ -.\nlohicvertsk'
 EDIT_VALUES = ("0/2", "2/4", "1/0", "01/2", "1/2 ", "x", "", -1, 0, 3, None, [], [0, 1],
                "\u0661/\u0662", "\u00b2/3", "\uff11/\uff12", "+1/2")
 PLOT_SAMPLES = 17
+# Around the reader's nesting bound (512) and each Python's own json limit.
+NEST_DEPTHS = (3, 500, 600, 900, 1200, 3000, 9000, 50000)
 QUERY_CHAINS = (1, 3, 6, 63)
 TINY = Fraction(1, 2**80)
 
@@ -170,6 +175,20 @@ def unknown_field_edits(text: str) -> list[str]:
         texts.append(json.dumps(payload))
         del seg["x"]
     return texts
+
+
+def nested_documents() -> list[str]:
+    """``[[...]]`` and ``{"format": [[...]]}`` at each of ``NEST_DEPTHS``."""
+    lists = ["[" * depth + "]" * depth for depth in NEST_DEPTHS]
+    return [text for nested in lists for text in (nested, f'{{"format": {nested}}}')]
+
+
+def negative_last_walk(text: str) -> str:
+    """The envelope ``text`` with the second id of its last walk negated."""
+    payload = json.loads(text)
+    walk = payload["segments"][-1]["vertices"]
+    walk[1] = -1 - walk[1]
+    return json.dumps(payload, indent=2)
 
 
 def load_bench_instances():
@@ -390,6 +409,12 @@ def digest(chain_blocks: int, grid_seeds: int, instances: int,
             for edit in unknown_field_edits(text):
                 edited.write_text(edit)
                 add(reader_outputs(edited, lams[:1], workdir))
+        for text in nested_documents():
+            edited.write_text(text)
+            add(reader_outputs(edited, ["1/4"], workdir))
+        for text, lams in bases:
+            edited.write_text(negative_last_walk(text))
+            add(reader_outputs(edited, lams[:1], workdir))
     graph = chain_graph(1)
     for lam, source, target in REFUSED_SEARCHES:
         for mode in (MIN_SLOPE, MAX_SLOPE):

@@ -46,6 +46,9 @@ from .model import (
 ENVELOPE_FORMAT_VERSION = 1
 _DOCUMENT_FIELDS = ("format", "source", "target", "k", "segments")
 _RECORD_FIELDS = ("lo", "hi", "c0", "c1", "vertices")
+# Well under the depth at which every supported Python's ``json`` gives up
+# (about 1,000 levels on 3.10 and 3.11); a written file nests 4 deep.
+_MAX_NESTING = 512
 
 
 def _digits(value: int) -> str:
@@ -303,10 +306,13 @@ def _parse_canonical(text: object) -> tuple[int, int]:
     raise ValueError(f"not a canonical p/q: {text!r:.40}")
 
 
-def _parse_segments(records: list, source: int, target: int) -> tuple[tuple, int | None]:
+def _parse_segments(
+    records: list, source: int, target: int, signed: bool
+) -> tuple[tuple, int | None]:
     """The segments, breakpoints built by ``_fraction`` and lines scaled as
     ``CostLine(c0, c1)`` scales them, and the index of the first walk that
-    is not a simple path from source to target, else None."""
+    is not a simple path from source to target, else None.  Walk signs are
+    tested only when ``signed``, that is when the text could hold one."""
     if type(records) is not list or countOf(map(type, records), dict) != len(records):
         got = f"got {records!r:.40}"
         raise EnvelopeFormatError(f"segments must be a list of objects, {got}")
@@ -323,7 +329,8 @@ def _parse_segments(records: list, source: int, target: int) -> tuple[tuple, int
             got = f"got {walk!r:.40}"
             raise EnvelopeFormatError(f"vertices must be a list of integers, {got}")
         if bad is None and not (walk and walk[0] == source and walk[-1] == target
-                                and min(walk) >= 0 and len(set(walk)) == len(walk)):
+                                and (not signed or min(walk) >= 0)
+                                and len(set(walk)) == len(walk)):
             bad = len(segments)
         segments.append(_segment(EnvelopeSegment, (lo, hi, None, line, tuple(walk))))
     return tuple(segments), bad
@@ -344,6 +351,13 @@ def parse_envelope(text: str) -> ShortestPathIndex:
     ``lo`` spelled as the ``hi`` before it is that ``hi``'s Fraction, so each
     breakpoint is parsed once and the check finds it shared.  The index
     keeps the check's ints as its ``query_columns``.
+
+    JSON (RFC 8259, section 6) writes a negative number only with a leading
+    minus, and the writer writes none, so the walks' signs are tested only
+    when the text holds a ``-``; the other walk tests run on every walk.  A
+    refused document nested deeper than ``_MAX_NESTING`` is refused as
+    nested too deeply, the line Python's own depth limit gives, wherever
+    that limit lies.
     """
     try:
         payload = json.loads(text)
@@ -354,6 +368,16 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         raise EnvelopeFormatError(f"document holds an integer {over}") from None
     except RecursionError:
         raise EnvelopeFormatError("not valid JSON: nested too deeply") from None
+    try:
+        return _index_of(payload, "-" in text)
+    except EnvelopeFormatError:
+        if _nesting(payload) > _MAX_NESTING:
+            raise EnvelopeFormatError("not valid JSON: nested too deeply") from None
+        raise
+
+
+def _index_of(payload: object, signed: bool) -> ShortestPathIndex:
+    """The index a parsed document holds; ``signed`` as for ``_parse_segments``."""
     if type(payload) is not dict:
         raise EnvelopeFormatError(f"document must be an object, got {payload!r:.40}")
     try:
@@ -364,7 +388,7 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         source = _json_int(payload["source"], "source")
         target = _json_int(payload["target"], "target")
         declared_k = _json_int(payload["k"], "k")
-        segments, bad = _parse_segments(payload["segments"], source, target)
+        segments, bad = _parse_segments(payload["segments"], source, target, signed)
     except (KeyError, ValueError) as exc:  # a missing field, or a bad token
         raise EnvelopeFormatError(f"malformed envelope document: {exc}") from None
     index = ShortestPathIndex(source, target, segments)
@@ -383,6 +407,17 @@ def parse_envelope(text: str) -> ShortestPathIndex:
         key, where = next(_unknown_fields(payload, records))
         raise EnvelopeFormatError(f"unknown field {key!r:.40} in {where}")
     return index
+
+
+def _nesting(value: object) -> int:
+    """How deep lists and objects nest in ``value``, a scalar being 0,
+    counted level by level, so a depth past the recursion limit is counted."""
+    depth, level = 0, [value]
+    while nodes := [node for node in level if type(node) in (list, dict)]:
+        depth += 1
+        level = [item for node in nodes
+                 for item in (node.values() if type(node) is dict else node)]
+    return depth
 
 
 def _unknown_fields(payload: dict, records: list[dict]) -> Iterator[tuple[str, str]]:

@@ -124,6 +124,11 @@ TAMPERED_ENVELOPES = {
         source=-1, seg0_vertices=[-1, 1, 3], seg1_vertices=[-1, 3]
     ),
     "negative-inner-vertex": _tampered(seg0_vertices=[0, -1, 3]),
+    # The reader tests walk signs only when the text holds a "-": here the
+    # one negative id is in the last walk, and then the one "-" is in a
+    # field the writer never writes, with every walk valid.
+    "negative-id-in-last-walk": _tampered(seg1_vertices=[0, -2, 3]),
+    "minus-in-unknown-field": _tampered(note="-1/2"),
     "walk-repeats-vertex": _tampered(seg0_vertices=[0, 1, 0, 1, 3]),
     # Each spelling below parses to the right rational, but the writer
     # emits only unsigned ASCII ``p/q`` in lowest terms.

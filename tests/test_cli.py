@@ -231,11 +231,18 @@ def test_query_tampered_envelope_is_input_error(name, tmp_path, capsys):
         # The field check runs last, so a file with another fault keeps its line.
         (own._tampered(note="x", seg1_c0="4/1"),
          "lines disagree at breakpoint 1/2 between 0 and 1"),
+        # json gives up at a depth that differs between Pythons; past 512
+        # levels the reader's own bound gives one line on each.
+        ("[" * 500 + "]" * 500, f"document must be an object, got {'[' * 40}"),
+        ("[" * 600 + "]" * 600, "not valid JSON: nested too deeply"),
+        ('{"format": ' + "[" * 600 + "]" * 600 + "}", "not valid JSON: nested too deeply"),
+        ("[" * 1200 + "]" * 1200, "not valid JSON: nested too deeply"),
     ],
     ids=["segment-string", "lo-list", "document-array", "trailing-comma",
          "vertex-past-digit-limit", "token-past-digit-limit", "unknown-document-field",
          "unknown-record-field", "unknown-long-field", "unknown-nested-field",
-         "unknown-field-after-segment-check"],
+         "unknown-field-after-segment-check", "nested-500", "nested-600",
+         "format-nested-600", "nested-1200"],
 )
 def test_envelope_refusals_are_worded_by_parapath(text, message, tmp_path, capsys):
     limit = sys.get_int_max_str_digits()

@@ -30,6 +30,7 @@ from parapath import (
     chain_endpoints,
     chain_graph,
     document_from_index,
+    graphio,
     query,
     random_graph,
 )
@@ -321,6 +322,39 @@ def test_untampered_base_document_loads():
     doc = parse_envelope(json.dumps(own.DIAMOND_ENVELOPE))
     assert (doc.source, doc.target) == (0, 3)
     assert [seg.vertices for seg in doc.segments] == [(0, 1, 3), (0, 2, 3)]
+
+
+@pytest.fixture
+def sign_passes(monkeypatch):
+    """The walks the reader takes ``min`` of, through a module-level ``min``."""
+    walks = []
+
+    def counting_min(walk):
+        walks.append(walk)
+        return min(walk)
+
+    monkeypatch.setattr(graphio, "min", counting_min, raising=False)
+    return walks
+
+
+def test_written_files_run_no_sign_pass(sign_passes, bench_instances, monkeypatch):
+    # No depth is measured on a file that loads, either.
+    monkeypatch.setattr(graphio, "_nesting", None)
+    inst = bench_instances.grid_instance(1)
+    graph = DualWeightGraph.build(inst.vertex_count, inst.rows)
+    grid = document_from_index(build_index(graph, inst.source, inst.target), graph)
+    for text in (chain_envelope(3), format_envelope(grid)):
+        assert "-" not in text
+        assert parse_envelope(text).k == json.loads(text)["k"]
+    assert sign_passes == []
+
+
+def test_a_file_holding_a_minus_runs_the_sign_pass(sign_passes):
+    payload = json.loads(chain_envelope(3))
+    text = json.dumps({**payload, "note": "-"})
+    with pytest.raises(EnvelopeFormatError, match="^unknown field 'note' in the document$"):
+        parse_envelope(text)
+    assert sign_passes == [seg["vertices"] for seg in payload["segments"]]
 
 
 def test_undecodable_files_are_format_errors(tmp_path):
